@@ -2,9 +2,10 @@
 """Ground-state energy three ways: shell-elimination flow, exact
 tridiagonal diagonalization, and the closed-form approximation.
 
-The flow solves f(z) = 0 by bracketed bisection; the oracle diagonalizes
-the symmetric pair sector independently.  The two agree to ~1e-15 while
-the closed form is off by O(1/N), shrinking as N grows.
+The flow solves f(z) = 0 by safeguarded Newton steps on the exact slope
+inside a sign-change bracket; the oracle diagonalizes the symmetric pair
+sector independently.  The two agree to ~1e-15 while the closed form is
+off by O(1/N), shrinking as N grows.
 """
 
 import bogoflow as bf
@@ -15,7 +16,8 @@ for n in (128, 4096, 131072):
     e_bog = bf.bogoliubov_energy(params)
     regime = "in regime" if result.assumptions.nu_ok else "outside regime"
     print(f"N = {n:>7}  ({regime})")
-    print(f"  flow root        z* = {result.z_star:+.15f}  ({result.iterations} bisections)")
+    steps = f"{result.iterations} Newton/bisection steps"
+    print(f"  flow root        z* = {result.z_star:+.15f}  ({steps})")
     print(f"  oracle disagreement  {result.oracle_delta:.3e}")
     print(f"  closed form       E = {e_bog:+.15f}")
     print(f"  |z* - E|            {abs(result.z_star - e_bog):.3e}")

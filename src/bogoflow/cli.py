@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from .model import FlowConfig, ModelParams, bogoliubov_energy, check_assumptions
 from .oracle import build_sector_hamiltonian, low_spectrum, lowest_eigenpair
 
 MODES = ("solve", "sweep", "verify", "sequences")
+# grid of solve, sweep and sequences when --n / --epsilon are not given
+DEFAULT_N = [1024]
+DEFAULT_EPS = [0.01]
 
 
 def _parse_grid(text: str, kind=float) -> list:
@@ -52,8 +55,10 @@ def _parse_grid(text: str, kind=float) -> list:
 @dataclass
 class RunConfig:
     mode: str = "solve"
-    n_values: List[int] = field(default_factory=lambda: [1024])
-    eps_values: List[float] = field(default_factory=lambda: [0.01])
+    # None means unset: solve, sweep and sequences then use DEFAULT_N and
+    # DEFAULT_EPS, verify its own default grids
+    n_values: Optional[List[int]] = None
+    eps_values: Optional[List[float]] = None
     phi: float = 1.0
     delta0: float = 1.0
     nu: float = 1.5
@@ -67,6 +72,10 @@ class RunConfig:
     workers: int = 1
     only: Optional[str] = None
     perturb_tk: float = 0.0
+
+    def grid(self) -> Tuple[List[int], List[float]]:
+        """Particle numbers and epsilons, defaulted for solve and sweep."""
+        return self.n_values or DEFAULT_N, self.eps_values or DEFAULT_EPS
 
     def flow_config(self) -> FlowConfig:
         return FlowConfig(
@@ -189,7 +198,7 @@ def parse_args(argv=None) -> RunConfig:
     env_out = os.environ.get("BOGOFLOW_OUT")
     if env_out:
         config.out = Path(env_out)
-    if not config.n_values or not config.eps_values:
+    if config.n_values == [] or config.eps_values == []:
         raise ValueError("empty parameter grid")
     if config.workers < 1:
         raise ValueError("workers must be >= 1")
@@ -261,7 +270,8 @@ def _sha256(path: Path) -> str:
 
 def run_solve(config: RunConfig) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
-    n, eps = config.n_values[0], config.eps_values[0]
+    n_values, eps_values = config.grid()
+    n, eps = n_values[0], eps_values[0]
     record = _solve_point(config, n, eps)
     files = {}
     if "json" in config.formats:
@@ -295,7 +305,8 @@ SWEEP_COLUMNS = (
 
 def run_sweep(config: RunConfig) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
-    grid = [(n, eps) for n in config.n_values for eps in config.eps_values]
+    n_values, eps_values = config.grid()
+    grid = [(n, eps) for n in n_values for eps in eps_values]
 
     def work(point):
         n, eps = point
@@ -354,10 +365,8 @@ def run_sweep(config: RunConfig) -> int:
 def run_verify(config: RunConfig) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
     vconf = verify.VerifyConfig(
-        n_values=tuple(config.n_values) if config.n_values != [1024] else verify.DEFAULT_GRID_N,
-        eps_values=tuple(config.eps_values)
-        if config.eps_values != [0.01]
-        else verify.DEFAULT_GRID_EPS,
+        n_values=tuple(config.n_values or verify.DEFAULT_GRID_N),
+        eps_values=tuple(config.eps_values or verify.DEFAULT_GRID_EPS),
         phi=config.phi,
         only=config.only,
         perturb_tk=config.perturb_tk,
@@ -377,8 +386,9 @@ def run_sequences(config: RunConfig) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
     cfg = config.flow_config()
     files = {}
-    for n in config.n_values:
-        for eps in config.eps_values:
+    n_values, eps_values = config.grid()
+    for n in n_values:
+        for eps in eps_values:
             params = ModelParams(
                 n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0
             )

@@ -22,8 +22,15 @@ The one-dimensional remainder after the last elimination,
 
 is, identically in z, the Schur complement of the sector tridiagonal
 matrix onto the condensate entry; its unique root in the window is the
-ground-state energy.  The level <-> pair-index dictionary is pinned here
-once: level i corresponds to pair count k = (N - i)/2, so W_i(z) equals
+ground-state energy.  Its slope comes from the same factors: with the
+amplitudes psi_k that groundstate.expand_ground_state builds (psi_0 = 1),
+
+    f'(z) = -(1 + sum_{k>=1} psi_k(z)^2),
+
+the derivative of the Schur complement, hence f' <= -1.
+
+The level <-> pair-index dictionary is pinned here once: level i
+corresponds to pair count k = (N - i)/2, so W_i(z) equals
 t_{k}^2 / ((d_k - z)(d_{k+1} - z)) in terms of the sector matrix
 elements.  That identity is asserted by the equivalence tests, never
 used in the computation.
@@ -40,6 +47,9 @@ from .model import ModelParams
 # Denominators of W below this multiple of phi*N indicate z outside the
 # admissible window; positivity is only guaranteed inside it.
 POLE_FLOOR = 1e-12
+# block length and cutoff of the amplitude sum behind the slope of f
+SLOPE_BLOCK = 2048
+SLOPE_NEGLIGIBLE = 1e-250
 
 
 class FlowDomainError(ValueError):
@@ -53,7 +63,9 @@ class FlowTable:
     g_values[j] is G at level start_level + 2j; w_products[j] the scalar
     coupling product entering that level (0.0 at the start level, which
     has none).  valid means every geometric-series condition held;
-    otherwise invalid_level is the first offending level.
+    otherwise invalid_level is the first offending level.  f_slope is
+    the slope of f_value in z where the table is valid, NaN otherwise
+    (from a start level above 0 both belong to the truncated flow).
     """
 
     z: float
@@ -63,6 +75,7 @@ class FlowTable:
     f_value: float
     valid: bool
     invalid_level: int
+    f_slope: float = math.nan
 
     @property
     def levels(self) -> np.ndarray:
@@ -77,7 +90,11 @@ class FlowTable:
 
 
 def _w_product_arrays(params: ModelParams, z: float, start_level: int):
-    """Coupling products for levels start_level..N-2; index 0 is 0.0."""
+    """Coupling products for levels start_level..N-2; index 0 is 0.0.
+
+    Also returns the numerator t_k^2 and first resolvent d_k - z of each
+    level, which the slope of f reuses.
+    """
     n = params.n_particles
     phi, k2 = params.phi, params.kinetic
     count = (n - start_level) // 2
@@ -94,7 +111,7 @@ def _w_product_arrays(params: ModelParams, z: float, start_level: int):
                 f"resolvent denominator below pole floor at z={z!r}"
             )
         w[1:] = num[1:] / (den1[1:] * den2[1:])
-    return w
+    return w, num, den1
 
 
 def w_product(params: ModelParams, i: int, z: float) -> float:
@@ -102,7 +119,7 @@ def w_product(params: ModelParams, i: int, z: float) -> float:
     n = params.n_particles
     if i % 2 != 0 or not 2 <= i <= n - 2:
         raise ValueError("level must be even with 2 <= i <= N-2")
-    w = _w_product_arrays(params, z, i - 2)
+    w = _w_product_arrays(params, z, i - 2)[0]
     return float(w[1])
 
 
@@ -111,7 +128,7 @@ def g_check(params: ModelParams, z: float, start_level: int = 0) -> FlowTable:
     n = params.n_particles
     if start_level % 2 != 0 or not 0 <= start_level <= n - 2:
         raise ValueError("start_level must be even with 0 <= start_level <= N-2")
-    w = _w_product_arrays(params, z, start_level)
+    w, num, den1 = _w_product_arrays(params, z, start_level)
     g = np.empty_like(w)
     g[0] = 1.0
     first_bad = int(_kernels.flow_recursion(w, g))
@@ -125,7 +142,14 @@ def g_check(params: ModelParams, z: float, start_level: int = 0) -> FlowTable:
         f_value=f_value,
         valid=valid,
         invalid_level=-1 if valid else start_level + 2 * first_bad,
+        f_slope=_f_slope(g, num, den1, _final_coupling(params)) if valid else math.nan,
     )
+
+
+def _final_coupling(params: ModelParams) -> float:
+    """t_0^2, the coupling of the condensate entry to the first shell."""
+    n, phi = params.n_particles, params.phi
+    return (1.0 - 1.0 / n) * phi * phi
 
 
 def _f_from_g(params: ModelParams, z: float, g_last: float) -> float:
@@ -133,7 +157,37 @@ def _f_from_g(params: ModelParams, z: float, g_last: float) -> float:
     den = phi * (2.0 * eps + 2.0 - 4.0 / n) - z
     if den == 0.0:
         raise FlowDomainError("final resolvent pole at this z")
-    return -z - (1.0 - 1.0 / n) * phi * phi / den * g_last
+    return -z - _final_coupling(params) / den * g_last
+
+
+def _f_slope(g, num, den1, t0_sq: float) -> float:
+    """f'(z) = -(1 + sum psi_k^2) from one flow pass.
+
+    psi_k / psi_{k-1} = -G t_{k-1} / (d_k - z) at level i = N - 2k
+    (index j = i/2): its square is g[j]^2 num[j+1] / den1[j]^2, with
+    num at level N being t_0^2.  The running product psi_k^2 is taken
+    block by block.  Once it falls below SLOPE_NEGLIGIBLE with no later
+    ratio above 1, the rest of the sum is below SLOPE_NEGLIGIBLE * N,
+    far under the rounding of the total (>= 1), and the sum stops: past
+    that point the products are subnormal, and slow to multiply.
+    """
+    ratio_sq = g * g
+    ratio_sq[:-1] *= num[1:]
+    ratio_sq[-1] *= t0_sq
+    ratio_sq /= den1
+    ratio_sq /= den1
+    ratio_sq = ratio_sq[::-1]
+    total, carry = 1.0, 1.0
+    for start in range(0, ratio_sq.size, SLOPE_BLOCK):
+        rest = start + SLOPE_BLOCK
+        psi_sq = ratio_sq[start:rest].copy()
+        psi_sq[0] *= carry
+        np.cumprod(psi_sq, out=psi_sq)
+        total += float(psi_sq.sum())
+        carry = float(psi_sq[-1])
+        if carry < SLOPE_NEGLIGIBLE and not (ratio_sq[rest:] > 1.0).any():
+            break
+    return -total
 
 
 def f_of_z(params: ModelParams, z: float) -> float:

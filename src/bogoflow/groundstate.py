@@ -101,19 +101,20 @@ def expand_ground_state(
     d, t = tri.diag, tri.offdiag
     g = table.g_values  # index j <-> level 2j
 
-    adaptive = n > FULL_SECTOR_LIMIT
-    coeffs = np.zeros(k_max + 1)
+    # psi_k = ratio_k * psi_{k-1} with G at level N - 2k, i.e. g[half - k];
+    # cumprod and cumsum accumulate in index order, so every psi_k and the
+    # stop index equal those of the term-by-term recursion to the bit
+    coeffs = np.empty(k_max + 1)
     coeffs[0] = 1.0
-    norm_sq = 1.0
-    last = 0
-    for k in range(1, k_max + 1):
-        level = n - 2 * k
-        psi = -g[level // 2] * t[k - 1] / (d[k] - z_eval) * coeffs[k - 1]
-        coeffs[k] = psi
-        norm_sq += psi * psi
-        last = k
-        if adaptive and abs(psi) < COEFF_FLOOR * math.sqrt(norm_sq):
-            break
+    coeffs[1:] = -g[::-1][:k_max] * t[:k_max] / (d[1 : k_max + 1] - z_eval)
+    np.cumprod(coeffs, out=coeffs)
+    last = k_max
+    if n > FULL_SECTOR_LIMIT:
+        # adaptive stop at the first psi_k below COEFF_FLOOR * |psi_0..k|
+        norm_sq = np.cumsum(coeffs * coeffs)
+        small = np.abs(coeffs[1:]) < COEFF_FLOOR * np.sqrt(norm_sq[1:])
+        if small.any():
+            last = 1 + int(np.argmax(small))
     coeffs = coeffs[: last + 1]
 
     tail_bound = 0.0

@@ -100,7 +100,7 @@ def x_sequence(params: ModelParams, cfg: Optional[FlowConfig] = None) -> Sequenc
 
 @dataclass(frozen=True)
 class StreamedSequenceSummary:
-    """Terminal value and worst bound margin of a chain, O(1) memory."""
+    """Terminal value and worst bound margin of a chain, bounded memory."""
 
     terminal: float
     min_margin: float
@@ -112,7 +112,8 @@ def x_sequence_terminal(
 ) -> StreamedSequenceSummary:
     """Streaming form of x_sequence for sweeps at very large N: returns
     only the terminal entry and the minimum lower-bound margin instead
-    of materializing O(N) arrays.  Identical arithmetic to x_sequence.
+    of materializing O(N) arrays; memory is O(_kernels.STREAM_BLOCK).
+    Identical arithmetic to x_sequence while the chain fits one block.
     """
     cfg = cfg or FlowConfig()
     n, eps = params.n_particles, params.epsilon

@@ -2,11 +2,14 @@
 and the error budget against the closed-form approximation.
 
 The fixed-point function f is continuous and strictly decreasing (slope
-<= -1) on the admissible window, so bracketing bisection is guaranteed
-to converge to the unique root.  At spectral parameters where the
-geometric-series condition of the flow fails, the root necessarily lies
-below, which lets the bisection treat "invalid" as "to the right of the
-root" without ever leaving certified territory.
+<= -1) on the admissible window, and concave wherever the flow is valid,
+so a safeguarded Newton iteration inside a sign-change bracket converges
+to the unique root; one flow pass gives f and its exact slope.  At
+spectral parameters where the geometric-series condition of the flow
+fails, the root necessarily lies below, which lets the search treat
+"invalid" as "to the right of the root" without ever leaving certified
+territory.  The search stops once |f(z)| <= tol_root * phi, which the
+slope bound turns into |z - z*| <= tol_root * phi.
 """
 
 import math
@@ -45,7 +48,7 @@ class BracketError(RuntimeError):
 @dataclass(frozen=True)
 class GroundEnergyResult:
     z_star: float
-    iterations: int
+    iterations: int  # Newton and bisection steps after the bracket probes
     window: SpectralWindow
     bracket: Tuple[float, float]
     upper_bound_check: bool
@@ -62,13 +65,22 @@ def _flow_side(params, z):
     the -1 side: the geometric-series condition holds at every level for
     all z below the smallest eigenvalue.
     """
+    return 1 if _f_or_right(_flow_point(params, z)) > 0.0 else -1
+
+
+def _flow_point(params, z):
+    """(f(z), f'(z)), or None where the flow is invalid or trips the
+    pole guard (z is then right of the root)."""
     try:
         table = g_check(params, z)
     except FlowDomainError:
-        return -1
-    if not table.valid:
-        return -1
-    return 1 if table.f_value > 0.0 else -1
+        return None
+    return (table.f_value, table.f_slope) if table.valid else None
+
+
+def _f_or_right(point) -> float:
+    # an invalid point counts as right of the root, where f < 0
+    return point[0] if point is not None else -math.inf
 
 
 def solve_fixed_point(
@@ -78,10 +90,21 @@ def solve_fixed_point(
 ) -> GroundEnergyResult:
     """Locate the unique root of the fixed-point function.
 
-    Bisection on the spectral window; if the window top is below the
-    root (possible outside the proven regime) the bracket is extended to
-    0, which always lies above the ground energy for phi > 0.  A final
-    safeguarded Newton step polishes the midpoint.
+    The bracket is the spectral window; if the window top is below the
+    root (possible outside the proven regime) the bracket becomes
+    [window top, 0], and 0 always lies above the ground energy for
+    phi > 0.  Inside it runs a safeguarded Newton iteration on the exact
+    slope (rtsafe, Numerical Recipes 9.4).  It starts from the bracket
+    top when the flow is valid there and |f| is no larger than at the
+    bottom, which is the case at every in-regime point: f is concave
+    where the flow is valid, so Newton steps from the right of the root
+    stay right of it and converge monotonically.  Otherwise it starts
+    from the bottom and overshoots to the right once.  A step from an
+    invalid point, a Newton step that leaves the bracket, and one longer
+    than half the step before it bisect instead.  The search stops once
+    |f(z)| <= tol_root * phi; since f' <= -1 that certifies
+    |z - z*| <= tol_root * phi.  result.iterations counts the Newton and
+    bisection steps after the bracket probes.
     """
     cfg = cfg or FlowConfig()
     if params.phi <= 0.0:
@@ -92,7 +115,8 @@ def solve_fixed_point(
 
     lo = window.z_min
     for _ in range(64):
-        if _flow_side(params, lo) > 0:
+        at_lo = _flow_point(params, lo)
+        if _f_or_right(at_lo) > 0.0:
             break
         lo -= 10.0 * phi
     else:
@@ -100,41 +124,43 @@ def solve_fixed_point(
 
     hi = window.z_max
     extended = False
-    if _flow_side(params, hi) > 0:
+    at_hi = _flow_point(params, hi)
+    if _f_or_right(at_hi) > 0.0:
         # window closes below the root; only meaningful outside the regime
         if report.solver_regime_ok:
             raise BracketError("no sign change inside the spectral window")
+        lo, at_lo = hi, at_hi
         hi = 0.0
         extended = True
-        if _flow_side(params, hi) > 0:
+        at_hi = _flow_point(params, hi)
+        if _f_or_right(at_hi) > 0.0:
             raise BracketError("no sign change in the extended bracket")
 
-    iterations = 0
     tol = cfg.tol_root * phi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _flow_side(params, mid) > 0:
-            lo = mid
+    if at_hi is not None and abs(at_hi[0]) <= abs(at_lo[0]):
+        z, point = hi, at_hi
+    else:
+        z, point = lo, at_lo
+    iterations = 0
+    last_step = math.inf
+    while True:
+        f = _f_or_right(point)
+        if f > 0.0:
+            lo = z
         else:
-            hi = mid
+            hi = z
+        if abs(f) <= tol:
+            break
+        z_new = z - f / point[1] if point is not None else math.nan
+        if not (lo < z_new < hi and abs(z_new - z) < 0.5 * last_step):
+            z_new = 0.5 * (lo + hi)
+            if hi - lo <= tol or not lo < z_new < hi:
+                break  # bracket exhausted: z, one of its ends, is within tol
+        last_step = abs(z_new - z)
+        z = z_new
+        point = _flow_point(params, z)
         iterations += 1
-
-    z_star = 0.5 * (lo + hi)
-    f_mid = _safe_f(params, z_star)
-
-    # single safeguarded Newton polish with a finite-difference slope
-    h = max(1e-7 * phi, 4.0 * tol)
-    f_minus = _safe_f(params, z_star - h)
-    if f_mid is not None and f_minus is not None and f_minus != f_mid:
-        slope = (f_mid - f_minus) / h
-        if slope < 0.0:
-            z_new = z_star - f_mid / slope
-            if lo <= z_new <= hi:
-                f_new = _safe_f(params, z_new)
-                if f_new is not None and abs(f_new) < abs(f_mid):
-                    z_star, f_mid = z_new, f_new
+    z_star = z
 
     eps = params.epsilon
     cap = bogoliubov_energy(params) + UPPER_BOUND_COEF * math.sqrt(eps) * phi * math.sqrt(
@@ -150,19 +176,11 @@ def solve_fixed_point(
         window=window,
         bracket=(lo, hi),
         upper_bound_check=z_star < cap,
-        f_at_z_star=f_mid if f_mid is not None else math.nan,
+        f_at_z_star=point[0] if point is not None else math.nan,
         assumptions=report,
         extended_bracket=extended,
         oracle_delta=oracle_delta,
     )
-
-
-def _safe_f(params, z):
-    try:
-        table = g_check(params, z)
-    except FlowDomainError:
-        return None
-    return table.f_value if table.valid else None
 
 
 @dataclass(frozen=True)

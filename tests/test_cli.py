@@ -144,3 +144,21 @@ def test_geometric_grid_parsing():
     assert cli._parse_grid("0.5,0.1", float) == [0.5, 0.1]
     with pytest.raises(ValueError):
         cli._parse_grid("10:1:2", int)
+
+
+def test_verify_uses_grid_equal_to_solve_defaults(tmp_path, monkeypatch):
+    # --n 1024 and --epsilon 0.01 are also the solve defaults; verify must
+    # still run exactly that grid instead of its own default battery
+    seen = []
+
+    def fake_run_all(vconf):
+        seen.append(vconf)
+        return []
+
+    monkeypatch.setattr(cli.verify, "run_all", fake_run_all)
+    out = str(tmp_path / "verify")
+    run_cli(["--mode", "verify", "--only", "cf", "--n", "1024", "--epsilon", "0.01", "--out", out])
+    run_cli(["--mode", "verify", "--only", "cf", "--out", out])
+    assert (seen[0].n_values, seen[0].eps_values) == ((1024,), (0.01,))
+    assert seen[1].n_values == cli.verify.DEFAULT_GRID_N
+    assert seen[1].eps_values == cli.verify.DEFAULT_GRID_EPS

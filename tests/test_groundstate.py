@@ -170,3 +170,37 @@ def test_vector_csv_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "k,psi_k,oracle_v_k,abs_diff"
     assert len(lines) == 1 + vec.coeffs.size
+
+
+def _expand_by_loop(params, z):
+    # the element loop the vectorized expansion replaced, kept as reference
+    from bogoflow.flow import g_check
+    from bogoflow.groundstate import COEFF_FLOOR, FULL_SECTOR_LIMIT
+
+    n = params.n_particles
+    g = g_check(params, z).g_values
+    tri = build_sector_hamiltonian(params)
+    d, t = tri.diag, tri.offdiag
+    coeffs = np.zeros(n // 2 + 1)
+    coeffs[0] = 1.0
+    norm_sq = 1.0
+    last = 0
+    for k in range(1, n // 2 + 1):
+        psi = -g[(n - 2 * k) // 2] * t[k - 1] / (d[k] - z) * coeffs[k - 1]
+        coeffs[k] = psi
+        norm_sq += psi * psi
+        last = k
+        if n > FULL_SECTOR_LIMIT and abs(psi) < COEFF_FLOOR * np.sqrt(norm_sq):
+            break
+    return coeffs[: last + 1]
+
+
+@pytest.mark.parametrize("n", (1024, 2 * 10**5))
+def test_vectorized_expansion_matches_loop_bitwise(n):
+    # cumprod/cumsum accumulate in order, so coefficients and the
+    # adaptive stop index are unchanged to the bit
+    params = ModelParams(n_particles=n, epsilon=0.01)
+    z = solve_fixed_point(params).z_star
+    vec = expand_ground_state(params, z)
+    assert not vec.shifted_evaluation
+    np.testing.assert_array_equal(vec.coeffs, _expand_by_loop(params, z))

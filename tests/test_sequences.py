@@ -45,7 +45,7 @@ def test_streaming_terminal_matches_materialized():
 
 
 def test_streaming_handles_very_large_n():
-    # O(1) memory: a chain far beyond what arrays could hold comfortably.
+    # bounded memory: a chain far beyond what arrays could hold comfortably.
     # The head transient contracts to the fixed point and the final dip
     # only sees the small tail denominators, so the terminal value is
     # N-independent: compare against a small-N reference.

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from bogoflow import (
     ModelParams,
     bogoliubov_energy,
     build_sector_hamiltonian,
     energy_error_diagnostic,
+    g_check,
     gap_bound_check,
     lowest_eigenpair,
     solve_fixed_point,
@@ -154,3 +156,57 @@ def test_random_parameter_points_end_to_end():
         assert result.oracle_delta <= 1e-10 * max(1.0, phi), (n, eps, phi)
         vec = expand_ground_state(params, result.z_star, compare_oracle=True)
         assert vec.overlap_oracle >= 1.0 - 1e-9, (n, eps, phi)
+
+
+def test_flow_slope_matches_central_difference():
+    # also from a start level above 0, where f belongs to the truncated flow
+    for n, eps, start in ((16, 0.5, 0), (1024, 0.01, 0), (1024, 0.01, 900)):
+        params = ModelParams(n_particles=n, epsilon=eps)
+        z = solve_fixed_point(params).z_star - 0.05
+        h = 1e-5
+        slope = g_check(params, z, start).f_slope
+        f_right, f_left = (g_check(params, z + s, start).f_value for s in (h, -h))
+        assert slope <= -1.0
+        assert slope == pytest.approx((f_right - f_left) / (2 * h), rel=1e-8)
+
+
+def test_flow_slope_is_minus_squared_norm_of_expansion():
+    # f'(z) = -(1 + sum_k psi_k^2) with psi_0 = 1, at any valid z
+    from bogoflow import expand_ground_state
+
+    for n, eps in ((2, 0.01), (512, 0.05), (4096, 0.01)):
+        params = ModelParams(n_particles=n, epsilon=eps)
+        z = solve_fixed_point(params).z_star - 0.01
+        vec = expand_ground_state(params, z)
+        assert not vec.shifted_evaluation
+        slope = g_check(params, z).f_slope
+        assert slope == pytest.approx(-float(np.sum(vec.coeffs**2)), rel=1e-12)
+
+
+def test_newton_solve_flow_evaluations_and_accuracy(monkeypatch):
+    # bracket probes plus Newton/bisection steps, including the extended
+    # bracket at N = 2, eps = 0.001; the root checked against LAPACK
+    from bogoflow import spectrum
+
+    calls = []
+
+    def counting_g_check(*args, **kwargs):
+        calls.append(args[1])
+        return g_check(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "g_check", counting_g_check)
+    for n in (2, 4, 1024, 16384, 200000):
+        for eps in (0.001, 0.01, 0.5):
+            params = ModelParams(n_particles=n, epsilon=eps)
+            tri = build_sector_hamiltonian(params)
+            lam0 = eigh_tridiagonal(
+                tri.diag, tri.offdiag, eigvals_only=True, select="i", select_range=(0, 0), tol=1e-15
+            )[0]
+            calls.clear()
+            result = solve_fixed_point(params)
+            assert len(calls) <= 8, (n, eps, len(calls))
+            assert result.iterations <= len(calls) - 2
+            assert abs(result.f_at_z_star) <= 1e-12
+            assert abs(result.z_star - lam0) <= 1e-10, (n, eps)
+            if (n, eps) == (2, 0.001):
+                assert result.extended_bracket
