@@ -38,7 +38,6 @@ from .oracle import (
     low_spectrum,
     lowest_eigenpair,
     schur_complement,
-    sturm_count,
 )
 from .sequences import (
     BoundSequences,
@@ -99,7 +98,6 @@ __all__ = [
     "schur_complement",
     "solve_fixed_point",
     "spectral_window",
-    "sturm_count",
     "tail_series",
     "w_product",
     "x_sequence",

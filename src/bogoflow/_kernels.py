@@ -1,42 +1,28 @@
-"""Hot scalar recursions, JIT-compiled when numba is available.
+"""Hot scalar recursions over 1-D float64 arrays, in numpy and Python.
 
-Every kernel here is a sequential recurrence over a 1-D float64 array;
-they are the only loops in the package that matter for runtime.  The
-pure-Python fallbacks compute identical values (division by an exact
-zero is guarded the same way), just slower.
-
-The two Moebius chains, flow_recursion and rational_chain, switch from
-the element loop to a chunked lockstep scan (_lockstep_scan) once the
-array reaches SCAN_MIN_LENGTH entries.
+flow_recursion and rational_chain are the Moebius chains of the flow and
+of the comparison sequences; from SCAN_MIN_LENGTH entries on they run a
+chunked lockstep scan (_lockstep_scan) that computes every entry by the
+formula of the element loop.  x_chain_streaming runs rational_chain
+block by block for chains too long to hold.  schur_eta is the nested
+fraction of the oracle's tridiagonal matrix, the matrix side of the
+continued-fraction identity.
 """
 
 import math
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
+# No kernel is JIT-compiled; the benchmark harness reads this name into
+# its run metadata.
+HAVE_NUMBA = False
 
 _TINY = 1e-300  # replaces an exact zero pivot/denominator
 
 # Chains shorter than this run the element loop: below it the scan's
 # fixed numpy-call cost exceeds the loop's per-element work (loop vs scan,
 # flow chain: 0.07 vs 0.06 ms at 96 entries, 0.09 vs 0.07 ms at 128, on a
-# 2-vCPU Xeon VM with numpy 2.4 and numba absent).
+# 2-vCPU Xeon VM with numpy 2.4).
 SCAN_MIN_LENGTH = 128
 # rescale the lockstep composites every this many maps; one map grows
 # them by at most a factor 1 + |coefficient|
@@ -45,7 +31,6 @@ _RENORM_EVERY = 8
 STREAM_BLOCK = 1 << 16
 
 
-@njit(cache=True, nogil=True)
 def _flow_loop(w, g):
     first_bad = -1
     for j in range(1, w.shape[0]):
@@ -87,7 +72,6 @@ def flow_recursion(w, g):
     return _lockstep_scan(w, g, _flow_loop, _flow_maps, _flow_column)
 
 
-@njit(cache=True, nogil=True)
 def _chain_loop(dfac, x):
     first_bad = -1
     for j in range(1, x.shape[0]):
@@ -200,45 +184,6 @@ def _lockstep_scan(coef, out, loop, maps, column):
     return end - 1 + tail_bad if tail_bad >= 0 else -1
 
 
-@njit(cache=True, nogil=True)
-def sturm_count(d, e2, z):
-    """Number of eigenvalues of the symmetric tridiagonal matrix below z.
-
-    d is the diagonal, e2 the squared off-diagonal.  Standard LDL^T sign
-    count; an exact zero pivot is nudged to keep the recurrence defined.
-    """
-    count = 0
-    q = d[0] - z
-    if q < 0.0:
-        count += 1
-    for k in range(1, d.shape[0]):
-        if q == 0.0:
-            q = _TINY
-        q = d[k] - z - e2[k - 1] / q
-        if q < 0.0:
-            count += 1
-    return count
-
-
-@njit(cache=True, nogil=True)
-def bisect_eigenvalue(d, e2, lo, hi, index, tol):
-    """Bisect for the eigenvalue of given index (0 = smallest).
-
-    Invariant: count(lo) <= index < count(hi).  Stops when the bracket
-    width drops below tol and returns (lo, hi).
-    """
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if sturm_count(d, e2, mid) >= index + 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-@njit(cache=True, nogil=True)
 def schur_eta(d, e2, z):
     """Schur complement of (T - z) onto the first entry, evaluated directly.
 
@@ -291,14 +236,12 @@ def x_chain_streaming(n, a, b, c, sqrt_eta_a, xi):
 
 
 def warmup():
-    """Force JIT compilation of all kernels on tiny inputs."""
+    """Run every kernel once on tiny inputs."""
     d = np.array([0.0, 1.0, 2.0])
     e2 = np.array([0.1, 0.1])
     w = np.array([0.0, 0.1])
     g = np.ones(2)
     flow_recursion(w, g)
-    sturm_count(d, e2, -1.0)
-    bisect_eigenvalue(d, e2, -5.0, 5.0, 0, 1e-3)
     schur_eta(d, e2, -1.0)
     x = np.ones(3)
     rational_chain(np.ones(3), x)

@@ -36,7 +36,12 @@ DEFAULT_EPS = [0.01]
 
 
 def _parse_grid(text: str, kind=float) -> list:
-    """Comma list (1,2,3) or geometric range start:stop:factor."""
+    """Comma list (1,2,3) or geometric range start:stop:factor.
+
+    Integer ranges are particle numbers: each value is rounded to the
+    nearest even integer, since the pair sector needs even N, and
+    repeats are dropped.
+    """
     text = text.strip()
     if ":" in text:
         start_s, stop_s, factor_s = text.split(":")
@@ -46,9 +51,9 @@ def _parse_grid(text: str, kind=float) -> list:
         values = []
         v = start
         while v <= stop * (1.0 + 1e-12):
-            values.append(kind(round(v) if kind is int else v))
+            values.append(kind(2 * round(v / 2) if kind is int else v))
             v *= factor
-        return values
+        return list(dict.fromkeys(values))
     return [kind(part) for part in text.split(",") if part.strip()]
 
 
@@ -134,7 +139,7 @@ def _apply_key(config: RunConfig, key: str, value: str) -> None:
     elif key == "delta":
         config.delta = float(value)
     else:
-        setattr(config, key if key != "perturb_tk" else "perturb_tk", kind(value))
+        setattr(config, key, kind(value))
 
 
 def parse_args(argv=None) -> RunConfig:
@@ -357,9 +362,11 @@ def run_sweep(config: RunConfig) -> int:
         for row in rows
     ]
     _write_manifest(config, files, points)
-    ok_rows = sum(1 for row in rows if row["status"] == "ok")
-    print(f"sweep: {ok_rows}/{len(rows)} points ok -> {csv_path}")
-    return 0 if ok_rows else 1
+    solved = [row for row in rows if row["status"] == "ok"]
+    print(f"sweep: {len(solved)}/{len(rows)} points ok -> {csv_path}")
+    if not solved:
+        return 1
+    return 0 if any(row["assumptions_ok"] for row in solved) else 2
 
 
 def run_verify(config: RunConfig) -> int:

@@ -216,7 +216,6 @@ class TruncationBounds:
 
 def kz_truncation_bounds(
     params: ModelParams,
-    z: float,
     r: int,
     i: int,
     h: int,
@@ -227,8 +226,7 @@ def kz_truncation_bounds(
 
     K_f = 1/(4*(1 + a - 2b/(N-f+1) - (1-c)/(N-f+1)^2)),
     Z_f = K_f * 2/(1 + sqrt(eta*a) - (b/sqrt(eta*a))/(N-f+2 - xi)).
-    The bounds are uniform in z over the admissible window; z is accepted
-    for interface symmetry with the flow operations.
+    The bounds are uniform in z over the admissible window.
     """
     cfg = cfg or FlowConfig()
     n, eps = params.n_particles, params.epsilon

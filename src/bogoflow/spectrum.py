@@ -193,18 +193,13 @@ class GapReport:
     combined_ok: bool
 
 
-def gap_bound_check(
-    params: ModelParams,
-    cfg: Optional[FlowConfig] = None,
-    result: Optional[GroundEnergyResult] = None,
-) -> GapReport:
+def gap_bound_check(params: ModelParams) -> GapReport:
     """Sector gap lambda_1 - lambda_0 against its analytic floor.
 
     Modes outside the interacting triple cost at least delta0, which
     enters only through the min with delta0/2; the sector-internal floor
     is GAP_COEF * sqrt(eps) * phi * sqrt(eps^2 + 2eps).
     """
-    cfg = cfg or FlowConfig()
     eps, phi = params.epsilon, params.phi
     tri = build_sector_hamiltonian(params)
     lam = low_spectrum(tri, 2) if tri.size >= 2 else None

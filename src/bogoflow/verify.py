@@ -342,7 +342,7 @@ def check_gap_bound(
             if not check_assumptions(params, cfg).nu_ok:
                 continue
             tested += 1
-            report = spectrum.gap_bound_check(params, cfg)
+            report = spectrum.gap_bound_check(params)
             worst = min(worst, report.sector_gap - report.gap_floor)
             if not report.sector_ok:
                 violations.append((n, eps))

@@ -11,7 +11,7 @@ Grid conventions used below:
 - the sequence-bound points use N = 10^7, which satisfies every
   N-dependent part of the gamma condition at the documented constants.
 
-Timed criteria measure the algorithms after JIT warmup (conftest).
+Timed criteria include the first call of each kernel.
 """
 
 import math

@@ -58,6 +58,25 @@ def test_sweep_error_decreases_with_n(tmp_path):
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
+def test_sweep_geometric_grid_rounds_to_even_n(tmp_path):
+    # 1000 * 1.5^3 = 3375 is odd; the grid must carry an even N instead
+    out = tmp_path / "sweep"
+    run_cli(["--mode", "sweep", "--n", "1000:10000:1.5", "--epsilon", "0.01", "--out", str(out)])
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    assert all(row[-1] == "ok" for row in rows)
+    assert all(int(row[0]) % 2 == 0 for row in rows)
+
+
+def test_sweep_exits_2_when_every_point_is_outside_regime(tmp_path):
+    # 1/N = 0.0625 > 0.1^1.5: solved, but outside the proven regime
+    out = tmp_path / "sweep"
+    code = run_cli(["--mode", "sweep", "--n", "16", "--epsilon", "0.1", "--out", str(out)])
+    row = (out / "results.csv").read_text().splitlines()[1].split(",")
+    assert row[-2:] == ["0", "ok"]
+    assert code == 2
+
+
 def test_sweep_deterministic_across_workers(tmp_path):
     args = ["--mode", "sweep", "--n", "16,64,256", "--epsilon", "0.1,0.01"]
     out1, out2 = tmp_path / "w1", tmp_path / "w8"
@@ -141,6 +160,7 @@ def test_sequences_mode_writes_csvs(tmp_path):
 
 def test_geometric_grid_parsing():
     assert cli._parse_grid("1000:100000:10", int) == [1000, 10000, 100000]
+    assert cli._parse_grid("1000:1006:1.001", int) == [1000, 1002, 1004, 1006]
     assert cli._parse_grid("0.5,0.1", float) == [0.5, 0.1]
     with pytest.raises(ValueError):
         cli._parse_grid("10:1:2", int)

@@ -113,8 +113,7 @@ def test_tail_series_dominates_measured_decay():
 
 def test_kz_bounds_contract():
     params = ModelParams(n_particles=2000, epsilon=0.04)
-    z = bogoliubov_energy(params)
-    bounds = kz_truncation_bounds(params, z, r=2, i=600, h=4)
+    bounds = kz_truncation_bounds(params, r=2, i=600, h=4)
     assert np.all(bounds.Z < 1.0)
     assert bounds.remainder < bounds.leading
     # per-factor envelope 1/(1 + c sqrt(eps)) for a measurable c > 0
@@ -124,9 +123,8 @@ def test_kz_bounds_contract():
 
 def test_kz_remainder_vanishes_with_depth():
     params = ModelParams(n_particles=2000, epsilon=0.04)
-    z = bogoliubov_energy(params)
     remainders = [
-        kz_truncation_bounds(params, z, r=2, i=600, h=h).remainder for h in (2, 8, 32)
+        kz_truncation_bounds(params, r=2, i=600, h=h).remainder for h in (2, 8, 32)
     ]
     assert remainders[0] > remainders[1] > remainders[2]
     assert remainders[2] < 1e-40
@@ -134,13 +132,12 @@ def test_kz_remainder_vanishes_with_depth():
 
 def test_kz_validates_arguments():
     params = ModelParams(n_particles=100, epsilon=0.04)
-    z = bogoliubov_energy(params)
     with pytest.raises(ValueError):
-        kz_truncation_bounds(params, z, r=3, i=10, h=4)
+        kz_truncation_bounds(params, r=3, i=10, h=4)
     with pytest.raises(ValueError):
-        kz_truncation_bounds(params, z, r=2, i=10, h=1)
+        kz_truncation_bounds(params, r=2, i=10, h=1)
     with pytest.raises(ValueError):
-        kz_truncation_bounds(params, z, r=10, i=10, h=4)
+        kz_truncation_bounds(params, r=10, i=10, h=4)
 
 
 def test_truncation_experiment_slope_negative():

@@ -11,7 +11,6 @@ from bogoflow import (
     low_spectrum,
     lowest_eigenpair,
     schur_complement,
-    sturm_count,
 )
 from bogoflow.oracle import TridiagonalHamiltonian
 
@@ -72,13 +71,13 @@ def test_lowest_eigenpair_n2_analytic():
 
 
 def test_lowest_eigenpair_matches_lapack():
-    # second, independent eigensolver (LAPACK implicit QL/QR family)
+    # second, independent eigensolver: LAPACK divide and conquer (syevd)
+    # on the dense 501 x 501 sector matrix
     p = ModelParams(n_particles=1000, epsilon=0.01)
     tri = build_sector_hamiltonian(p)
     ours = lowest_eigenpair(tri)
-    ref = eigh_tridiagonal(
-        tri.diag, tri.offdiag, select="i", select_range=(0, 0), eigvals_only=True
-    )[0]
+    dense = np.diag(tri.diag) + np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
+    ref = np.linalg.eigvalsh(dense)[0]
     assert ours.value == pytest.approx(ref, rel=1e-12)
 
 
@@ -128,15 +127,6 @@ def test_variational_bound_eta():
     for eps in (0.001, 0.1, 1.0):
         tri = build_sector_hamiltonian(ModelParams(n_particles=32, epsilon=eps))
         assert lowest_eigenpair(tri).value <= 0.0
-
-
-def test_sturm_count_matches_spectrum():
-    rng = np.random.default_rng(11)
-    p = ModelParams(n_particles=40, epsilon=0.2)
-    tri = build_sector_hamiltonian(p)
-    full = eigh_tridiagonal(tri.diag, tri.offdiag, eigvals_only=True)
-    for z in rng.uniform(full[0] - 0.5, full[-1] + 0.5, 25):
-        assert sturm_count(tri, float(z)) == int(np.sum(full < z))
 
 
 def test_interlacing_of_principal_submatrix():
