@@ -9,7 +9,7 @@ sector certifies every number the flow produces.
 
 __version__ = "0.1.0"
 
-from .flow import FlowDomainError, FlowTable, f_of_z, g_check, g_truncated, w_product, y_star_sequence
+from .flow import FlowDomainError, FlowTable, f_of_z, g_check, g_truncated, w_product
 from .groundstate import (
     GroundStateVector,
     TruncationBounds,
@@ -48,6 +48,7 @@ from .sequences import (
     x_sequence_terminal,
     xtilde_sequence,
     y_closed_form,
+    y_star_sequence,
 )
 from .spectrum import (
     BracketError,

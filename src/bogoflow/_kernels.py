@@ -115,10 +115,13 @@ def _lockstep_scan(coef, out, loop, maps, column):
 
     loop is the element loop over (coef, out) and returns the first bad
     index; it handles short arrays outright.  Longer ones are cut into
-    rows of about sqrt(n)/4 consecutive steps, viewed as a (rows x width)
-    block of out, plus a tail shorter than a row.  That width measured
-    fastest: a row costs one scalar step in pass 2, a column a few numpy
-    calls in passes 1 and 3.  Three passes:
+    rows of about sqrt(n)/4 consecutive steps, plus a tail shorter than
+    a row.  That width measured fastest: a row costs one scalar step in
+    pass 2, a column a few numpy calls in passes 1 and 3.  The rows'
+    coefficients are copied once into column-major order, (width x rows),
+    so that every column the passes read is contiguous; pass 3 writes
+    into a column-major buffer that is copied back into out before the
+    tail.  Three passes:
 
     1. compose each row's maps in lockstep across rows, as the images
        under maps(coef, u, v) of the two homogeneous basis vectors,
@@ -141,14 +144,13 @@ def _lockstep_scan(coef, out, loop, maps, column):
     width = max(1, math.isqrt(n) // 4)
     rows = (n - 1) // width
     end = 1 + rows * width
-    cb = coef[1:end].reshape(rows, width)
-    ob = out[1:end].reshape(rows, width)
+    cols = np.ascontiguousarray(coef[1:end].reshape(rows, width).T)
     with np.errstate(all="ignore"):
         a, b = np.ones(rows), np.zeros(rows)
         c, d = np.zeros(rows), np.ones(rows)
-        for col in range(width):
-            a, b = maps(cb[:, col], a, b)
-            c, d = maps(cb[:, col], c, d)
+        for col, cc in enumerate(cols):
+            a, b = maps(cc, a, b)
+            c, d = maps(cc, c, d)
             if col % _RENORM_EVERY == _RENORM_EVERY - 1:
                 s = 1.0 / (np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d))
                 a *= s
@@ -171,13 +173,15 @@ def _lockstep_scan(coef, out, loop, maps, column):
 
         first_row, first_col = rows, 0
         prev = starts
-        for col in range(width):
-            bad = column(cb[:, col], prev, ob[:, col])
+        done = np.empty_like(cols)
+        for col, (cc, oc) in enumerate(zip(cols, done)):
+            bad = column(cc, prev, oc)
             if bad is not None:
                 r = int(np.argmax(bad))
                 if r < first_row:
                     first_row, first_col = r, col
-            prev = ob[:, col]
+            prev = oc
+    out[1:end].reshape(rows, width)[...] = done.T
     tail_bad = loop(coef[end - 1 :], out[end - 1 :])
     if first_row < rows:
         return 1 + first_row * width + first_col

@@ -25,9 +25,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__, groundstate, sequences, spectrum, verify
-from .flow import y_star_sequence
 from .model import FlowConfig, ModelParams, bogoliubov_energy, check_assumptions
 from .oracle import build_sector_hamiltonian, low_spectrum, lowest_eigenpair
+from .sequences import y_star_sequence
 
 MODES = ("solve", "sweep", "verify", "sequences")
 # grid of solve, sweep and sequences when --n / --epsilon are not given

@@ -12,9 +12,14 @@ elements divided by the two shell resolvents:
     W_i(z) = (i-1)*i/N^2 * phi^2 * (m/2 + 1)^2
              / ([ (i*phi/N + k^2)*m - z ] * [ ((i-2)*phi/N + k^2)*(m+2) - z ])
 
-with m = N - i the pair-mode occupation at level i.  The series sum is
-valid while q = W*G stays in [0, 1); the table records the first level
-where that fails instead of raising.
+with m = N - i the pair-mode occupation at level i.  The second
+resolvent of W_i is the first resolvent of level i-2 (i-2 and m+2 are
+exact in floating point), so one array of resolvents serves both.  Only
+the resolvents depend on z: the numerators and the diagonal entries
+(level_coefficients) are computed once by a caller that evaluates the
+flow at several z, as the root search does.  The series sum is valid
+while q = W*G stays in [0, 1); the table records the first level where
+that fails instead of raising.
 
 The one-dimensional remainder after the last elimination,
 
@@ -89,28 +94,45 @@ class FlowTable:
             fh.write("\n".join(lines) + "\n")
 
 
-def _w_product_arrays(params: ModelParams, z: float, start_level: int):
-    """Coupling products for levels start_level..N-2; index 0 is 0.0.
+def level_coefficients(params: ModelParams, start_level: int = 0):
+    """The z-independent parts of W at levels start_level..N-2.
 
-    Also returns the numerator t_k^2 and first resolvent d_k - z of each
-    level, which the slope of f reuses.
+    Returns (num, diag): the coupling numerator t_k^2 and the diagonal
+    entry d_k of each level, so that d_k - z is its first resolvent.
     """
     n = params.n_particles
     phi, k2 = params.phi, params.kinetic
-    count = (n - start_level) // 2
-    i = start_level + 2.0 * np.arange(count)
+    i = start_level + 2.0 * np.arange((n - start_level) // 2)
     m = n - i
     num = (i - 1.0) * i / (float(n) * float(n)) * phi * phi * (0.5 * m + 1.0) ** 2
-    den1 = (i * phi / n + k2) * m - z
-    den2 = ((i - 2.0) * phi / n + k2) * (m + 2.0) - z
-    w = np.zeros(count)
-    if count > 1:
-        floor = POLE_FLOOR * max(phi, k2, 1e-300) * n
-        if np.min(np.abs(den1[1:])) <= floor or np.min(np.abs(den2[1:])) <= floor:
+    diag = (i * phi / n + k2) * m
+    return num, diag
+
+
+def _w_product_arrays(params: ModelParams, z: float, start_level: int, coefficients=None):
+    """Coupling products for levels start_level..N-2; index 0 is 0.0.
+
+    coefficients is level_coefficients(params, start_level), computed
+    here when not given.  Also returns the numerator t_k^2 and first
+    resolvent d_k - z of each level, which the slope of f reuses.  The
+    second resolvent of level i is the first of level i-2: i-2 and
+    m+2 are exact, so both are the same float.
+    """
+    if coefficients is None:
+        coefficients = level_coefficients(params, start_level)
+    num, diag = coefficients
+    den1 = diag - z
+    w = np.zeros(den1.shape[0])
+    if w.shape[0] > 1:
+        floor = POLE_FLOOR * max(params.phi, params.kinetic, 1e-300) * params.n_particles
+        # below the spectrum every resolvent is positive, and the signed
+        # minimum decides alone; |den1| is taken only when it does not
+        if not np.fmin.reduce(den1) > floor and np.min(np.abs(den1)) <= floor:
             raise FlowDomainError(
                 f"resolvent denominator below pole floor at z={z!r}"
             )
-        w[1:] = num[1:] / (den1[1:] * den2[1:])
+        np.multiply(den1[1:], den1[:-1], out=w[1:])
+        np.divide(num[1:], w[1:], out=w[1:])
     return w, num, den1
 
 
@@ -123,12 +145,18 @@ def w_product(params: ModelParams, i: int, z: float) -> float:
     return float(w[1])
 
 
-def g_check(params: ModelParams, z: float, start_level: int = 0) -> FlowTable:
-    """Run the flow upward from start_level (value 1 there) to level N-2."""
+def g_check(
+    params: ModelParams, z: float, start_level: int = 0, coefficients=None
+) -> FlowTable:
+    """Run the flow upward from start_level (value 1 there) to level N-2.
+
+    coefficients, if given, is level_coefficients(params, start_level);
+    a caller evaluating the flow at several z computes it once.
+    """
     n = params.n_particles
     if start_level % 2 != 0 or not 0 <= start_level <= n - 2:
         raise ValueError("start_level must be even with 0 <= start_level <= N-2")
-    w, num, den1 = _w_product_arrays(params, z, start_level)
+    w, num, den1 = _w_product_arrays(params, z, start_level, coefficients)
     g = np.empty_like(w)
     g[0] = 1.0
     first_bad = int(_kernels.flow_recursion(w, g))
@@ -216,50 +244,3 @@ def g_truncated(params: ModelParams, z: float, beta: float) -> float:
     start = max(n - span, 0)
     table = g_check(params, z, start_level=start)
     return float(table.g_values[-1])
-
-
-@dataclass(frozen=True)
-class YStarSequence:
-    """Downward comparison sequence matched to the truncated flow.
-
-    values[j] is the entry at pair index two_l[j]; two_l descends from
-    floor(N^(1-beta))+2 to 2.  positive is False past the first
-    nonpositive entry (a regime violation, reported not raised).
-    """
-
-    two_l: np.ndarray
-    values: np.ndarray
-    positive: bool
-    first_nonpositive: int
-
-
-def y_star_sequence(params: ModelParams, beta: float) -> YStarSequence:
-    """Recursion Y_{2l-2} = 1 - 1/(4*(1 + a' - 2b/(2l) - (1-c)/(4l^2))*Y_{2l})
-    started at 1, with a' = eps^2 + 2eps and b, c evaluated at delta = 1.
-    """
-    n, eps = params.n_particles, params.epsilon
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in (0, 1)")
-    span = int(n ** (1.0 - beta) + 1e-9)  # nudge floor against pow slop
-    if span < 4:
-        raise ValueError("N^(1-beta) must be at least 4")
-    span -= span % 2
-
-    a_prime = eps * eps + 2.0 * eps
-    b1 = (1.0 + eps) * math.sqrt(a_prime)
-    # c at delta = 1 vanishes identically
-    two_l = np.arange(span + 2, 0, -2, dtype=np.float64)  # span+2 down to 2
-    # step j (from two_l[j-1] to two_l[j]) uses the upper index two_l[j-1]
-    upper = two_l[:-1]
-    dfac = np.empty_like(two_l)
-    dfac[0] = 1.0
-    dfac[1:] = 1.0 + a_prime - 2.0 * b1 / upper - 1.0 / (upper * upper)
-    y = np.empty_like(two_l)
-    y[0] = 1.0
-    first_bad = int(_kernels.rational_chain(dfac, y))
-    return YStarSequence(
-        two_l=two_l.astype(np.int64),
-        values=y,
-        positive=first_bad < 0,
-        first_nonpositive=first_bad,
-    )

@@ -27,6 +27,8 @@ from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian
 COEFF_FLOOR = 1e-18
 # full-sector expansion cap; beyond it the tail is bounded analytically
 FULL_SECTOR_LIMIT = 10**5
+# block length of the adaptive expansion beyond FULL_SECTOR_LIMIT
+EXPAND_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -107,14 +109,27 @@ def expand_ground_state(
     coeffs = np.empty(k_max + 1)
     coeffs[0] = 1.0
     coeffs[1:] = -g[::-1][:k_max] * t[:k_max] / (d[1 : k_max + 1] - z_eval)
-    np.cumprod(coeffs, out=coeffs)
     last = k_max
-    if n > FULL_SECTOR_LIMIT:
-        # adaptive stop at the first psi_k below COEFF_FLOOR * |psi_0..k|
-        norm_sq = np.cumsum(coeffs * coeffs)
-        small = np.abs(coeffs[1:]) < COEFF_FLOOR * np.sqrt(norm_sq[1:])
-        if small.any():
-            last = 1 + int(np.argmax(small))
+    if n <= FULL_SECTOR_LIMIT:
+        np.cumprod(coeffs, out=coeffs)
+    else:
+        # adaptive stop at the first psi_k below COEFF_FLOOR * |psi_0..k|,
+        # block by block with the running product and norm carried over
+        # (a product or sum commutes, so the carry changes no bit); the
+        # products past the stop, mostly subnormal, are never formed
+        prod, norm_sq = 1.0, 1.0
+        for start in range(1, k_max + 1, EXPAND_BLOCK):
+            block = coeffs[start : start + EXPAND_BLOCK]
+            block[0] *= prod
+            np.cumprod(block, out=block)
+            sq = block * block
+            sq[0] += norm_sq
+            np.cumsum(sq, out=sq)
+            small = np.abs(block) < COEFF_FLOOR * np.sqrt(sq)
+            if small.any():
+                last = start + int(np.argmax(small))
+                break
+            prod, norm_sq = float(block[-1]), float(sq[-1])
     coeffs = coeffs[: last + 1]
 
     tail_bound = 0.0

@@ -178,6 +178,53 @@ def xtilde_sequence(
     )
 
 
+@dataclass(frozen=True)
+class YStarSequence:
+    """Downward comparison sequence matched to the truncated flow.
+
+    values[j] is the entry at pair index two_l[j]; two_l descends from
+    floor(N^(1-beta))+2 to 2.  positive is False past the first
+    nonpositive entry (a regime violation, reported not raised).
+    """
+
+    two_l: np.ndarray
+    values: np.ndarray
+    positive: bool
+    first_nonpositive: int
+
+
+def y_star_sequence(params: ModelParams, beta: float) -> YStarSequence:
+    """Recursion Y_{2l-2} = 1 - 1/(4*(1 + a' - 2b/(2l) - (1-c)/(4l^2))*Y_{2l})
+    started at 1, with a' = eps^2 + 2eps and b, c evaluated at delta = 1.
+    """
+    n, eps = params.n_particles, params.epsilon
+    if not 0.0 < beta < 1.0:
+        raise ValueError("beta must lie in (0, 1)")
+    span = int(n ** (1.0 - beta) + 1e-9)  # nudge floor against pow slop
+    if span < 4:
+        raise ValueError("N^(1-beta) must be at least 4")
+    span -= span % 2
+
+    a_prime = eps * eps + 2.0 * eps
+    b1 = (1.0 + eps) * math.sqrt(a_prime)
+    # c at delta = 1 vanishes identically
+    two_l = np.arange(span + 2, 0, -2, dtype=np.float64)  # span+2 down to 2
+    # step j (from two_l[j-1] to two_l[j]) uses the upper index two_l[j-1]
+    upper = two_l[:-1]
+    dfac = np.empty_like(two_l)
+    dfac[0] = 1.0
+    dfac[1:] = 1.0 + a_prime - 2.0 * b1 / upper - 1.0 / (upper * upper)
+    y = np.empty_like(two_l)
+    y[0] = 1.0
+    first_bad = int(_kernels.rational_chain(dfac, y))
+    return YStarSequence(
+        two_l=two_l.astype(np.int64),
+        values=y,
+        positive=first_bad < 0,
+        first_nonpositive=first_bad,
+    )
+
+
 def y_closed_form(l, epsilon: float):
     """Closed-form solution of the delta = 1 comparison recursion.
 

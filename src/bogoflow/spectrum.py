@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .flow import FlowDomainError, g_check
+from .flow import FlowDomainError, g_check, level_coefficients
 from .model import (
     AssumptionReport,
     FlowConfig,
@@ -68,11 +68,12 @@ def _flow_side(params, z):
     return 1 if _f_or_right(_flow_point(params, z)) > 0.0 else -1
 
 
-def _flow_point(params, z):
+def _flow_point(params, z, coefficients=None):
     """(f(z), f'(z)), or None where the flow is invalid or trips the
-    pole guard (z is then right of the root)."""
+    pole guard (z is then right of the root).  coefficients is
+    level_coefficients(params), computed by g_check when not given."""
     try:
-        table = g_check(params, z)
+        table = g_check(params, z, coefficients=coefficients)
     except FlowDomainError:
         return None
     return (table.f_value, table.f_slope) if table.valid else None
@@ -112,10 +113,11 @@ def solve_fixed_point(
     report = check_assumptions(params, cfg)
     window = spectral_window(params, cfg)
     phi = params.phi
+    coefficients = level_coefficients(params)
 
     lo = window.z_min
     for _ in range(64):
-        at_lo = _flow_point(params, lo)
+        at_lo = _flow_point(params, lo, coefficients)
         if _f_or_right(at_lo) > 0.0:
             break
         lo -= 10.0 * phi
@@ -124,7 +126,7 @@ def solve_fixed_point(
 
     hi = window.z_max
     extended = False
-    at_hi = _flow_point(params, hi)
+    at_hi = _flow_point(params, hi, coefficients)
     if _f_or_right(at_hi) > 0.0:
         # window closes below the root; only meaningful outside the regime
         if report.solver_regime_ok:
@@ -132,7 +134,7 @@ def solve_fixed_point(
         lo, at_lo = hi, at_hi
         hi = 0.0
         extended = True
-        at_hi = _flow_point(params, hi)
+        at_hi = _flow_point(params, hi, coefficients)
         if _f_or_right(at_hi) > 0.0:
             raise BracketError("no sign change in the extended bracket")
 
@@ -158,7 +160,7 @@ def solve_fixed_point(
                 break  # bracket exhausted: z, one of its ends, is within tol
         last_step = abs(z_new - z)
         z = z_new
-        point = _flow_point(params, z)
+        point = _flow_point(params, z, coefficients)
         iterations += 1
     z_star = z
 

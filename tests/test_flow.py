@@ -76,6 +76,37 @@ def test_pole_floor_raises():
         g_check(p, float(tri.diag[1]))
 
 
+@pytest.mark.parametrize("n", (4, 1024, 2 * 10**5))
+def test_w_products_match_two_resolvent_formula_bitwise(n):
+    # W_i with both resolvents written out at level i; the code takes the
+    # second one from level i-2 and the z-free parts from level_coefficients
+    from bogoflow.flow import _w_product_arrays, level_coefficients
+
+    params = ModelParams(n_particles=n, epsilon=0.01)
+    phi, k2 = params.phi, params.kinetic
+    z_star = bogoliubov_energy(params)
+    for start in sorted({0, (n // 4) * 2, n - 2}):
+        i = start + 2.0 * np.arange((n - start) // 2)
+        m = n - i
+        num = (i - 1.0) * i / (float(n) * float(n)) * phi * phi * (0.5 * m + 1.0) ** 2
+        coefficients = level_coefficients(params, start)
+        for z in (z_star, z_star - 1.0):
+            den1 = (i * phi / n + k2) * m - z
+            den2 = ((i - 2.0) * phi / n + k2) * (m + 2.0) - z
+            expected = np.zeros(i.size)
+            expected[1:] = num[1:] / (den1[1:] * den2[1:])
+            for given in (None, coefficients):
+                w, w_num, w_den1 = _w_product_arrays(params, z, start, given)
+                np.testing.assert_array_equal(w, expected)
+                np.testing.assert_array_equal(w_num, num)
+                np.testing.assert_array_equal(w_den1, den1)
+        if i.size > 1:
+            # a pole at the start level enters only as a second resolvent
+            for pole in (coefficients[1][0], coefficients[1][-1]):
+                with pytest.raises(FlowDomainError):
+                    _w_product_arrays(params, float(pole), start, coefficients)
+
+
 def test_g_check_start_level_validation():
     p = ModelParams(n_particles=16, epsilon=0.1)
     with pytest.raises(ValueError):

@@ -169,20 +169,22 @@ def test_vector_csv_export(tmp_path):
     assert len(lines) == 1 + vec.coeffs.size
 
 
-def _expand_by_loop(params, z):
+def _expand_by_loop(params, z, k_max=None):
     # the element loop the vectorized expansion replaced, kept as reference
     from bogoflow.flow import g_check
     from bogoflow.groundstate import COEFF_FLOOR, FULL_SECTOR_LIMIT
 
     n = params.n_particles
+    if k_max is None:
+        k_max = n // 2
     g = g_check(params, z).g_values
     tri = build_sector_hamiltonian(params)
     d, t = tri.diag, tri.offdiag
-    coeffs = np.zeros(n // 2 + 1)
+    coeffs = np.zeros(k_max + 1)
     coeffs[0] = 1.0
     norm_sq = 1.0
     last = 0
-    for k in range(1, n // 2 + 1):
+    for k in range(1, k_max + 1):
         psi = -g[(n - 2 * k) // 2] * t[k - 1] / (d[k] - z) * coeffs[k - 1]
         coeffs[k] = psi
         norm_sq += psi * psi
@@ -192,12 +194,23 @@ def _expand_by_loop(params, z):
     return coeffs[: last + 1]
 
 
-@pytest.mark.parametrize("n", (1024, 2 * 10**5))
-def test_vectorized_expansion_matches_loop_bitwise(n):
-    # cumprod/cumsum accumulate in order, so coefficients and the
+@pytest.mark.parametrize(
+    "n, eps, k_max",
+    [
+        pytest.param(1024, 0.01, None, id="1024"),
+        pytest.param(1024, 0.01, 100, id="1024-kmax100"),
+        pytest.param(2 * 10**5, 0.01, None, id="200000"),
+        # stop index 2752, past the first EXPAND_BLOCK, and a k_max below it
+        pytest.param(2 * 10**5, 1e-4, None, id="200000-eps1e-4"),
+        pytest.param(2 * 10**5, 1e-4, 2500, id="200000-eps1e-4-kmax2500"),
+    ],
+)
+def test_vectorized_expansion_matches_loop_bitwise(n, eps, k_max):
+    # cumprod/cumsum accumulate in order, and beyond FULL_SECTOR_LIMIT the
+    # blocks carry the running product and norm, so coefficients and the
     # adaptive stop index are unchanged to the bit
-    params = ModelParams(n_particles=n, epsilon=0.01)
+    params = ModelParams(n_particles=n, epsilon=eps)
     z = solve_fixed_point(params).z_star
-    vec = expand_ground_state(params, z)
+    vec = expand_ground_state(params, z, k_max=k_max)
     assert not vec.shifted_evaluation
-    np.testing.assert_array_equal(vec.coeffs, _expand_by_loop(params, z))
+    np.testing.assert_array_equal(vec.coeffs, _expand_by_loop(params, z, k_max))

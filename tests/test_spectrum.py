@@ -140,6 +140,19 @@ def test_isospectrality_at_certified_point():
         assert abs(result.z_star - lam0) <= 1e-10
 
 
+def test_flow_matches_oracle_at_one_million():
+    # flow root and expansion against the exact eigenpair at N = 1e6, where
+    # the expansion stops adaptively, at the tolerances of the small grid
+    from bogoflow import expand_ground_state
+
+    params = ModelParams(n_particles=10**6, epsilon=0.01)
+    pair = lowest_eigenpair(build_sector_hamiltonian(params))
+    z_star = solve_fixed_point(params).z_star
+    assert abs(z_star - pair.value) <= 1e-10
+    psi = expand_ground_state(params, z_star).normalized()
+    assert abs(psi @ pair.vector[: psi.size]) >= 1.0 - 1e-9
+
+
 def test_random_parameter_points_end_to_end():
     # seeded random (N, eps, phi, delta0) sweep off the standard grids:
     # flow root, oracle eigenvalue, and eigenvector must all agree
@@ -210,3 +223,17 @@ def test_newton_solve_flow_evaluations_and_accuracy(monkeypatch):
             assert abs(result.z_star - lam0) <= 1e-10, (n, eps)
             if (n, eps) == (2, 0.001):
                 assert result.extended_bracket
+
+
+def test_solve_identical_with_and_without_precomputed_coefficients(monkeypatch):
+    # the root search computes level_coefficients once and passes it to
+    # every flow evaluation; with None each g_check computes its own
+    from bogoflow import spectrum
+
+    points = [
+        ModelParams(n_particles=n, epsilon=eps)
+        for n, eps in ((2, 0.001), (1024, 0.01), (16384, 0.5), (200000, 0.0079))
+    ]
+    shared = [repr(solve_fixed_point(p)) for p in points]
+    monkeypatch.setattr(spectrum, "level_coefficients", lambda params: None)
+    assert [repr(solve_fixed_point(p)) for p in points] == shared
