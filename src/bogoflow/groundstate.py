@@ -21,7 +21,7 @@ import numpy as np
 
 from .flow import FlowDomainError, g_check, g_truncated
 from .model import FlowConfig, ModelParams, b_coefficient, c_coefficient, coefficient_set
-from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian
+from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian, sector_elements
 
 # stop extending the vector once coefficients fall below this relative size
 COEFF_FLOOR = 1e-18
@@ -99,27 +99,31 @@ def expand_ground_state(
         shifted = True
         table = g_check(params, z_eval)
 
-    tri = build_sector_hamiltonian(params)
-    d, t = tri.diag, tri.offdiag
-    g = table.g_values  # index j <-> level 2j
+    g_rev = table.g_values[::-1]  # g_rev[k - 1] is G at level N - 2k
 
-    # psi_k = ratio_k * psi_{k-1} with G at level N - 2k, i.e. g[half - k];
+    def ratios(k_lo, k_hi):
+        # psi_k / psi_{k-1} for k_lo <= k < k_hi
+        d, t = sector_elements(params, k_lo - 1, k_hi)
+        return -g_rev[k_lo - 1 : k_hi - 1] * t / (d[1:] - z_eval)
+
     # cumprod and cumsum accumulate in index order, so every psi_k and the
     # stop index equal those of the term-by-term recursion to the bit
     coeffs = np.empty(k_max + 1)
     coeffs[0] = 1.0
-    coeffs[1:] = -g[::-1][:k_max] * t[:k_max] / (d[1 : k_max + 1] - z_eval)
     last = k_max
     if n <= FULL_SECTOR_LIMIT:
+        coeffs[1:] = ratios(1, k_max + 1)
         np.cumprod(coeffs, out=coeffs)
     else:
         # adaptive stop at the first psi_k below COEFF_FLOOR * |psi_0..k|,
         # block by block with the running product and norm carried over
         # (a product or sum commutes, so the carry changes no bit); the
-        # products past the stop, mostly subnormal, are never formed
+        # matrix elements and products past the stop, most of the products
+        # subnormal, are never formed
         prod, norm_sq = 1.0, 1.0
         for start in range(1, k_max + 1, EXPAND_BLOCK):
             block = coeffs[start : start + EXPAND_BLOCK]
+            block[:] = ratios(start, start + block.size)
             block[0] *= prod
             np.cumprod(block, out=block)
             sq = block * block
@@ -140,7 +144,7 @@ def expand_ground_state(
     if compare_oracle:
         from .oracle import lowest_eigenpair
 
-        pair = lowest_eigenpair(tri)
+        pair = lowest_eigenpair(build_sector_hamiltonian(params))
         v = coeffs / np.linalg.norm(coeffs)
         overlap = float(abs(v @ pair.vector[: v.size]))
     return GroundStateVector(

@@ -71,15 +71,21 @@ class TridiagonalHamiltonian:
             fh.write("\n".join(lines) + "\n")
 
 
-def build_sector_hamiltonian(params: ModelParams) -> TridiagonalHamiltonian:
+def sector_elements(params: ModelParams, k_lo: int, k_hi: int):
+    """The block of rows k_lo..k_hi-1: (d_k for k_lo <= k < k_hi,
+    t_k for k_lo <= k < k_hi - 1)."""
     n = params.n_particles
     phi = params.phi
-    k2 = params.kinetic
-    k = np.arange(n // 2 + 1, dtype=np.float64)
+    k = np.arange(k_lo, k_hi, dtype=np.float64)
     free = n - 2.0 * k
-    diag = 2.0 * k * (k2 + phi * free / n)
+    diag = 2.0 * k * (params.kinetic + phi * free / n)
     kk = k[:-1]
     offdiag = (phi / n) * np.sqrt((n - 2.0 * kk) * (n - 2.0 * kk - 1.0)) * (kk + 1.0)
+    return diag, offdiag
+
+
+def build_sector_hamiltonian(params: ModelParams) -> TridiagonalHamiltonian:
+    diag, offdiag = sector_elements(params, 0, params.n_particles // 2 + 1)
     return TridiagonalHamiltonian(diag=diag, offdiag=offdiag)
 
 

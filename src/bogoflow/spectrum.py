@@ -3,13 +3,15 @@ and the error budget against the closed-form approximation.
 
 The fixed-point function f is continuous and strictly decreasing (slope
 <= -1) on the admissible window, and concave wherever the flow is valid,
-so a safeguarded Newton iteration inside a sign-change bracket converges
-to the unique root; one flow pass gives f and its exact slope.  At
-spectral parameters where the geometric-series condition of the flow
-fails, the root necessarily lies below, which lets the search treat
-"invalid" as "to the right of the root" without ever leaving certified
-territory.  The search stops once |f(z)| <= tol_root * phi, which the
-slope bound turns into |z - z*| <= tol_root * phi.
+so a safeguarded Newton iteration converges to the unique root; one
+flow pass gives f and its exact slope.  The iteration starts at the
+closed-form Bogoliubov energy, which the root approaches as N grows, and
+measures the ends of its sign-change bracket only when a safeguard
+needs them.  At spectral parameters where the geometric-series condition
+of the flow fails, the root necessarily lies below, which lets the
+search treat "invalid" as "to the right of the root" without ever
+leaving certified territory.  The search stops once |f(z)| <= tol_root *
+phi, which the slope bound turns into |z - z*| <= tol_root * phi.
 """
 
 import math
@@ -48,7 +50,8 @@ class BracketError(RuntimeError):
 @dataclass(frozen=True)
 class GroundEnergyResult:
     z_star: float
-    iterations: int  # Newton and bisection steps after the bracket probes
+    iterations: int  # Newton and bisection steps after the first evaluation
+    evaluations: int  # flow passes, bracket probes included
     window: SpectralWindow
     bracket: Tuple[float, float]
     upper_bound_check: bool
@@ -91,21 +94,31 @@ def solve_fixed_point(
 ) -> GroundEnergyResult:
     """Locate the unique root of the fixed-point function.
 
-    The bracket is the spectral window; if the window top is below the
-    root (possible outside the proven regime) the bracket becomes
-    [window top, 0], and 0 always lies above the ground energy for
-    phi > 0.  Inside it runs a safeguarded Newton iteration on the exact
-    slope (rtsafe, Numerical Recipes 9.4).  It starts from the bracket
-    top when the flow is valid there and |f| is no larger than at the
-    bottom, which is the case at every in-regime point: f is concave
-    where the flow is valid, so Newton steps from the right of the root
-    stay right of it and converge monotonically.  Otherwise it starts
-    from the bottom and overshoots to the right once.  A step from an
-    invalid point, a Newton step that leaves the bracket, and one longer
-    than half the step before it bisect instead.  The search stops once
-    |f(z)| <= tol_root * phi; since f' <= -1 that certifies
-    |z - z*| <= tol_root * phi.  result.iterations counts the Newton and
-    bisection steps after the bracket probes.
+    Safeguarded Newton on the exact slope (rtsafe, Numerical Recipes
+    9.4), started at min(E, window top) with E the closed-form
+    Bogoliubov energy.  z* - E is positive and O(1/N) wherever it has
+    been measured, so the start lies just left of the root; f is concave
+    where the flow is valid, so the first step lands just right of the
+    root and the next ones converge monotonically from there.  At
+    in-regime points that takes 2-4 flow passes.
+
+    result.bracket = (lo, hi): f > 0 was measured at lo, and f <= 0 or
+    an invalid flow at hi; every iterate moves the end on its side.  An
+    end not yet measured is the window end, z_min or z_max, and it is
+    measured only when the safeguard rejects a Newton step: a step from
+    an invalid point, one that leaves the bracket, or one longer than
+    half the step before it.  The search then goes on from the measured
+    end if |f| is smaller there, and bisects if the step is still
+    rejected.  The bottom probe steps down from z_min by 10*phi until
+    f > 0.  f > 0 at the window top puts the root above it: inside the
+    proven regime that is a BracketError, outside it the top end moves
+    to 0 (extended_bracket), which lies above the ground energy for
+    phi > 0 and is measured on the same terms.
+
+    The search stops once |f(z)| <= tol_root * phi; since f' <= -1 that
+    certifies |z - z*| <= tol_root * phi.  result.iterations counts the
+    Newton and bisection steps after the first evaluation, and
+    result.evaluations every flow pass, bracket probes included.
     """
     cfg = cfg or FlowConfig()
     if params.phi <= 0.0:
@@ -113,61 +126,72 @@ def solve_fixed_point(
     report = check_assumptions(params, cfg)
     window = spectral_window(params, cfg)
     phi = params.phi
+    tol = cfg.tol_root * phi
     coefficients = level_coefficients(params)
 
-    lo = window.z_min
-    for _ in range(64):
-        at_lo = _flow_point(params, lo, coefficients)
-        if _f_or_right(at_lo) > 0.0:
-            break
-        lo -= 10.0 * phi
-    else:
-        raise BracketError("could not find a lower bracket with f > 0")
+    lo, hi = window.z_min, window.z_max
+    lo_known = hi_known = extended = False
+    evaluations = 0
 
-    hi = window.z_max
-    extended = False
-    at_hi = _flow_point(params, hi, coefficients)
-    if _f_or_right(at_hi) > 0.0:
-        # window closes below the root; only meaningful outside the regime
-        if report.solver_regime_ok:
-            raise BracketError("no sign change inside the spectral window")
-        lo, at_lo = hi, at_hi
-        hi = 0.0
-        extended = True
-        at_hi = _flow_point(params, hi, coefficients)
-        if _f_or_right(at_hi) > 0.0:
+    def measure(z):
+        # one flow pass; moves the bracket end on the side of the root it finds
+        nonlocal lo, hi, lo_known, hi_known, extended, evaluations
+        evaluations += 1
+        point = _flow_point(params, z, coefficients)
+        if _f_or_right(point) <= 0.0:
+            hi, hi_known = z, True
+        elif z < hi:
+            lo, lo_known = z, True
+        # f > 0 at the top end itself: the root lies above it
+        elif extended:
             raise BracketError("no sign change in the extended bracket")
+        elif report.solver_regime_ok:
+            raise BracketError("no sign change inside the spectral window")
+        else:
+            # window closes below the root; only meaningful outside the regime
+            lo, lo_known = z, True
+            hi, extended = 0.0, True
+        return point
 
-    tol = cfg.tol_root * phi
-    if at_hi is not None and abs(at_hi[0]) <= abs(at_lo[0]):
-        z, point = hi, at_hi
-    else:
-        z, point = lo, at_lo
+    e_bog = bogoliubov_energy(params)
+    z = min(e_bog, window.z_max)
+    point = measure(z)
     iterations = 0
     last_step = math.inf
     while True:
         f = _f_or_right(point)
-        if f > 0.0:
-            lo = z
-        else:
-            hi = z
         if abs(f) <= tol:
             break
         z_new = z - f / point[1] if point is not None else math.nan
-        if not (lo < z_new < hi and abs(z_new - z) < 0.5 * last_step):
+        admissible = lo < z_new < hi and abs(z_new - z) < 0.5 * last_step
+        if not admissible and not (lo_known and hi_known):
+            # measure a bracket end the safeguard needs; the search goes
+            # on from that end when f is smaller there
+            if lo_known:
+                z_end, at_end = hi, measure(hi)
+            else:
+                for _ in range(64):
+                    z_end, at_end = lo, measure(lo)
+                    if lo_known:
+                        break
+                    lo -= 10.0 * phi
+                else:
+                    raise BracketError("could not find a lower bracket with f > 0")
+            if abs(_f_or_right(at_end)) < abs(f):
+                z, point = z_end, at_end
+            continue
+        if not admissible:
             z_new = 0.5 * (lo + hi)
             if hi - lo <= tol or not lo < z_new < hi:
                 break  # bracket exhausted: z, one of its ends, is within tol
         last_step = abs(z_new - z)
         z = z_new
-        point = _flow_point(params, z, coefficients)
+        point = measure(z)
         iterations += 1
     z_star = z
 
     eps = params.epsilon
-    cap = bogoliubov_energy(params) + UPPER_BOUND_COEF * math.sqrt(eps) * phi * math.sqrt(
-        eps * (eps + 2.0)
-    )
+    cap = e_bog + UPPER_BOUND_COEF * math.sqrt(eps) * phi * math.sqrt(eps * (eps + 2.0))
     oracle_delta = None
     if compare_oracle:
         pair = lowest_eigenpair(build_sector_hamiltonian(params))
@@ -175,6 +199,7 @@ def solve_fixed_point(
     return GroundEnergyResult(
         z_star=z_star,
         iterations=iterations,
+        evaluations=evaluations,
         window=window,
         bracket=(lo, hi),
         upper_bound_check=z_star < cap,

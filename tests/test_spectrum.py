@@ -14,7 +14,15 @@ from bogoflow import (
     lowest_eigenpair,
     solve_fixed_point,
 )
-from bogoflow.spectrum import GAP_COEF, UPPER_BOUND_COEF, _flow_side
+from bogoflow.model import FlowConfig, check_assumptions
+from bogoflow.spectrum import GAP_COEF, UPPER_BOUND_COEF, BracketError, _flow_side
+
+
+def _lapack_lambda0(params):
+    tri = build_sector_hamiltonian(params)
+    return eigh_tridiagonal(
+        tri.diag, tri.offdiag, eigvals_only=True, select="i", select_range=(0, 0), tol=1e-15
+    )[0]
 
 
 def test_solve_n2_analytic():
@@ -55,11 +63,20 @@ def test_upper_bound_on_regime_grid():
 
 def test_extended_bracket_outside_regime():
     # window top below the root: only reachable outside the regime
-    result = solve_fixed_point(
-        ModelParams(n_particles=2, epsilon=0.001), compare_oracle=True
-    )
-    assert result.extended_bracket
-    assert result.oracle_delta <= 1e-10
+    for n in (2, 4):
+        result = solve_fixed_point(
+            ModelParams(n_particles=n, epsilon=0.001), compare_oracle=True
+        )
+        assert result.extended_bracket, n
+        assert result.oracle_delta <= 1e-10, n
+
+
+def test_root_above_window_top_in_regime_raises():
+    # delta < 1 puts the window top below the closed-form energy and the root
+    params = ModelParams(n_particles=1024, epsilon=0.01)
+    assert check_assumptions(params, FlowConfig(delta=0.5)).solver_regime_ok
+    with pytest.raises(BracketError, match="inside the spectral window"):
+        solve_fixed_point(params, FlowConfig(delta=0.5))
 
 
 def test_single_crossing_property():
@@ -197,8 +214,9 @@ def test_flow_slope_is_minus_squared_norm_of_expansion():
 
 
 def test_newton_solve_flow_evaluations_and_accuracy(monkeypatch):
-    # bracket probes plus Newton/bisection steps, including the extended
-    # bracket at N = 2, eps = 0.001; the root checked against LAPACK
+    # every flow pass, bracket probes included, from the start at the
+    # closed-form energy; the extended bracket at N = 2, eps = 0.001; the
+    # root checked against LAPACK
     from bogoflow import spectrum
 
     calls = []
@@ -211,18 +229,47 @@ def test_newton_solve_flow_evaluations_and_accuracy(monkeypatch):
     for n in (2, 4, 1024, 16384, 200000):
         for eps in (0.001, 0.01, 0.5):
             params = ModelParams(n_particles=n, epsilon=eps)
-            tri = build_sector_hamiltonian(params)
-            lam0 = eigh_tridiagonal(
-                tri.diag, tri.offdiag, eigvals_only=True, select="i", select_range=(0, 0), tol=1e-15
-            )[0]
+            lam0 = _lapack_lambda0(params)
             calls.clear()
             result = solve_fixed_point(params)
             assert len(calls) <= 8, (n, eps, len(calls))
-            assert result.iterations <= len(calls) - 2
+            assert result.evaluations == len(calls)
+            assert result.iterations <= len(calls) - 1
             assert abs(result.f_at_z_star) <= 1e-12
             assert abs(result.z_star - lam0) <= 1e-10, (n, eps)
             if (n, eps) == (2, 0.001):
                 assert result.extended_bracket
+            if n >= 10**4:
+                assert len(calls) <= 4, (n, eps, len(calls))
+                if result.assumptions.solver_regime_ok:
+                    assert result.window.z_min not in calls, (n, eps)
+            lo, hi = result.bracket
+            evaluated = set(calls)
+            if lo in evaluated:
+                assert _flow_side(params, lo) == 1, (n, eps)
+            if hi in evaluated:
+                assert _flow_side(params, hi) == -1, (n, eps)
+
+
+def test_search_continues_from_a_probed_end_closer_to_the_root():
+    # N = 2, eps = 0.05: the first Newton step leaves the window, whose top
+    # lies 6e-4 above the root; Newton goes on from the top instead of
+    # bisecting down from the closed-form energy 0.07 below the root
+    params = ModelParams(n_particles=2, epsilon=0.05)
+    result = solve_fixed_point(params)
+    assert result.window.z_max - result.z_star < 1e-3
+    assert result.evaluations <= 4
+    assert abs(result.z_star - _lapack_lambda0(params)) <= 1e-10
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 2.0, 5.0, 50.0])
+@pytest.mark.parametrize("n", [2, 4, 6, 1024, 200000])
+def test_edge_parameters_match_lapack(n, eps):
+    # very small and large eps, smallest N; at N = 2e5, eps = 1e-6 the
+    # root lies above the window top and the search is mostly bisection
+    params = ModelParams(n_particles=n, epsilon=eps)
+    result = solve_fixed_point(params)
+    assert abs(result.z_star - _lapack_lambda0(params)) <= 1e-10
 
 
 def test_solve_identical_with_and_without_precomputed_coefficients(monkeypatch):
