@@ -14,11 +14,13 @@ from bogoflow.sequences import y_closed_recursion_residual
 
 for eps in (0.04, 0.01):
     params = bf.ModelParams(n_particles=10**7, epsilon=eps)
-    x = bf.x_sequence(params)
+    x = bf.x_sequence_terminal(params)  # streamed: the chain is never held
     xt = bf.xtilde_sequence(params)
     fin = np.isfinite(xt.bound)
     print(f"eps = {eps}")
-    print(f"  X:  {x.values.size} entries, min lower-bound margin {x.margin.min():+.3e}")
+    print(
+        f"  X:  {params.n_particles // 2} entries, min lower-bound margin {x.min_margin:+.3e}"
+    )
     print(
         f"  Xt: {xt.values.size} entries, min upper-bound margin "
         f"{xt.margin[fin].min():+.3e} on the {fin.sum()}-entry tail"

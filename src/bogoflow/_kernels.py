@@ -3,10 +3,9 @@
 flow_recursion and rational_chain are the Moebius chains of the flow and
 of the comparison sequences; from SCAN_MIN_LENGTH entries on they run a
 chunked lockstep scan (_lockstep_scan) that computes every entry by the
-formula of the element loop.  x_chain_streaming runs rational_chain
-block by block for chains too long to hold.  schur_eta is the nested
-fraction of the oracle's tridiagonal matrix, the matrix side of the
-continued-fraction identity.
+formula of the element loop.  schur_eta is the nested fraction of the
+oracle's tridiagonal matrix, the matrix side of the continued-fraction
+identity.  No kernel knows the model: callers pass the coefficients.
 """
 
 import math
@@ -27,8 +26,6 @@ SCAN_MIN_LENGTH = 128
 # rescale the lockstep composites every this many maps; one map grows
 # them by at most a factor 1 + |coefficient|
 _RENORM_EVERY = 8
-# block length of the streaming chain, which bounds its memory
-STREAM_BLOCK = 1 << 16
 
 
 def _flow_loop(w, g):
@@ -209,36 +206,6 @@ def schur_eta(d, e2, z):
     return d[0] - z - e2[0] / x
 
 
-def x_chain_streaming(n, a, b, c, sqrt_eta_a, xi):
-    """Majorant chain without materializing it: terminal value, the
-    minimum margin over the analytic lower bound, and the first index
-    with a nonpositive entry (-1 if none).
-
-    The chain runs through rational_chain in blocks of STREAM_BLOCK
-    steps, each started from the last value of the block before, so
-    memory is O(STREAM_BLOCK) for any N.  A chain that fits one block
-    shares every operation with x_sequence.
-    """
-    count = n // 2  # entries t = 0 .. count - 1
-    x_last = 1.0
-    min_margin = x_last - 0.5 * (1.0 + sqrt_eta_a - (b / sqrt_eta_a) / (n - xi))
-    first_bad = -1
-    for t0 in range(1, count, STREAM_BLOCK):
-        # entry 0 of the block is the carried value at t0 - 1
-        t = np.arange(t0 - 1, min(t0 + STREAM_BLOCK, count), dtype=np.float64)
-        m = n - 2.0 * t + 1.0
-        dfac = 1.0 + a - 2.0 * b / m - (1.0 - c) / (m * m)
-        x = np.empty_like(t)
-        x[0] = x_last
-        bad = rational_chain(dfac, x)
-        if bad >= 0 and first_bad < 0:
-            first_bad = t0 - 1 + bad
-        bound = 0.5 * (1.0 + sqrt_eta_a - (b / sqrt_eta_a) / (n - 2.0 * t - xi))
-        min_margin = min(min_margin, float(np.min(x[1:] - bound[1:])))
-        x_last = float(x[-1])
-    return x_last, min_margin, first_bad
-
-
 def warmup():
     """Run every kernel once on tiny inputs."""
     d = np.array([0.0, 1.0, 2.0])
@@ -249,4 +216,3 @@ def warmup():
     schur_eta(d, e2, -1.0)
     x = np.ones(3)
     rational_chain(np.ones(3), x)
-    x_chain_streaming(8, 0.02, 0.14, 0.0, 0.14, 0.3)

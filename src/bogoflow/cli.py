@@ -322,6 +322,7 @@ def run_sweep(config: RunConfig) -> int:
                 "n": n,
                 "epsilon": eps,
                 "status": f"error:{type(exc).__name__}",
+                "reason": str(exc),
                 "wall_ms": 0.0,
             }
 
@@ -352,15 +353,8 @@ def run_sweep(config: RunConfig) -> int:
     csv_path.write_text("\n".join(lines) + "\n")
 
     files = {"results.csv": _sha256(csv_path)}
-    points = [
-        {
-            "n": row["n"],
-            "epsilon": row["epsilon"],
-            "status": row["status"],
-            "wall_ms": row["wall_ms"],
-        }
-        for row in rows
-    ]
+    keys = ("n", "epsilon", "status", "reason", "wall_ms")
+    points = [{key: row[key] for key in keys if key in row} for row in rows]
     _write_manifest(config, files, points)
     solved = [row for row in rows if row["status"] == "ok"]
     print(f"sweep: {len(solved)}/{len(rows)} points ok -> {csv_path}")

@@ -20,7 +20,13 @@ from typing import Optional
 import numpy as np
 
 from .flow import FlowDomainError, g_check, g_truncated
-from .model import FlowConfig, ModelParams, b_coefficient, c_coefficient, coefficient_set
+from .model import (
+    FlowConfig,
+    ModelParams,
+    chain_denominator,
+    majorant_coefficients,
+    majorant_lower_bound,
+)
 from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian, sector_elements
 
 # stop extending the vector once coefficients fall below this relative size
@@ -176,29 +182,21 @@ def tail_series(
 ) -> TailSeries:
     """Majorant series for the omitted part of the coefficient chain.
 
-    c_j is the product over l = 2..j of
-    1 / ((1 + sqrt(eta*a) - (b/sqrt(eta*a))/(2l - xi))
-         * sqrt(1 + a - 2b/(2l-1) - (1-c)/(2l-1)^2)),
-    with a = 2eps + eps^2 and b, c at delta = 1 + sqrt(eps).  The ratio
+    c_j is the product over l = 2..j of 1 / (2 L(2l) * sqrt(D(2l-1))),
+    with L = model.majorant_lower_bound and D = model.chain_denominator
+    on the family of model.majorant_coefficients.  The ratio
     c_j/c_{j-1} drops below 1 from some eps-dependent index on, making
     the series convergent (ever more slowly as eps -> 0).
     """
     cfg = cfg or FlowConfig()
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
-    eps = params.epsilon
-    coefs = coefficient_set(params, cfg)
-    a = coefs.a_bound
-    delta = 1.0 + math.sqrt(eps)
-    b = b_coefficient(eps, delta)
-    c = c_coefficient(eps, delta)
-    sqrt_eta_a = math.sqrt(coefs.eta * a)
+    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params, cfg)
 
     j = np.arange(2, j_max + 1, dtype=np.float64)
-    odd = 2.0 * j - 1.0
     factors = 1.0 / (
-        (1.0 + sqrt_eta_a - (b / sqrt_eta_a) / (2.0 * j - coefs.xi))
-        * np.sqrt(1.0 + a - 2.0 * b / odd - (1.0 - c) / (odd * odd))
+        2.0 * majorant_lower_bound(2.0 * j, b, sqrt_eta_a, xi)
+        * np.sqrt(chain_denominator(2.0 * j - 1.0, a, b, c))
     )
     cvals = np.cumprod(factors)
     ratios = np.empty_like(cvals)
@@ -243,35 +241,24 @@ def kz_truncation_bounds(
     """Leading/remainder norm bounds for re-expanding the flow between
     levels r and i to interaction depth h.
 
-    K_f = 1/(4*(1 + a - 2b/(N-f+1) - (1-c)/(N-f+1)^2)),
-    Z_f = K_f * 2/(1 + sqrt(eta*a) - (b/sqrt(eta*a))/(N-f+2 - xi)).
-    The bounds are uniform in z over the admissible window.
+    K_f = 1/(4 D(N-f+1)) and Z_f = K_f / L(N-f+2), with D and L as in
+    tail_series.  The bounds are uniform in z over the admissible window.
     """
     cfg = cfg or FlowConfig()
-    n, eps = params.n_particles, params.epsilon
+    n = params.n_particles
     if h < 2:
         raise ValueError("h must be >= 2")
     if r % 2 or i % 2 or not 2 <= r <= i - 2 or i > n - 2:
         raise ValueError("need even 2 <= r <= i-2 <= N-4")
-    coefs = coefficient_set(params, cfg)
-    a = coefs.a_bound
-    delta = 1.0 + math.sqrt(eps)
-    b = b_coefficient(eps, delta)
-    c = c_coefficient(eps, delta)
-    sqrt_eta_a = math.sqrt(coefs.eta * a)
+    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params, cfg)
 
-    def k_of(f):
-        m = n - f + 1.0
-        return 1.0 / (4.0 * (1.0 + a - 2.0 * b / m - (1.0 - c) / (m * m)))
-
-    def z_of(f):
-        return k_of(f) * 2.0 / (1.0 + sqrt_eta_a - (b / sqrt_eta_a) / (n - f + 2.0 - coefs.xi))
-
-    f_levels = np.arange(r + 2, i + 1, 2, dtype=np.int64)
-    kvals = np.array([k_of(float(f)) for f in f_levels])
-    zvals = np.array([z_of(float(f)) for f in np.arange(r, i - 1, 2)])
+    levels = np.arange(r, i + 1, 2, dtype=np.float64)  # r .. i
+    k = 1.0 / (4.0 * chain_denominator(n - levels + 1.0, a, b, c))
+    kvals = k[1:]
+    zvals = k[:-1] / majorant_lower_bound(n - levels[:-1] + 2.0, b, sqrt_eta_a, xi)
     leading = float(np.prod(kvals / (1.0 - zvals) ** 2))
-    remainder = float(z_of(float(r)) ** h * leading)
+    remainder = float(float(zvals[0]) ** h * leading)
+    f_levels = levels[1:].astype(np.int64)
     return TruncationBounds(
         f_levels=f_levels, K=kvals, Z=zvals, leading=leading, remainder=remainder, h=h
     )

@@ -28,10 +28,6 @@ class ModelParams:
     epsilon: float
     phi: float = 1.0
     delta0: float = 1.0
-    # geometry metadata, reporting only
-    box_side: Optional[float] = None
-    dimension: Optional[int] = None
-    density: Optional[float] = None
 
     def __post_init__(self):
         n = self.n_particles
@@ -74,7 +70,6 @@ class FlowConfig:
     c_gamma: float = 10.0
     k_gamma: float = 0.05
     tol_root: float = 1e-12
-    tol_residual: float = 1e-10
 
     def __post_init__(self):
         if not self.nu > 11.0 / 8.0:
@@ -87,8 +82,8 @@ class FlowConfig:
             raise ValueError("beta must lie in (0, 1)")
         if self.delta is not None and not self.delta < 2.0:
             raise ValueError("delta must be < 2")
-        if not (self.tol_root > 0.0 and self.tol_residual > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol_root > 0.0:
+            raise ValueError("tol_root must be positive")
 
     def resolved_delta(self, epsilon: float) -> float:
         return self.delta if self.delta is not None else 1.0 + math.sqrt(epsilon)
@@ -125,18 +120,24 @@ def c_coefficient(epsilon: float, delta: float) -> float:
     return -(1.0 - delta * delta) * epsilon * (epsilon + 2.0)
 
 
+def chain_denominator(m, a: float, b: float, c: float):
+    """D(m) = 1 + a - 2b/m - (1-c)/m^2, the factor every comparison chain
+    step and the W cap 1/(4 D) divide by.  Accepts scalars or arrays in m."""
+    return 1.0 + a - 2.0 * b / m - (1.0 - c) / (m * m)
+
+
+def majorant_lower_bound(m, b: float, sqrt_eta_a: float, xi: float):
+    """L(m) = (1 + sqrt(eta*a) - (b/sqrt(eta*a))/(m - xi)) / 2, the lower
+    bound of the majorant chain at N - level = m.  Accepts scalars or
+    arrays in m."""
+    return 0.5 * (1.0 + sqrt_eta_a - (b / sqrt_eta_a) / (m - xi))
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Coefficient family entering every estimate and comparison sequence.
-
-    a_prime and a_bound are numerically the same quantity eps^2 + 2*eps;
-    they are kept as separate fields because they play two roles: a_prime
-    is the exact coefficient of the closed-form solution, a_bound is the
-    realized remainder form 2*eps + eps^2 used inside sequence bounds.
-    """
+    """Coefficient family entering every estimate and comparison sequence."""
 
     a_prime: float
-    a_bound: float
     a_gamma: float
     b_delta: float
     c_delta: float
@@ -153,7 +154,6 @@ def coefficient_set(params: ModelParams, cfg: FlowConfig) -> CoefficientSet:
     a_gamma = 2.0 * eps + cfg.c_gamma * (eps / n**cfg.gamma + 1.0 / n + eps * eps)
     return CoefficientSet(
         a_prime=eps * eps + 2.0 * eps,
-        a_bound=2.0 * eps + eps * eps,
         a_gamma=a_gamma,
         b_delta=b_coefficient(eps, delta),
         c_delta=c_coefficient(eps, delta),
@@ -163,6 +163,18 @@ def coefficient_set(params: ModelParams, cfg: FlowConfig) -> CoefficientSet:
     )
 
 
+def majorant_coefficients(params: ModelParams, cfg: FlowConfig):
+    """(a, b, c, sqrt(eta*a), xi) with b, c at delta = 1 + sqrt(eps): the
+    family of the majorant chain, its lower bound and the tail series,
+    whatever delta cfg configures for the spectral window."""
+    eps = params.epsilon
+    coefs = coefficient_set(params, cfg)
+    delta = 1.0 + math.sqrt(eps)
+    a = coefs.a_prime
+    b, c = b_coefficient(eps, delta), c_coefficient(eps, delta)
+    return a, b, c, math.sqrt(coefs.eta * a), coefs.xi
+
+
 @dataclass(frozen=True)
 class AssumptionReport:
     """Pass/fail per regime condition.  Failures never abort computation;
@@ -170,7 +182,7 @@ class AssumptionReport:
 
     gamma_size_ok isolates the N-dependent part of the gamma condition
     (the epsilon^2 term is N-independent and already fails for moderate
-    epsilon no matter how large N is); sweeps use it to pick N.
+    epsilon no matter how large N is).  It is reported, not used to pick N.
     """
 
     nu_ok: bool

@@ -16,14 +16,17 @@ from . import _kernels
 from .model import (
     FlowConfig,
     ModelParams,
-    b_coefficient,
-    c_coefficient,
+    chain_denominator,
     coefficient_set,
+    majorant_coefficients,
+    majorant_lower_bound,
 )
 
 # absolute slack absorbing rounding when checking strict analytic
 # inequalities: bound comparisons use BOUND_SLACK * (1 + |value|)
 BOUND_SLACK = 1e-14
+# block length of the streamed majorant chain, which bounds its memory
+STREAM_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,38 +67,63 @@ class SequenceWithBound:
 def x_sequence(params: ModelParams, cfg: Optional[FlowConfig] = None) -> SequenceWithBound:
     """Forward majorant chain X over even levels 0..N-2, X_0 = 1.
 
-    Step to level 2j+2 divides by 4*(1 + a - 2b/(N-2j-1) - (1-c)/(N-2j-1)^2)
+    Step to level 2j+2 divides by 4*D(N-2j-1), D = model.chain_denominator
     with a = 2eps + eps^2 and b, c evaluated at delta = 1 + sqrt(eps).
-    Companion lower bound:
-    X_{2j} >= (1 + sqrt(eta*a) - (b/sqrt(eta*a))/(N - 2j - xi)) / 2.
+    Companion lower bound: X_{2j} >= model.majorant_lower_bound(N - 2j).
+    This is the one-pass reference of x_sequence_blocks.
     """
     cfg = cfg or FlowConfig()
-    n, eps = params.n_particles, params.epsilon
-    coefs = coefficient_set(params, cfg)
-    a = coefs.a_bound
-    delta = 1.0 + math.sqrt(eps)
-    b = b_coefficient(eps, delta)
-    c = c_coefficient(eps, delta)
+    n = params.n_particles
+    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params, cfg)
 
     levels = np.arange(0, n, 2, dtype=np.float64)  # 0, 2, ..., N-2
     dfac = np.empty_like(levels)
     dfac[0] = 1.0
-    prev = n - levels[1:] + 1.0  # N - 2j - 1 for the step leaving level 2j
-    dfac[1:] = 1.0 + a - 2.0 * b / prev - (1.0 - c) / (prev * prev)
+    # N - 2j - 1 for the step leaving level 2j
+    dfac[1:] = chain_denominator(n - levels[1:] + 1.0, a, b, c)
 
     x = np.empty_like(levels)
     x[0] = 1.0
     first_bad = int(_kernels.rational_chain(dfac, x))
-
-    sqrt_eta_a = math.sqrt(coefs.eta * a)
-    lower = 0.5 * (1.0 + sqrt_eta_a - (b / sqrt_eta_a) / (n - levels - coefs.xi))
     return SequenceWithBound(
         levels=levels.astype(np.int64),
         values=x,
-        bound=lower,
+        bound=majorant_lower_bound(n - levels, b, sqrt_eta_a, xi),
         bound_is_lower=True,
         first_nonpositive=first_bad,
     )
+
+
+def x_sequence_blocks(n: int, a: float, b: float, c: float, sqrt_eta_a: float, xi: float):
+    """The chain of x_sequence in consecutive blocks, for chains too long
+    to hold, from the raw coefficients of model.majorant_coefficients.
+
+    Yields SequenceWithBound blocks that cover entries 0 .. N/2 - 1 once
+    each; first_nonpositive is an index into the whole chain, or -1 if
+    the block holds no failure.  Each block runs up to STREAM_BLOCK steps
+    of rational_chain from the last value of the block before, so memory
+    is O(STREAM_BLOCK) for any N.  A chain that fits one block shares
+    every operation with x_sequence.
+    """
+    count = n // 2  # entries t = 0 .. count - 1
+    x_last = 1.0
+    for t0 in range(1, max(count, 2), STREAM_BLOCK):  # N = 2 still yields entry 0
+        # entry 0 of the block is entry t0 - 1: the start value, or the
+        # carried value that the block before already yielded
+        t = np.arange(t0 - 1, min(t0 + STREAM_BLOCK, count), dtype=np.float64)
+        m = n - 2.0 * t
+        x = np.empty_like(t)
+        x[0] = x_last
+        bad = int(_kernels.rational_chain(chain_denominator(m + 1.0, a, b, c), x))
+        x_last = float(x[-1])
+        new = slice(0 if t0 == 1 else 1, None)
+        yield SequenceWithBound(
+            levels=(2 * t[new]).astype(np.int64),
+            values=x[new],
+            bound=majorant_lower_bound(m[new], b, sqrt_eta_a, xi),
+            bound_is_lower=True,
+            first_nonpositive=t0 - 1 + bad if bad >= 0 else -1,
+        )
 
 
 @dataclass(frozen=True)
@@ -106,30 +134,28 @@ class StreamedSequenceSummary:
     min_margin: float
     first_nonpositive: int
 
+    @classmethod
+    def of(cls, blocks) -> "StreamedSequenceSummary":
+        """Reduce the blocks of x_sequence_blocks."""
+        min_margin, first_bad = math.inf, -1
+        for block in blocks:
+            min_margin = min(min_margin, float(np.min(block.margin)))
+            if first_bad < 0:
+                first_bad = block.first_nonpositive
+        terminal = float(block.values[-1])
+        return cls(terminal=terminal, min_margin=min_margin, first_nonpositive=first_bad)
+
 
 def x_sequence_terminal(
     params: ModelParams, cfg: Optional[FlowConfig] = None
 ) -> StreamedSequenceSummary:
     """Streaming form of x_sequence for sweeps at very large N: returns
     only the terminal entry and the minimum lower-bound margin instead
-    of materializing O(N) arrays; memory is O(_kernels.STREAM_BLOCK).
-    Identical arithmetic to x_sequence while the chain fits one block.
+    of materializing O(N) arrays; memory is O(STREAM_BLOCK).
     """
     cfg = cfg or FlowConfig()
-    n, eps = params.n_particles, params.epsilon
-    coefs = coefficient_set(params, cfg)
-    a = coefs.a_bound
-    delta = 1.0 + math.sqrt(eps)
-    b = b_coefficient(eps, delta)
-    c = c_coefficient(eps, delta)
-    terminal, min_margin, first_bad = _kernels.x_chain_streaming(
-        n, a, b, c, math.sqrt(coefs.eta * a), coefs.xi
-    )
-    return StreamedSequenceSummary(
-        terminal=float(terminal),
-        min_margin=float(min_margin),
-        first_nonpositive=int(first_bad),
-    )
+    blocks = x_sequence_blocks(params.n_particles, *majorant_coefficients(params, cfg))
+    return StreamedSequenceSummary.of(blocks)
 
 
 def xtilde_sequence(
@@ -137,19 +163,16 @@ def xtilde_sequence(
 ) -> SequenceWithBound:
     """Minorant chain over even levels N - N^(1-gamma) .. N-2, started at 1.
 
-    Step to level 2j+2 divides by 4*(1 + a_g - 2b/(N-2j) - (1-c)/(N-2j)^2)
-    where a_g carries the c_gamma-inflated corrections and b, c use the
-    configured delta (default 1 + sqrt(eps)).  The companion upper bound
+    Step to level 2j+2 divides by 4*D(N-2j), D = model.chain_denominator
+    with a = a_g, which carries the c_gamma-inflated corrections, and b, c
+    at the configured delta (default 1 + sqrt(eps)).  The companion upper bound
     (1 + sqrt(a_g) - 1/(N - 2j + 1 - b)) / 2 is asserted on the tail
     2 <= N - 2j <= N^(1-gamma)/2 and NaN elsewhere.
     """
     cfg = cfg or FlowConfig()
-    n, eps = params.n_particles, params.epsilon
+    n = params.n_particles
     coefs = coefficient_set(params, cfg)
-    delta = cfg.resolved_delta(eps)
-    b = b_coefficient(eps, delta)
-    c = c_coefficient(eps, delta)
-    a_g = coefs.a_gamma
+    a_g, b = coefs.a_gamma, coefs.b_delta
 
     span = int(n ** (1.0 - cfg.gamma) + 1e-9)  # nudge floor against pow slop
     span -= span % 2
@@ -160,7 +183,7 @@ def xtilde_sequence(
     rem_prev = n - (levels[1:] - 2.0)  # N - 2j at the previous level
     dfac = np.empty_like(levels)
     dfac[0] = 1.0
-    dfac[1:] = 1.0 + a_g - 2.0 * b / rem_prev - (1.0 - c) / (rem_prev * rem_prev)
+    dfac[1:] = chain_denominator(rem_prev, a_g, b, coefs.c_delta)
 
     xt = np.empty_like(levels)
     xt[0] = 1.0
@@ -213,7 +236,7 @@ def y_star_sequence(params: ModelParams, beta: float) -> YStarSequence:
     upper = two_l[:-1]
     dfac = np.empty_like(two_l)
     dfac[0] = 1.0
-    dfac[1:] = 1.0 + a_prime - 2.0 * b1 / upper - 1.0 / (upper * upper)
+    dfac[1:] = chain_denominator(upper, a_prime, b1, 0.0)
     y = np.empty_like(two_l)
     y[0] = 1.0
     first_bad = int(_kernels.rational_chain(dfac, y))
@@ -253,7 +276,7 @@ def y_closed_recursion_residual(l, epsilon: float):
     b1 = (1.0 + epsilon) * math.sqrt(a)
     y_hi = y_closed_form(l, epsilon)
     y_lo = y_closed_form(l - 1.0, epsilon)
-    dfac = 1.0 + a - b1 / l - 1.0 / (4.0 * l * l)
+    dfac = chain_denominator(2.0 * l, a, b1, 0.0)  # factors of 2 scale exactly
     rhs = 1.0 - 1.0 / (4.0 * dfac * y_hi)
     res = np.abs(rhs - y_lo) / np.abs(y_lo)
     return float(res) if res.ndim == 0 else res

@@ -20,7 +20,9 @@ from .model import (
     b_coefficient,
     bogoliubov_energy,
     c_coefficient,
+    chain_denominator,
     check_assumptions,
+    majorant_coefficients,
 )
 
 DEFAULT_GRID_N = (2, 4, 16, 128, 1024)
@@ -122,7 +124,7 @@ def check_w_bound(
     params: ModelParams, deltas: Optional[Sequence[float]] = None
 ) -> PropertyResult:
     """Each coupling product at the window edge for slope delta stays below
-    1/(4*(1 + a - 2 b_delta/(N-i+1) - (1-c_delta)/(N-i+1)^2))."""
+    1/(4 D(N-i+1)), D = model.chain_denominator with b, c at delta."""
     eps, phi, n = params.epsilon, params.phi, params.n_particles
     if deltas is None:
         root = math.sqrt(eps)
@@ -139,7 +141,7 @@ def check_w_bound(
         levels = table.levels[1:]
         w = table.w_products[1:]  # dimensionless: phi^2 over (energy)^2
         m = n - levels + 1.0
-        cap = 1.0 / (4.0 * (1.0 + a - 2.0 * b / m - (1.0 - c) / (m * m)))
+        cap = 1.0 / (4.0 * chain_denominator(m, a, b, c))
         slack = cap - w
         tol = sequences.BOUND_SLACK * (1.0 + np.abs(w))
         worst = min(worst, float((slack + tol).min()))
@@ -179,15 +181,27 @@ def check_g_lower_bound_link(
 
 
 def check_x_bounds(params: ModelParams, cfg: Optional[FlowConfig] = None) -> PropertyResult:
-    seq = sequences.x_sequence(params, cfg)
-    margin = seq.margin
-    tol = sequences.BOUND_SLACK * (1.0 + np.abs(seq.values))
-    worst = float((margin + tol).min())
+    """The majorant chain stays above its lower bound, streamed block by
+    block: every entry gets the slack BOUND_SLACK * (1 + |x|)."""
+    cfg = cfg or FlowConfig()
+    coefs = majorant_coefficients(params, cfg)
+    holds, first_bad, count = True, -1, 0
+    worst = least = math.inf
+    for seq in sequences.x_sequence_blocks(params.n_particles, *coefs):
+        margin = seq.margin
+        tol = sequences.BOUND_SLACK * (1.0 + np.abs(seq.values))
+        # np.minimum keeps a NaN, as the minimum over the whole chain would
+        worst = np.minimum(worst, (margin + tol).min())
+        least = np.minimum(least, margin.min())
+        holds = holds and seq.holds()
+        if first_bad < 0:
+            first_bad = seq.first_nonpositive
+        count += seq.values.size
     return PropertyResult(
         name="x_lower_bound",
-        passed=seq.holds() and seq.first_nonpositive < 0,
-        margin=worst,
-        details=f"min margin {float(margin.min()):.3e} over {seq.values.size} entries",
+        passed=holds and first_bad < 0,
+        margin=float(worst),
+        details=f"min margin {float(least):.3e} over {count} entries",
     )
 
 

@@ -77,6 +77,21 @@ def test_sweep_exits_2_when_every_point_is_outside_regime(tmp_path):
     assert code == 2
 
 
+def test_sweep_failed_rows_carry_their_reason_in_the_manifest(tmp_path):
+    out = tmp_path / "sweep"
+    run_cli(["--mode", "sweep", "--n", "64,65", "--epsilon", "0,0.01", "--out", str(out)])
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["error:ValueError", "ok"] + ["error:ValueError"] * 2
+    points = json.loads((out / "manifest.json").read_text())["points"]
+    reasons = [point.get("reason") for point in points]
+    assert reasons == [
+        "epsilon must be positive and finite",
+        None,
+        "n must be even",
+        "n must be even",
+    ]
+
+
 def test_sweep_deterministic_across_workers(tmp_path):
     args = ["--mode", "sweep", "--n", "16,64,256", "--epsilon", "0.1,0.01"]
     out1, out2 = tmp_path / "w1", tmp_path / "w8"

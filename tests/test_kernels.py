@@ -1,5 +1,5 @@
 """The lockstep scan must reproduce the element loop it replaces on long
-chains, and the streaming chain must not depend on its blocking.
+chains.
 """
 
 import numpy as np
@@ -89,19 +89,3 @@ def test_scan_exact_zero_denominator(n, positions):
         dfac = _chain_inputs(n, rng)
         dfac[j] = 0.0  # 4 * dfac * x = 0
         assert _compare(_kernels.rational_chain, _kernels._chain_loop, dfac) == j
-
-
-@pytest.mark.parametrize("b", (0.3565, 100.0))
-def test_streaming_blocks_match_one_pass(b, monkeypatch):
-    # a chain of 5000 steps in blocks of 700: carried values, the offset
-    # of first_bad (step 3813 at b = 100) and the running margin must not
-    # depend on the blocking.  Past a failure the margin runs through
-    # near-poles and carries no meaning, so it is compared only without one.
-    args = (10**4, 0.0804, b, 0.0172, 0.2698, 0.4472)
-    whole = _kernels.x_chain_streaming(*args)
-    monkeypatch.setattr(_kernels, "STREAM_BLOCK", 700)
-    blocked = _kernels.x_chain_streaming(*args)
-    assert blocked[0] == pytest.approx(whole[0], rel=REL_TOL)
-    assert blocked[2] == whole[2]
-    if whole[2] < 0:
-        assert blocked[1] == pytest.approx(whole[1], rel=1e-12)
