@@ -1,16 +1,18 @@
-"""Hot scalar recursions over 1-D float64 arrays, in numpy and Python.
+"""Hot scalar recursions over 1-D float64 arrays, in LAPACK and Python.
 
 flow_recursion and rational_chain are the Moebius chains of the flow and
-of the comparison sequences; from SCAN_MIN_LENGTH entries on they run a
-chunked lockstep scan (_lockstep_scan) that computes every entry by the
-formula of the element loop.  schur_eta is the nested fraction of the
-oracle's tridiagonal matrix, the matrix side of the continued-fraction
-identity.  No kernel knows the model: callers pass the coefficients.
+of the comparison sequences.  Both are the pivot recurrence
+y_j = 1 - c_j / y_{j-1} of the LDL^T factorization of a unit-diagonal
+tridiagonal matrix with off-diagonal sqrt(c), which _pivots runs through
+LAPACK dpttrf; the element loops _flow_loop and _chain_loop are the
+reference and compute the entries dpttrf cannot.  schur_eta is the
+nested fraction of the oracle's tridiagonal matrix, the matrix side of
+the continued-fraction identity.  No kernel knows the model: callers
+pass the coefficients.
 """
 
-import math
-
 import numpy as np
+from scipy.linalg.lapack import dpttrf
 
 # No kernel is JIT-compiled; the benchmark harness reads this name into
 # its run metadata.
@@ -18,14 +20,46 @@ HAVE_NUMBA = False
 
 _TINY = 1e-300  # replaces an exact zero pivot/denominator
 
-# Chains shorter than this run the element loop: below it the scan's
-# fixed numpy-call cost exceeds the loop's per-element work (loop vs scan,
-# flow chain: 0.07 vs 0.06 ms at 96 entries, 0.09 vs 0.07 ms at 128, on a
-# 2-vCPU Xeon VM with numpy 2.4).
-SCAN_MIN_LENGTH = 128
-# rescale the lockstep composites every this many maps; one map grows
-# them by at most a factor 1 + |coefficient|
-_RENORM_EVERY = 8
+
+def _pivots(c, y, step):
+    """Fill y[j] = 1 - c[j]/y[j-1] for j >= 1 in place; y[0] is preset.
+
+    dpttrf factors the tridiagonal matrix with unit diagonal and
+    off-diagonal e_j = sqrt(c_j); its pivots are y, each entry computed
+    as 1 - (e_j / y_{j-1}) * e_j.  It needs c_j >= 0 finite and stops
+    after a pivot <= 0.  step(j) computes entry j from entry j-1 by the
+    caller's element formula there: at every c_j that is negative or not
+    finite, and after every pivot <= 0; dpttrf then resumes.  Each entry
+    depends only on c_j and y_{j-1}, so a chain continued from its last
+    pivot equals one pass bit for bit.  Returns True if one dpttrf call
+    took every entry and every pivot is positive.
+    """
+    n = y.shape[0]
+    y[1:] = 1.0
+    if n < 2:
+        return True
+    j = 0  # y[j] is final
+    if c[1:].min() >= 0.0:
+        info = dpttrf(y, np.sqrt(c[1:]), overwrite_d=1, overwrite_e=1)[2]
+        if info == 0:
+            return True
+        # every entry before the first pivot <= 0 is final
+        j = max(info - 2, 0)
+        y[j + 1 :] = 1.0
+    with np.errstate(invalid="ignore"):
+        e = np.sqrt(c[1:])
+    for k in (np.flatnonzero(~(e[j:] < np.inf)) + j + 1).tolist() + [n]:
+        while j < k - 1:  # entries j+1 .. k-1 by dpttrf
+            info = dpttrf(y[j:k], e[j : k - 1], overwrite_d=1, overwrite_e=1)[2]
+            if not 0 < info < k - j:
+                j = k - 1
+            else:  # y[j + info - 1] <= 0 and nothing after it computed
+                j += info
+                step(j)
+        if k < n:
+            step(k)
+            j = k
+    return False
 
 
 def _flow_loop(w, g):
@@ -42,31 +76,35 @@ def _flow_loop(w, g):
     return first_bad
 
 
-def _flow_maps(w, u, v):
-    # g -> 1/(1 - w g) on homogeneous coordinates g = u/v: [[0, 1], [-w, 1]]
-    return v, v - w * u
-
-
-def _flow_column(w, prev, out):
-    q = w * prev
-    lo, hi = np.fmin.reduce(q), np.fmax.reduce(q)
-    bad = (q < 0.0) | (q >= 1.0) if lo < 0.0 or hi >= 1.0 else None
-    den = np.subtract(1.0, q, out=q)
-    if hi >= 1.0:
-        den[den == 0.0] = -_TINY
-    np.divide(1.0, den, out=out)
-    return bad
-
-
-def flow_recursion(w, g):
+def flow_recursion(w, g, d=None):
     """Fill g[j] = 1/(1 - w[j]*g[j-1]) for j >= 1; g[0] is the start value.
 
-    Returns the first index where the geometric-series condition
-    0 <= w*g < 1 fails, or -1 if it holds everywhere.  Values past a
-    failure are still produced (with a guarded denominator) so callers
-    can inspect the table, but they carry no meaning.
+    Runs the pivots d = 1/g through _pivots with c = w.  d, if given,
+    receives them, and its preset d[0] is the start pivot in place of
+    1/g[0]: a pass continued from the last pivot of the pass before
+    equals one pass bit for bit.  Returns the first index where the
+    geometric-series condition 0 <= w*g < 1 fails (w < 0 or a pivot
+    <= 0), or -1 if it holds everywhere.  Values past a failure are
+    still produced (with a guarded denominator) so callers can inspect
+    the table, but they carry no meaning.
     """
-    return _lockstep_scan(w, g, _flow_loop, _flow_maps, _flow_column)
+    if d is None:
+        d = np.empty_like(g)
+        d[0] = 1.0 / g[0]
+
+    def step(j):
+        # the formula of _flow_loop on the pivots; a zero pivot is the
+        # guarded denominator -_TINY
+        d[j] = 1.0 - w[j] * (1.0 / (d[j - 1] or -_TINY))
+
+    first_bad = -1
+    if not _pivots(w, d, step):
+        bad = (d[1:] <= 0.0) | (w[1:] < 0.0)
+        if bad.any():
+            first_bad = 1 + int(np.argmax(bad))
+        d[d == 0.0] = -_TINY
+    np.divide(1.0, d[1:], out=g[1:])
+    return first_bad
 
 
 def _chain_loop(dfac, x):
@@ -81,108 +119,21 @@ def _chain_loop(dfac, x):
     return first_bad
 
 
-def _chain_maps(dfac, u, v):
-    # x -> 1 - 1/(4 d x) on homogeneous coordinates: [[4d, -1], [4d, 0]]
-    t = 4.0 * dfac * u
-    return t - v, t
-
-
-def _chain_column(dfac, prev, out):
-    den = 4.0 * dfac * prev
-    if not den.all():
-        den[den == 0.0] = _TINY
-    np.divide(1.0, den, out=out)
-    np.subtract(1.0, out, out=out)
-    return out <= 0.0 if np.fmin.reduce(out) <= 0.0 else None
-
-
 def rational_chain(dfac, x):
     """Fill x[j] = 1 - 1/(4*dfac[j]*x[j-1]) for j >= 1; x[0] preset.
 
     Shared by every auxiliary comparison sequence (they differ only in
     the denominator factors dfac and the iteration direction, which the
-    caller encodes by ordering dfac).  Returns the first index with a
-    nonpositive value, or -1.
+    caller encodes by ordering dfac).  x is itself the pivot sequence of
+    _pivots with c = 1/(4*dfac); _chain_loop computes the entries it
+    hands back.  Returns the first index with a nonpositive value, or -1.
     """
-    return _lockstep_scan(dfac, x, _chain_loop, _chain_maps, _chain_column)
-
-
-def _lockstep_scan(coef, out, loop, maps, column):
-    """Run the Moebius chain out[j] = M(coef[j])(out[j-1]) in place.
-
-    loop is the element loop over (coef, out) and returns the first bad
-    index; it handles short arrays outright.  Longer ones are cut into
-    rows of about sqrt(n)/4 consecutive steps, plus a tail shorter than
-    a row.  That width measured fastest: a row costs one scalar step in
-    pass 2, a column a few numpy calls in passes 1 and 3.  The rows'
-    coefficients are copied once into column-major order, (width x rows),
-    so that every column the passes read is contiguous; pass 3 writes
-    into a column-major buffer that is copied back into out before the
-    tail.  Three passes:
-
-    1. compose each row's maps in lockstep across rows, as the images
-       under maps(coef, u, v) of the two homogeneous basis vectors,
-       rescaled every _RENORM_EVERY columns (a Moebius map does not
-       change when its matrix is scaled);
-    2. walk the row composites to get each row's start value; a row
-       whose composite gives no finite value (an exact pole, or an
-       overflow past a failure) is walked with loop instead;
-    3. rerun the exact recursion in lockstep from those starts with
-       column(coef, prev, out), which writes one column and returns the
-       rows whose step failed (None if none did).
-
-    The tail runs through loop from the last row's end.  Every entry is
-    computed by the formula of loop; only the row start values carry
-    the rounding of pass 2.  Kogge & Stone 1973; Blelloch 1990.
-    """
-    n = out.shape[0]
-    if n < SCAN_MIN_LENGTH:
-        return loop(coef, out)
-    width = max(1, math.isqrt(n) // 4)
-    rows = (n - 1) // width
-    end = 1 + rows * width
-    cols = np.ascontiguousarray(coef[1:end].reshape(rows, width).T)
-    with np.errstate(all="ignore"):
-        a, b = np.ones(rows), np.zeros(rows)
-        c, d = np.zeros(rows), np.ones(rows)
-        for col, cc in enumerate(cols):
-            a, b = maps(cc, a, b)
-            c, d = maps(cc, c, d)
-            if col % _RENORM_EVERY == _RENORM_EVERY - 1:
-                s = 1.0 / (np.abs(a) + np.abs(b) + np.abs(c) + np.abs(d))
-                a *= s
-                b *= s
-                c *= s
-                d *= s
-
-        starts = np.empty(rows)
-        x = float(out[0])
-        for r, (ar, br, cr, dr) in enumerate(zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())):
-            starts[r] = x
-            den = br * x + dr
-            nxt = (ar * x + cr) / den if den != 0.0 else math.inf
-            if not math.isfinite(nxt):
-                seg = slice(r * width, (r + 1) * width + 1)
-                out[r * width] = x
-                loop(coef[seg], out[seg])
-                nxt = float(out[(r + 1) * width])
-            x = nxt
-
-        first_row, first_col = rows, 0
-        prev = starts
-        done = np.empty_like(cols)
-        for col, (cc, oc) in enumerate(zip(cols, done)):
-            bad = column(cc, prev, oc)
-            if bad is not None:
-                r = int(np.argmax(bad))
-                if r < first_row:
-                    first_row, first_col = r, col
-            prev = oc
-    out[1:end].reshape(rows, width)[...] = done.T
-    tail_bad = loop(coef[end - 1 :], out[end - 1 :])
-    if first_row < rows:
-        return 1 + first_row * width + first_col
-    return end - 1 + tail_bad if tail_bad >= 0 else -1
+    with np.errstate(divide="ignore"):
+        c = 0.25 / dfac
+    if _pivots(c, x, lambda j: _chain_loop(dfac[j - 1 : j + 1], x[j - 1 : j + 1])):
+        return -1
+    bad = x[1:] <= 0.0
+    return 1 + int(np.argmax(bad)) if bad.any() else -1
 
 
 def schur_eta(d, e2, z):

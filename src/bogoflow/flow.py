@@ -21,6 +21,14 @@ flow at several z, as the root search does.  The series sum is valid
 while q = W*G stays in [0, 1); the table records the first level where
 that fails instead of raising.
 
+The recursion runs on the pivots 1/G, which are those of the LDL^T
+factorization of the sector matrix minus z, through LAPACK dpttrf
+(_kernels.flow_recursion).  g_check runs the pass in one span;
+flow_blocks yields the same pass in blocks of FLOW_BLOCK levels, each
+continued from the last pivot of the block before, so a caller that
+keeps only part of the levels (as the verify check against the
+minorant chain does) needs O(FLOW_BLOCK) memory.
+
 The one-dimensional remainder after the last elimination,
 
     f(z) = -z - (1 - 1/N) * phi^2 / (phi*(2*eps + 2 - 4/N) - z) * G_{N-2}(z),
@@ -52,6 +60,8 @@ from .model import ModelParams
 # Denominators of W below this multiple of phi*N indicate z outside the
 # admissible window; positivity is only guaranteed inside it.
 POLE_FLOOR = 1e-12
+# levels per block of the flow pass (flow_blocks), which bounds its memory
+FLOW_BLOCK = 1 << 16
 # block length and cutoff of the amplitude sum behind the slope of f
 SLOPE_BLOCK = 2048
 SLOPE_NEGLIGIBLE = 1e-250
@@ -101,8 +111,13 @@ def level_coefficients(params: ModelParams, start_level: int = 0):
     entry d_k of each level, so that d_k - z is its first resolvent.
     """
     n = params.n_particles
+    return _coefficients_at(params, start_level + 2.0 * np.arange((n - start_level) // 2))
+
+
+def _coefficients_at(params: ModelParams, i: np.ndarray):
+    # level_coefficients at the even levels i, exact integers in float64
+    n = params.n_particles
     phi, k2 = params.phi, params.kinetic
-    i = start_level + 2.0 * np.arange((n - start_level) // 2)
     m = n - i
     num = (i - 1.0) * i / (float(n) * float(n)) * phi * phi * (0.5 * m + 1.0) ** 2
     diag = (i * phi / n + k2) * m
@@ -110,13 +125,15 @@ def level_coefficients(params: ModelParams, start_level: int = 0):
 
 
 def _w_product_arrays(params: ModelParams, z: float, start_level: int, coefficients=None):
-    """Coupling products for levels start_level..N-2; index 0 is 0.0.
+    """Coupling products for consecutive levels from start_level on;
+    index 0 is 0.0.
 
-    coefficients is level_coefficients(params, start_level), computed
-    here when not given.  Also returns the numerator t_k^2 and first
-    resolvent d_k - z of each level, which the slope of f reuses.  The
-    second resolvent of level i is the first of level i-2: i-2 and
-    m+2 are exact, so both are the same float.
+    coefficients holds the level coefficients of those levels; when not
+    given, level_coefficients(params, start_level) up to level N-2.
+    Also returns the numerator t_k^2 and first resolvent d_k - z of each
+    level, which the slope of f reuses.  The second resolvent of level i
+    is the first of level i-2: i-2 and m+2 are exact, so both are the
+    same float.
     """
     if coefficients is None:
         coefficients = level_coefficients(params, start_level)
@@ -145,29 +162,65 @@ def w_product(params: ModelParams, i: int, z: float) -> float:
     return float(w[1])
 
 
+def _pass_length(params: ModelParams, start_level: int) -> int:
+    n = params.n_particles
+    if start_level % 2 != 0 or not 0 <= start_level <= n - 2:
+        raise ValueError("start_level must be even with 0 <= start_level <= N-2")
+    return (n - start_level) // 2
+
+
+def _flow_span(params, z, start_level, first, stop, coefficients, pivot):
+    """Entries first..stop-1 of the pass from start_level by one kernel
+    call, entry first preset to the pivot 1/G given.  Returns w, g, num,
+    den1, the last pivot and the pass index of the first failed level
+    (or -1); coefficients as in g_check."""
+    if coefficients is None:
+        coefficients = _coefficients_at(params, start_level + 2.0 * np.arange(first, stop))
+    else:
+        coefficients = (coefficients[0][first:stop], coefficients[1][first:stop])
+    w, num, den1 = _w_product_arrays(params, z, start_level + 2 * first, coefficients)
+    g, d = np.empty_like(w), np.empty_like(w)
+    g[0], d[0] = 1.0 / pivot, pivot
+    bad = int(_kernels.flow_recursion(w, g, d))
+    return w, g, num, den1, float(d[-1]), first + bad if bad >= 0 else -1
+
+
+def flow_blocks(params: ModelParams, z: float, start_level: int = 0):
+    """The pass of g_check in consecutive blocks of FLOW_BLOCK levels,
+    each continued from the last pivot 1/G of the block before, so the
+    blocks equal the one pass bit for bit; memory is O(FLOW_BLOCK).
+
+    Yields (start, w_products, g_values, first_bad): entry j of a block
+    is pass index start + j, and first_bad the pass index of the block's
+    first failed level, or -1.
+    """
+    count = _pass_length(params, start_level)
+    pivot = 1.0  # 1/G at the start level
+    for lo in range(0, count, FLOW_BLOCK):
+        first = max(lo - 1, 0)  # the level a block continues from
+        stop = min(lo + FLOW_BLOCK, count)
+        w, g, _, _, pivot, bad = _flow_span(params, z, start_level, first, stop, None, pivot)
+        yield lo, w[lo - first :], g[lo - first :], bad
+
+
 def g_check(
     params: ModelParams, z: float, start_level: int = 0, coefficients=None
 ) -> FlowTable:
     """Run the flow upward from start_level (value 1 there) to level N-2.
 
+    One span over the whole pass; flow_blocks streams the same pass.
     coefficients, if given, is level_coefficients(params, start_level);
     a caller evaluating the flow at several z computes it once.
     """
-    n = params.n_particles
-    if start_level % 2 != 0 or not 0 <= start_level <= n - 2:
-        raise ValueError("start_level must be even with 0 <= start_level <= N-2")
-    w, num, den1 = _w_product_arrays(params, z, start_level, coefficients)
-    g = np.empty_like(w)
-    g[0] = 1.0
-    first_bad = int(_kernels.flow_recursion(w, g))
+    count = _pass_length(params, start_level)
+    w, g, num, den1, _, first_bad = _flow_span(params, z, start_level, 0, count, coefficients, 1.0)
     valid = first_bad < 0
-    f_value = _f_from_g(params, z, float(g[-1]))
     return FlowTable(
         z=float(z),
         start_level=start_level,
         g_values=g,
         w_products=w,
-        f_value=f_value,
+        f_value=_f_from_g(params, z, float(g[-1])),
         valid=valid,
         invalid_level=-1 if valid else start_level + 2 * first_bad,
         f_slope=_f_slope(g, num, den1, _final_coupling(params)) if valid else math.nan,

@@ -166,8 +166,11 @@ def coefficient_set(params: ModelParams, cfg: FlowConfig) -> CoefficientSet:
 def majorant_coefficients(params: ModelParams, cfg: FlowConfig):
     """(a, b, c, sqrt(eta*a), xi) with b, c at delta = 1 + sqrt(eps): the
     family of the majorant chain, its lower bound and the tail series,
-    whatever delta cfg configures for the spectral window."""
+    whatever delta cfg configures for the spectral window.  The family
+    needs eta = 1 - sqrt(eps) > 0, so eps < 1."""
     eps = params.epsilon
+    if not eps < 1.0:
+        raise ValueError(f"the majorant coefficients need epsilon < 1, got {eps!r}")
     coefs = coefficient_set(params, cfg)
     delta = 1.0 + math.sqrt(eps)
     a = coefs.a_prime

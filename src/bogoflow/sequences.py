@@ -102,8 +102,8 @@ def x_sequence_blocks(n: int, a: float, b: float, c: float, sqrt_eta_a: float, x
     each; first_nonpositive is an index into the whole chain, or -1 if
     the block holds no failure.  Each block runs up to STREAM_BLOCK steps
     of rational_chain from the last value of the block before, so memory
-    is O(STREAM_BLOCK) for any N.  A chain that fits one block shares
-    every operation with x_sequence.
+    is O(STREAM_BLOCK) for any N.  That value is the chain's pivot, so
+    the blocks equal x_sequence bit for bit at any block length.
     """
     count = n // 2  # entries t = 0 .. count - 1
     x_last = 1.0

@@ -11,7 +11,9 @@ needs them.  At spectral parameters where the geometric-series condition
 of the flow fails, the root necessarily lies below, which lets the
 search treat "invalid" as "to the right of the root" without ever
 leaving certified territory.  The search stops once |f(z)| <= tol_root *
-phi, which the slope bound turns into |z - z*| <= tol_root * phi.
+phi, which the slope bound turns into |z - z*| <= tol_root * phi, or
+once the safeguard rejects a Newton step no longer than that: f is then
+at its rounding floor, which can lie above tol_root * phi.
 """
 
 import math
@@ -116,7 +118,10 @@ def solve_fixed_point(
     phi > 0 and is measured on the same terms.
 
     The search stops once |f(z)| <= tol_root * phi; since f' <= -1 that
-    certifies |z - z*| <= tol_root * phi.  result.iterations counts the
+    certifies |z - z*| <= tol_root * phi.  Where the rounding noise of f
+    exceeds that (large |f'|, as at N = 2e5, eps = 1e-6), it stops at a
+    rejected Newton step no longer than tol_root * phi instead of
+    bisecting the bracket down to that width.  result.iterations counts the
     Newton and bisection steps after the first evaluation, and
     result.evaluations every flow pass, bracket probes included.
     """
@@ -181,6 +186,8 @@ def solve_fixed_point(
                 z, point = z_end, at_end
             continue
         if not admissible:
+            if abs(z_new - z) <= tol:
+                break  # a rejected step within tol: f is at its rounding floor
             z_new = 0.5 * (lo + hi)
             if hi - lo <= tol or not lo < z_new < hi:
                 break  # bracket exhausted: z, one of its ends, is within tol

@@ -158,14 +158,20 @@ def check_g_lower_bound_link(
 ) -> PropertyResult:
     """Flow factors dominate the reciprocal minorant chain on the tail:
     G_i >= 1/xtilde_i for levels from N - N^(1-gamma) on, at the window
-    edge for the configured delta."""
+    edge for the configured delta.  The flow pass is streamed, keeping G
+    on the chain's levels only."""
     cfg = cfg or FlowConfig()
     eps, phi = params.epsilon, params.phi
     delta = cfg.resolved_delta(eps)
     z = bogoliubov_energy(params) + (delta - 1.0) * phi * math.sqrt(eps * (eps + 2.0))
-    table = flow.g_check(params, z)
     seq = sequences.xtilde_sequence(params, cfg)
-    g_on_levels = table.g_values[seq.levels // 2]
+    first = int(seq.levels[0]) // 2  # the chain covers pass indices first..N/2-1
+    kept, valid = [], True
+    for start, _, g, bad in flow.flow_blocks(params, z):
+        valid = valid and bad < 0
+        if start + g.size > first:
+            kept.append(g[max(first - start, 0) :])
+    g_on_levels = np.concatenate(kept)
     with np.errstate(divide="ignore"):
         recip = 1.0 / seq.values
     ok_mask = seq.values > 0.0
@@ -174,7 +180,7 @@ def check_g_lower_bound_link(
     worst = float((slack + tol).min())
     return PropertyResult(
         name="g_lower_bound_link",
-        passed=bool(np.all(ok_mask)) and worst >= 0.0 and table.valid,
+        passed=bool(np.all(ok_mask)) and worst >= 0.0 and valid,
         margin=worst,
         details=f"min G - 1/xtilde = {worst:.3e} on {int(ok_mask.sum())} levels",
     )
@@ -193,7 +199,9 @@ def check_x_bounds(params: ModelParams, cfg: Optional[FlowConfig] = None) -> Pro
         # np.minimum keeps a NaN, as the minimum over the whole chain would
         worst = np.minimum(worst, (margin + tol).min())
         least = np.minimum(least, margin.min())
-        holds = holds and seq.holds()
+        # the rule of seq.holds(), on the margin and slack at hand
+        finite = np.isfinite(seq.bound)
+        holds = holds and bool(np.all(margin[finite] >= -tol[finite]))
         if first_bad < 0:
             first_bad = seq.first_nonpositive
         count += seq.values.size

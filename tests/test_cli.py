@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from bogoflow import cli
+import bogoflow
+from bogoflow import ModelParams, build_sector_hamiltonian, cli
 
 
 def run_cli(args):
@@ -30,6 +36,45 @@ def test_solve_rejects_odd_n(tmp_path, capsys):
 def test_solve_flags_regime_violation(tmp_path):
     code = run_cli(["--mode", "solve", "--n", "100", "--epsilon", "0.001", "--out", str(tmp_path)])
     assert code == 2
+
+
+@pytest.mark.parametrize("eps", (1.0, 2.0))
+def test_solve_at_epsilon_one_and_above(tmp_path, eps):
+    # above FULL_SECTOR_LIMIT the expansion bounds its tail with the
+    # majorant series, which needs eps < 1; at eps >= 1 the bound is inf
+    # and the point still solves.  Only the gamma condition fails there,
+    # so the exit code is 0.
+    out = tmp_path / "run"
+    code = run_cli(["--mode", "solve", "--n", "200000", "--epsilon", str(eps), "--out", str(out)])
+    assert code == 0
+    record = json.loads((out / "point-0.json").read_text())
+    tri = build_sector_hamiltonian(ModelParams(n_particles=200000, epsilon=eps))
+    lam0 = eigh_tridiagonal(
+        tri.diag, tri.offdiag, eigvals_only=True, select="i", select_range=(0, 0), tol=1e-15
+    )[0]
+    assert abs(record["z_star"] - lam0) <= 1e-10
+    assert record["overlap"] >= 1.0 - 1e-9
+
+
+def test_sequences_mode_rejects_epsilon_one(tmp_path, capsys):
+    code = run_cli(["--mode", "sequences", "--n", "1024", "--epsilon", "1", "--out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "epsilon < 1" in err and "Traceback" not in err
+
+
+def test_python_m_bogoflow(tmp_path):
+    src = str(Path(bogoflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bogoflow", "--mode", "solve", "--n", "64", "--epsilon", "0.1", "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "z_star=" in proc.stdout
 
 
 def test_sweep_grid_rows_and_manifest(tmp_path):

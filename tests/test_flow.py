@@ -211,6 +211,44 @@ def test_g_dominates_reciprocal_minorant_chain():
     assert res.passed
 
 
+def test_streamed_lower_bound_link_matches_full_table(monkeypatch):
+    # the check keeps G on the minorant chain's levels only, from the
+    # streamed pass; its row equals the one built from a full g_check.
+    # The blocks, the default two at this N or blocks of 700 levels,
+    # equal g_check's one pass bit for bit.
+    from bogoflow import flow, sequences, verify
+    from bogoflow.model import FlowConfig
+
+    p = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
+    eps, cfg = p.epsilon, FlowConfig()
+    z = bogoliubov_energy(p) + (cfg.resolved_delta(eps) - 1.0) * p.phi * math.sqrt(
+        eps * (eps + 2.0)
+    )
+    table = g_check(p, z)
+    seq = sequences.xtilde_sequence(p, cfg)
+    recip = 1.0 / seq.values
+    worst = float(
+        (table.g_values[seq.levels // 2] - recip + sequences.BOUND_SLACK * (1.0 + np.abs(recip))).min()
+    )
+    expected = verify.PropertyResult(
+        name="g_lower_bound_link",
+        passed=bool(np.all(seq.values > 0.0)) and worst >= 0.0 and table.valid,
+        margin=worst,
+        details=f"min G - 1/xtilde = {worst:.3e} on {seq.values.size} levels",
+    )
+    assert expected.passed
+    assert verify.check_g_lower_bound_link(p).as_dict() == expected.as_dict()
+
+    for block_length in (flow.FLOW_BLOCK, 700):
+        monkeypatch.setattr(flow, "FLOW_BLOCK", block_length)
+        starts, w, g, bad = zip(*flow.flow_blocks(p, z))
+        assert starts == tuple(range(0, p.n_particles // 2, block_length))
+        assert max(bad) == -1
+        np.testing.assert_array_equal(np.concatenate(g), table.g_values)
+        np.testing.assert_array_equal(np.concatenate(w), table.w_products)
+        assert verify.check_g_lower_bound_link(p).as_dict() == expected.as_dict()
+
+
 def test_g_monotone_in_z_per_level():
     p = ModelParams(n_particles=128, epsilon=0.05)
     lam0 = lowest_eigenpair(build_sector_hamiltonian(p)).value

@@ -1,5 +1,6 @@
-"""The lockstep scan must reproduce the element loop it replaces on long
-chains.
+"""The dpttrf pivot chains must reproduce the element loops they replace,
+also past failures, and a chain resumed from its last pivot must equal
+one pass bit for bit.
 """
 
 import numpy as np
@@ -8,18 +9,9 @@ import pytest
 from bogoflow import _kernels
 
 
-# The scan must reproduce the element loop: the same first_bad, and every
-# entry within rounding of the row start values.  n = 100003 leaves a
-# 67-entry tail after the scanned rows, so the tail path is covered too.
-SCAN_LENGTHS = (
-    2,
-    3,
-    _kernels.SCAN_MIN_LENGTH - 1,
-    _kernels.SCAN_MIN_LENGTH,
-    _kernels.SCAN_MIN_LENGTH + 1,
-    4097,
-    100003,
-)
+# The kernels must reproduce the element loop: the same first_bad, and
+# every entry within rounding of it.
+SCAN_LENGTHS = (2, 3, 127, 128, 129, 4097, 100003)
 REL_TOL = 1e-14
 
 
@@ -43,49 +35,127 @@ def _compare(kernel, loop, coef, start=1.0):
     bad = kernel(coef, got)
     assert bad == loop(coef, ref)
     _assert_close(got, ref)
-    return bad
+    return got, bad
+
+
+def _flow_resumed(w, g, h):
+    # the flow chain in two calls, the second started from the first's
+    # last pivot
+    d = np.empty_like(g)
+    d[0] = 1.0 / g[0]
+    _kernels.flow_recursion(w[:h], g[:h], d[:h])
+    _kernels.flow_recursion(w[h - 1 :], g[h - 1 :], d[h - 1 :])
+
+
+def _chain_resumed(dfac, x, h):
+    # x is its own pivot: the second call starts from x[h - 1]
+    _kernels.rational_chain(dfac[:h], x[:h])
+    _kernels.rational_chain(dfac[h - 1 :], x[h - 1 :])
 
 
 @pytest.fixture(params=["by_length", "forced"])
-def scan_mode(request, monkeypatch):
-    # "forced" runs the lockstep scan even on the shortest inputs
-    if request.param == "forced":
-        monkeypatch.setattr(_kernels, "SCAN_MIN_LENGTH", 2)
+def scan_mode(request):
+    # "forced" also resumes every chain at its midpoint from the last
+    # pivot of the first half, which must not change a bit
+    return request.param
 
 
 @pytest.mark.parametrize("n", SCAN_LENGTHS)
 def test_scan_matches_loop(n, scan_mode):
     rng = np.random.default_rng(n)
-    assert _compare(_kernels.flow_recursion, _kernels._flow_loop, _flow_inputs(n, rng)) == -1
-    assert _compare(_kernels.rational_chain, _kernels._chain_loop, _chain_inputs(n, rng)) == -1
+    for kernel, loop, resumed, coef in (
+        (_kernels.flow_recursion, _kernels._flow_loop, _flow_resumed, _flow_inputs(n, rng)),
+        (_kernels.rational_chain, _kernels._chain_loop, _chain_resumed, _chain_inputs(n, rng)),
+    ):
+        got, bad = _compare(kernel, loop, coef)
+        assert bad == -1
+        if scan_mode == "forced":
+            again = np.empty_like(got)
+            again[0] = 1.0
+            resumed(coef, again, max(n // 2, 1))
+            np.testing.assert_array_equal(again, got)
 
 
-# (n, first bad index): a middle row at both lengths, and the tail at
-# n = 100003, whose rows are 79 steps wide and leave the last 67 entries
+# (n, first bad index): a middle entry at both lengths, and one near the end
 @pytest.mark.parametrize("n, j", ((4097, 2055), (100003, 50008), (100003, 99990)))
 def test_scan_first_bad(n, j):
     rng = np.random.default_rng(1)
     w = _flow_inputs(n, rng)
     w[j] = 3.0  # q >= 1
     w[j + 1 :] *= -1.0  # later failures must not move first_bad
-    assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w) == j
+    assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w)[1] == j
     w = _flow_inputs(n, rng)
     w[j] = -0.1  # q < 0
-    assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w) == j
+    assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w)[1] == j
     dfac = _chain_inputs(n, rng)
     dfac[j] = 0.1  # 4 * dfac * x < 1, so x <= 0
-    assert _compare(_kernels.rational_chain, _kernels._chain_loop, dfac) == j
+    assert _compare(_kernels.rational_chain, _kernels._chain_loop, dfac)[1] == j
 
 
 @pytest.mark.parametrize("n, positions", ((4097, range(2000, 2100)), (100003, (50008, 99990))))
 def test_scan_exact_zero_denominator(n, positions):
-    # at n = 4097 every position over several rows, so a zero also falls
-    # on the last step of a row, where the row composite has a pole
     rng = np.random.default_rng(2)
     for j in positions:
         w = _flow_inputs(n, rng)
         w[j - 1], w[j] = 0.0, 1.0  # g[j-1] = 1 exactly, then q = 1
-        assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w) == j
+        assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w)[1] == j
         dfac = _chain_inputs(n, rng)
         dfac[j] = 0.0  # 4 * dfac * x = 0
-        assert _compare(_kernels.rational_chain, _kernels._chain_loop, dfac) == j
+        assert _compare(_kernels.rational_chain, _kernels._chain_loop, dfac)[1] == j
+
+
+def test_negative_coefficient():
+    # a negative c_j has no real off-diagonal sqrt(c_j): the element loop
+    # computes that entry.  For the chain (dfac < 0) that is no failure.
+    rng = np.random.default_rng(3)
+    dfac = _chain_inputs(4097, rng)
+    dfac[[1, 700, 701, 4096]] = -0.3
+    got, bad = _compare(_kernels.rational_chain, _kernels._chain_loop, dfac)
+    assert bad == -1 and got.min() > 0.0
+    w = _flow_inputs(4097, rng)
+    w[[5, 6, 3000]] = -0.05
+    assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w)[1] == 5
+
+
+def test_exact_zero_pivot():
+    # a pivot of exactly 0: dpttrf stops there, the element loop takes
+    # the next entry with its guarded denominator
+    rng = np.random.default_rng(4)
+    for j in (1, 2, 1000, 4096):
+        dfac = _chain_inputs(4097, rng)
+        dfac[j - 1] = np.inf  # x[j-1] = 1 exactly (x[0] = 1 is preset)
+        dfac[j] = 0.25  # x[j] = 1 - 1/(4 * 0.25 * 1) = 0
+        got, bad = _compare(_kernels.rational_chain, _kernels._chain_loop, dfac)
+        assert bad == j and got[j] == 0.0
+        if j + 1 < got.size:
+            assert got[j + 1] == 1.0 - 1.0 / _kernels._TINY
+        w = _flow_inputs(4097, rng)
+        w[j - 1], w[j] = 0.0, 1.0  # pivot 1 - 1/1 = 0: G = 1/(-_TINY)
+        got, bad = _compare(_kernels.flow_recursion, _kernels._flow_loop, w)
+        assert bad == j and got[j] == -1.0 / _kernels._TINY
+
+
+def test_resume_after_failure():
+    # past a failure dpttrf resumes, so the entries after the element
+    # loop's step equal a fresh chain started there, bit for bit
+    rng = np.random.default_rng(5)
+    n, j = 4097, 1500
+    dfac = _chain_inputs(n, rng)
+    dfac[j] = 0.1  # x[j] < 0
+    dfac[j + 900] = 0.1  # a second failure
+    got, bad = _compare(_kernels.rational_chain, _kernels._chain_loop, dfac)
+    assert bad == j and got[j] < 0.0 and got[j + 900] < 0.0
+    fresh = got[j + 1 :].copy()
+    _kernels.rational_chain(dfac[j + 1 :], fresh)
+    np.testing.assert_array_equal(fresh, got[j + 1 :])
+
+    w = _flow_inputs(n, rng)
+    w[j] = 3.0  # pivot < 0
+    g, bad = _compare(_kernels.flow_recursion, _kernels._flow_loop, w)
+    assert bad == j and g[j] < 0.0
+    d = np.empty(n)
+    d[0] = 1.0
+    _kernels.flow_recursion(w, np.empty(n), d)  # the same chain, keeping its pivots
+    fresh = np.empty(n - j - 1)
+    _kernels.flow_recursion(w[j + 1 :], fresh, d[j + 1 :].copy())
+    np.testing.assert_array_equal(fresh[1:], g[j + 2 :])

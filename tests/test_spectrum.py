@@ -251,6 +251,20 @@ def test_newton_solve_flow_evaluations_and_accuracy(monkeypatch):
                 assert _flow_side(params, hi) == -1, (n, eps)
 
 
+@pytest.mark.parametrize("n, max_passes", ((2 * 10**5, 8), (10**6, 10)))
+def test_search_stops_at_the_noise_floor_of_f(n, max_passes):
+    # eps = 1e-6 (root above the window top): f' is about -190 at N = 2e5
+    # and the rounding noise of f can lie above tol_root * phi, so |f| <= tol
+    # may be out of reach; a rejected Newton step no longer than tol ends
+    # the search instead of bisecting the bracket down to that width
+    # (without that rule N = 1e6 takes 38 passes)
+    params = ModelParams(n_particles=n, epsilon=1e-6)
+    result = solve_fixed_point(params)
+    assert result.extended_bracket
+    assert result.evaluations <= max_passes
+    assert abs(result.z_star - _lapack_lambda0(params)) <= 1e-10
+
+
 def test_search_continues_from_a_probed_end_closer_to_the_root():
     # N = 2, eps = 0.05: the first Newton step leaves the window, whose top
     # lies 6e-4 above the root; Newton goes on from the top instead of
