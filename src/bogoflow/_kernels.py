@@ -12,7 +12,6 @@ pass the coefficients.
 """
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf
 
 # No kernel is JIT-compiled; the benchmark harness reads this name into
 # its run metadata.
@@ -32,8 +31,17 @@ def _pivots(c, y, step):
     finite, and after every pivot <= 0; dpttrf then resumes.  Each entry
     depends only on c_j and y_{j-1}, so a chain continued from its last
     pivot equals one pass bit for bit.  Returns True if one dpttrf call
-    took every entry and every pivot is positive.
+    took every entry and every pivot is positive.  y must be C-contiguous
+    float64: dpttrf writes the pivots back in place only into such an
+    array, and would fill a private copy of any other.
     """
+    if y.dtype != np.float64 or not y.flags.c_contiguous:
+        raise ValueError("the pivot chain needs a C-contiguous float64 array")
+    # imported here, not at the top: loading scipy.linalg this early in
+    # the package import, before the oracle does, made a fresh
+    # `import bogoflow` 20-30 ms slower (extra garbage-collector work)
+    from scipy.linalg.lapack import dpttrf
+
     n = y.shape[0]
     y[1:] = 1.0
     if n < 2:
@@ -80,16 +88,16 @@ def flow_recursion(w, g, d=None):
     """Fill g[j] = 1/(1 - w[j]*g[j-1]) for j >= 1; g[0] is the start value.
 
     Runs the pivots d = 1/g through _pivots with c = w.  d, if given,
-    receives them, and its preset d[0] is the start pivot in place of
-    1/g[0]: a pass continued from the last pivot of the pass before
-    equals one pass bit for bit.  Returns the first index where the
+    receives them (C-contiguous float64), and its preset d[0] is the
+    start pivot in place of 1/g[0]: a pass continued from the last
+    pivot of the pass before equals one pass bit for bit.  Returns the first index where the
     geometric-series condition 0 <= w*g < 1 fails (w < 0 or a pivot
     <= 0), or -1 if it holds everywhere.  Values past a failure are
     still produced (with a guarded denominator) so callers can inspect
     the table, but they carry no meaning.
     """
     if d is None:
-        d = np.empty_like(g)
+        d = np.empty(g.shape[0])
         d[0] = 1.0 / g[0]
 
     def step(j):
@@ -124,9 +132,10 @@ def rational_chain(dfac, x):
 
     Shared by every auxiliary comparison sequence (they differ only in
     the denominator factors dfac and the iteration direction, which the
-    caller encodes by ordering dfac).  x is itself the pivot sequence of
-    _pivots with c = 1/(4*dfac); _chain_loop computes the entries it
-    hands back.  Returns the first index with a nonpositive value, or -1.
+    caller encodes by ordering dfac).  x, C-contiguous float64, is itself
+    the pivot sequence of _pivots with c = 1/(4*dfac); _chain_loop
+    computes the entries it hands back.  Returns the first index with a
+    nonpositive value, or -1.
     """
     with np.errstate(divide="ignore"):
         c = 0.25 / dfac

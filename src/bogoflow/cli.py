@@ -116,10 +116,6 @@ _CONFIG_KEYS = {
     "only": str,
     "perturb_tk": float,
 }
-_GRID_HELP = {
-    "n": "particle numbers: comma list or start:stop:factor",
-    "epsilon": "epsilon grid: comma list or start:stop:factor",
-}
 
 
 def _apply_key(config: RunConfig, key: str, value: str) -> None:
@@ -138,6 +134,10 @@ def _apply_key(config: RunConfig, key: str, value: str) -> None:
         config.out = Path(value)
     elif key == "format":
         config.formats = [f.strip() for f in value.split(",") if f.strip()]
+    elif key == "only":
+        config.only = value
+    elif key == "delta":
+        config.delta = float(value)
     else:
         setattr(config, key, kind(value))
 
@@ -149,14 +149,22 @@ def parse_args(argv=None) -> RunConfig:
         "three-modes pair-interaction Hamiltonian.",
     )
     parser.add_argument("--config", type=Path, help="key=value configuration file")
-    for key, kind in _CONFIG_KEYS.items():
-        parser.add_argument(
-            "--" + key.replace("_", "-"),
-            dest=key,
-            choices=MODES if key == "mode" else None,
-            type=kind if kind in (float, int) else None,
-            help=_GRID_HELP.get(key),
-        )
+    parser.add_argument("--mode", choices=MODES)
+    parser.add_argument("--n", help="particle numbers: comma list or start:stop:factor")
+    parser.add_argument("--epsilon", help="epsilon grid: comma list or start:stop:factor")
+    parser.add_argument("--phi", type=float)
+    parser.add_argument("--delta0", type=float)
+    parser.add_argument("--nu", type=float)
+    parser.add_argument("--mu", type=float)
+    parser.add_argument("--gamma", type=float)
+    parser.add_argument("--beta", type=float)
+    parser.add_argument("--delta", type=float)
+    parser.add_argument("--tol", type=float)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--format", dest="format_")
+    parser.add_argument("--workers", type=int)
+    parser.add_argument("--only")
+    parser.add_argument("--perturb-tk", type=float, dest="perturb_tk")
     args = parser.parse_args(argv)
 
     config = RunConfig()
@@ -170,8 +178,25 @@ def parse_args(argv=None) -> RunConfig:
             key, value = (part.strip() for part in line.split("=", 1))
             _apply_key(config, key, value)
 
-    for key in _CONFIG_KEYS:  # command-line flags win over the file
-        value = getattr(args, key)
+    overrides = {
+        "mode": args.mode,
+        "n": args.n,
+        "epsilon": args.epsilon,
+        "phi": args.phi,
+        "delta0": args.delta0,
+        "nu": args.nu,
+        "mu": args.mu,
+        "gamma": args.gamma,
+        "beta": args.beta,
+        "delta": args.delta,
+        "tol": args.tol,
+        "out": args.out,
+        "format": args.format_,
+        "workers": args.workers,
+        "only": args.only,
+        "perturb_tk": args.perturb_tk,
+    }
+    for key, value in overrides.items():
         if value is not None:
             _apply_key(config, key, str(value))
 

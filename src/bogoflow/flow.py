@@ -162,13 +162,6 @@ def w_product(params: ModelParams, i: int, z: float) -> float:
     return float(w[1])
 
 
-def _pass_length(params: ModelParams, start_level: int) -> int:
-    n = params.n_particles
-    if start_level % 2 != 0 or not 0 <= start_level <= n - 2:
-        raise ValueError("start_level must be even with 0 <= start_level <= N-2")
-    return (n - start_level) // 2
-
-
 def _flow_span(params, z, start_level, first, stop, coefficients, pivot):
     """Entries first..stop-1 of the pass from start_level by one kernel
     call, entry first preset to the pivot 1/G given.  Returns w, g, num,
@@ -185,22 +178,23 @@ def _flow_span(params, z, start_level, first, stop, coefficients, pivot):
     return w, g, num, den1, float(d[-1]), first + bad if bad >= 0 else -1
 
 
-def flow_blocks(params: ModelParams, z: float, start_level: int = 0):
-    """The pass of g_check in consecutive blocks of FLOW_BLOCK levels,
-    each continued from the last pivot 1/G of the block before, so the
-    blocks equal the one pass bit for bit; memory is O(FLOW_BLOCK).
+def flow_blocks(params: ModelParams, z: float):
+    """The pass of g_check from level 0 in consecutive blocks of
+    FLOW_BLOCK levels, each continued from the last pivot 1/G of the
+    block before, so the blocks equal the one pass bit for bit; memory
+    is O(FLOW_BLOCK).
 
-    Yields (start, w_products, g_values, first_bad): entry j of a block
-    is pass index start + j, and first_bad the pass index of the block's
-    first failed level, or -1.
+    Yields (start, g_values, first_bad): entry j of a block is pass
+    index start + j, and first_bad the pass index of the block's first
+    failed level, or -1.
     """
-    count = _pass_length(params, start_level)
-    pivot = 1.0  # 1/G at the start level
+    count = params.n_particles // 2  # levels 0 .. N-2
+    pivot = 1.0  # 1/G at level 0
     for lo in range(0, count, FLOW_BLOCK):
         first = max(lo - 1, 0)  # the level a block continues from
         stop = min(lo + FLOW_BLOCK, count)
-        w, g, _, _, pivot, bad = _flow_span(params, z, start_level, first, stop, None, pivot)
-        yield lo, w[lo - first :], g[lo - first :], bad
+        _, g, _, _, pivot, bad = _flow_span(params, z, 0, first, stop, None, pivot)
+        yield lo, g[lo - first :], bad
 
 
 def g_check(
@@ -212,7 +206,10 @@ def g_check(
     coefficients, if given, is level_coefficients(params, start_level);
     a caller evaluating the flow at several z computes it once.
     """
-    count = _pass_length(params, start_level)
+    n = params.n_particles
+    if start_level % 2 != 0 or not 0 <= start_level <= n - 2:
+        raise ValueError("start_level must be even with 0 <= start_level <= N-2")
+    count = (n - start_level) // 2
     w, g, num, den1, _, first_bad = _flow_span(params, z, start_level, 0, count, coefficients, 1.0)
     valid = first_bad < 0
     return FlowTable(

@@ -29,6 +29,13 @@ BOUND_SLACK = 1e-14
 STREAM_BLOCK = 1 << 16
 
 
+def bound_holds(margin, tol, bound) -> bool:
+    """A bound holds where margin >= -tol at every entry with a finite
+    bound; entries whose bound is NaN (not asserted) do not count."""
+    finite = np.isfinite(bound)
+    return bool(np.all(margin[finite] >= -tol[finite]))
+
+
 @dataclass(frozen=True)
 class SequenceWithBound:
     """A chain over even levels together with its analytic companion bound.
@@ -51,10 +58,7 @@ class SequenceWithBound:
         return self.bound - self.values
 
     def holds(self, slack: float = BOUND_SLACK) -> bool:
-        m = self.margin
-        finite = np.isfinite(self.bound)
-        tol = slack * (1.0 + np.abs(self.values))
-        return bool(np.all(m[finite] >= -tol[finite]))
+        return bound_holds(self.margin, slack * (1.0 + np.abs(self.values)), self.bound)
 
     def to_csv(self, path) -> None:
         lines = ["index,value,bound,margin"]

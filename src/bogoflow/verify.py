@@ -167,7 +167,7 @@ def check_g_lower_bound_link(
     seq = sequences.xtilde_sequence(params, cfg)
     first = int(seq.levels[0]) // 2  # the chain covers pass indices first..N/2-1
     kept, valid = [], True
-    for start, _, g, bad in flow.flow_blocks(params, z):
+    for start, g, bad in flow.flow_blocks(params, z):
         valid = valid and bad < 0
         if start + g.size > first:
             kept.append(g[max(first - start, 0) :])
@@ -199,9 +199,7 @@ def check_x_bounds(params: ModelParams, cfg: Optional[FlowConfig] = None) -> Pro
         # np.minimum keeps a NaN, as the minimum over the whole chain would
         worst = np.minimum(worst, (margin + tol).min())
         least = np.minimum(least, margin.min())
-        # the rule of seq.holds(), on the margin and slack at hand
-        finite = np.isfinite(seq.bound)
-        holds = holds and bool(np.all(margin[finite] >= -tol[finite]))
+        holds = holds and sequences.bound_holds(margin, tol, seq.bound)
         if first_bad < 0:
             first_bad = seq.first_nonpositive
         count += seq.values.size

@@ -241,11 +241,14 @@ def test_streamed_lower_bound_link_matches_full_table(monkeypatch):
 
     for block_length in (flow.FLOW_BLOCK, 700):
         monkeypatch.setattr(flow, "FLOW_BLOCK", block_length)
-        starts, w, g, bad = zip(*flow.flow_blocks(p, z))
+        starts, g, bad = zip(*flow.flow_blocks(p, z))
         assert starts == tuple(range(0, p.n_particles // 2, block_length))
         assert max(bad) == -1
         np.testing.assert_array_equal(np.concatenate(g), table.g_values)
-        np.testing.assert_array_equal(np.concatenate(w), table.w_products)
+        for lo in starts:  # each block's own coupling products
+            first, stop = max(lo - 1, 0), min(lo + block_length, p.n_particles // 2)
+            w = flow._flow_span(p, z, 0, first, stop, None, 1.0)[0]
+            np.testing.assert_array_equal(w[lo - first :], table.w_products[lo:stop])
         assert verify.check_g_lower_bound_link(p).as_dict() == expected.as_dict()
 
 

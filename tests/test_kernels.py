@@ -159,3 +159,22 @@ def test_resume_after_failure():
     fresh = np.empty(n - j - 1)
     _kernels.flow_recursion(w[j + 1 :], fresh, d[j + 1 :].copy())
     np.testing.assert_array_equal(fresh[1:], g[j + 2 :])
+
+
+def test_pivot_buffer_must_be_contiguous_float64():
+    # dpttrf writes the pivots back only into a C-contiguous float64
+    # array; any other buffer is refused instead of left unfilled
+    rng = np.random.default_rng(6)
+    dfac = _chain_inputs(257, rng)
+    for x in (np.ones(2 * 257)[::2], np.ones(257, dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            _kernels.rational_chain(dfac, x)
+    w = _flow_inputs(257, rng)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        _kernels.flow_recursion(w, np.ones(257), np.ones(2 * 257)[::2])
+    # without a pivot buffer, g may be any float64 view
+    ref = np.ones(257)
+    _kernels._flow_loop(w, ref)
+    g = np.ones(2 * 257)[::2]
+    assert _kernels.flow_recursion(w, g) == -1
+    np.testing.assert_allclose(g, ref, rtol=1e-14, atol=0.0)
