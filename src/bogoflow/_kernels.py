@@ -89,12 +89,13 @@ def flow_recursion(w, g, d=None):
 
     Runs the pivots d = 1/g through _pivots with c = w.  d, if given,
     receives them (C-contiguous float64), and its preset d[0] is the
-    start pivot in place of 1/g[0]: a pass continued from the last
-    pivot of the pass before equals one pass bit for bit.  Returns the first index where the
-    geometric-series condition 0 <= w*g < 1 fails (w < 0 or a pivot
-    <= 0), or -1 if it holds everywhere.  Values past a failure are
-    still produced (with a guarded denominator) so callers can inspect
-    the table, but they carry no meaning.
+    start pivot in place of 1/g[0]: a pass continued from the last pivot
+    of the pass before equals one pass bit for bit.  With g None only d
+    is filled, which a caller may invert in place after reading its last
+    pivot.  Returns the first index where the condition 0 <= w*g < 1
+    fails (w < 0 or a pivot <= 0), or -1 if it holds everywhere.  Values
+    past a failure are still produced (with a guarded denominator) so
+    callers can inspect the table, but they carry no meaning.
     """
     if d is None:
         d = np.empty(g.shape[0])
@@ -111,7 +112,8 @@ def flow_recursion(w, g, d=None):
         if bad.any():
             first_bad = 1 + int(np.argmax(bad))
         d[d == 0.0] = -_TINY
-    np.divide(1.0, d[1:], out=g[1:])
+    if g is not None:
+        np.divide(1.0, d[1:], out=g[1:])
     return first_bad
 
 

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__, groundstate, sequences, spectrum, verify
-from .model import FlowConfig, ModelParams, bogoliubov_energy, check_assumptions
+from .model import FlowConfig, ModelParams, bogoliubov_energy
 from .oracle import build_sector_hamiltonian, low_spectrum, lowest_eigenpair
 from .sequences import y_star_sequence
 
@@ -98,6 +98,8 @@ class RunConfig:
         return d
 
 
+# configuration keys and their parsers; each is also the flag --key
+# (underscores as dashes)
 _CONFIG_KEYS = {
     "mode": str,
     "n": "ngrid",
@@ -110,11 +112,15 @@ _CONFIG_KEYS = {
     "beta": float,
     "delta": float,
     "tol": float,
-    "out": str,
+    "out": Path,
     "format": str,
     "workers": int,
     "only": str,
     "perturb_tk": float,
+}
+_FLAG_HELP = {
+    "n": "particle numbers: comma list or start:stop:factor",
+    "epsilon": "epsilon grid: comma list or start:stop:factor",
 }
 
 
@@ -130,14 +136,8 @@ def _apply_key(config: RunConfig, key: str, value: str) -> None:
         if value not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         config.mode = value
-    elif key == "out":
-        config.out = Path(value)
     elif key == "format":
         config.formats = [f.strip() for f in value.split(",") if f.strip()]
-    elif key == "only":
-        config.only = value
-    elif key == "delta":
-        config.delta = float(value)
     else:
         setattr(config, key, kind(value))
 
@@ -149,22 +149,13 @@ def parse_args(argv=None) -> RunConfig:
         "three-modes pair-interaction Hamiltonian.",
     )
     parser.add_argument("--config", type=Path, help="key=value configuration file")
-    parser.add_argument("--mode", choices=MODES)
-    parser.add_argument("--n", help="particle numbers: comma list or start:stop:factor")
-    parser.add_argument("--epsilon", help="epsilon grid: comma list or start:stop:factor")
-    parser.add_argument("--phi", type=float)
-    parser.add_argument("--delta0", type=float)
-    parser.add_argument("--nu", type=float)
-    parser.add_argument("--mu", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--delta", type=float)
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--format", dest="format_")
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--only")
-    parser.add_argument("--perturb-tk", type=float, dest="perturb_tk")
+    for key, kind in _CONFIG_KEYS.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            type=kind if callable(kind) else None,
+            choices=MODES if key == "mode" else None,
+            help=_FLAG_HELP.get(key),
+        )
     args = parser.parse_args(argv)
 
     config = RunConfig()
@@ -177,26 +168,8 @@ def parse_args(argv=None) -> RunConfig:
                 raise ValueError(f"{args.config}:{line_no}: expected key=value")
             key, value = (part.strip() for part in line.split("=", 1))
             _apply_key(config, key, value)
-
-    overrides = {
-        "mode": args.mode,
-        "n": args.n,
-        "epsilon": args.epsilon,
-        "phi": args.phi,
-        "delta0": args.delta0,
-        "nu": args.nu,
-        "mu": args.mu,
-        "gamma": args.gamma,
-        "beta": args.beta,
-        "delta": args.delta,
-        "tol": args.tol,
-        "out": args.out,
-        "format": args.format_,
-        "workers": args.workers,
-        "only": args.only,
-        "perturb_tk": args.perturb_tk,
-    }
-    for key, value in overrides.items():
+    for key in _CONFIG_KEYS:  # command-line overrides
+        value = getattr(args, key)
         if value is not None:
             _apply_key(config, key, str(value))
 
@@ -220,8 +193,8 @@ def _solve_point(config: RunConfig, n: int, eps: float) -> dict:
         n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0
     )
     cfg = config.flow_config()
-    report = check_assumptions(params, cfg)
     result = spectrum.solve_fixed_point(params, cfg, compare_oracle=True)
+    report = result.assumptions
     e_bog = bogoliubov_energy(params)
     tri = build_sector_hamiltonian(params)
     lam = low_spectrum(tri, min(2, tri.size))
@@ -335,17 +308,8 @@ def run_sweep(config: RunConfig) -> int:
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:
         if row["status"] == "ok":
-            cells = [
-                str(row["n"]),
-                _float_repr(row["epsilon"]),
-                _float_repr(row["z_star"]),
-                _float_repr(row["e_bog"]),
-                _float_repr(row["abs_err"]),
-                _float_repr(row["sector_gap"]),
-                _float_repr(row["overlap"]),
-                "1" if row["assumptions_ok"] else "0",
-                "ok",
-            ]
+            floats = [_float_repr(row[key]) for key in SWEEP_COLUMNS[1:7]]  # epsilon .. overlap
+            cells = [str(row["n"]), *floats, "1" if row["assumptions_ok"] else "0", "ok"]
         else:
             cells = [str(row["n"]), _float_repr(row["epsilon"])] + [""] * 6 + [row["status"]]
         lines.append(",".join(cells))

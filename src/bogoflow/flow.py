@@ -158,7 +158,8 @@ def w_product(params: ModelParams, i: int, z: float) -> float:
     n = params.n_particles
     if i % 2 != 0 or not 2 <= i <= n - 2:
         raise ValueError("level must be even with 2 <= i <= N-2")
-    w = _w_product_arrays(params, z, i - 2)[0]
+    # levels i - 2 and i only: the pole floor looks at their resolvents alone
+    w = _w_product_arrays(params, z, i - 2, _coefficients_at(params, np.array([i - 2.0, i])))[0]
     return float(w[1])
 
 
@@ -172,10 +173,12 @@ def _flow_span(params, z, start_level, first, stop, coefficients, pivot):
     else:
         coefficients = (coefficients[0][first:stop], coefficients[1][first:stop])
     w, num, den1 = _w_product_arrays(params, z, start_level + 2 * first, coefficients)
-    g, d = np.empty_like(w), np.empty_like(w)
-    g[0], d[0] = 1.0 / pivot, pivot
-    bad = int(_kernels.flow_recursion(w, g, d))
-    return w, g, num, den1, float(d[-1]), first + bad if bad >= 0 else -1
+    g = np.empty_like(w)  # the pivots 1/G, inverted in place once the last is read
+    g[0] = pivot
+    bad = int(_kernels.flow_recursion(w, None, g))
+    last = float(g[-1])
+    np.divide(1.0, g, out=g)
+    return w, g, num, den1, last, first + bad if bad >= 0 else -1
 
 
 def flow_blocks(params: ModelParams, z: float):

@@ -14,7 +14,7 @@ chain throws away.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -326,13 +326,4 @@ def gamma_truncation_experiment(
         xs.append(span - span % 2)
         diffs.append(abs(full - g_truncated(params, z, float(beta))))
     report = fit_truncation_decay(np.array(xs), np.array(diffs))
-    c = math.expm1(-report.slope) / math.sqrt(params.epsilon)
-    return TruncationDecayReport(
-        x=report.x,
-        log_diff=report.log_diff,
-        slope=report.slope,
-        intercept=report.intercept,
-        r_squared=report.r_squared,
-        fitted_c=c,
-        points_used=report.points_used,
-    )
+    return replace(report, fitted_c=math.expm1(-report.slope) / math.sqrt(params.epsilon))

@@ -37,6 +37,9 @@ class ModelParams:
             raise ValueError("n_particles must be >= 2")
         if n % 2 != 0:
             raise ValueError("n must be even")
+        if n > 2**52:
+            reason = "level arithmetic i - 2, m + 2 is exact only below 2**53"
+            raise ValueError(f"n_particles must be at most 2**52: {reason}")
         if not (self.epsilon > 0.0) or not math.isfinite(self.epsilon):
             raise ValueError("epsilon must be positive and finite")
         if self.phi < 0.0 or not math.isfinite(self.phi):

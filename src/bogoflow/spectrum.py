@@ -7,13 +7,16 @@ so a safeguarded Newton iteration converges to the unique root; one
 flow pass gives f and its exact slope.  The iteration starts at the
 closed-form Bogoliubov energy, which the root approaches as N grows, and
 measures the ends of its sign-change bracket only when a safeguard
-needs them.  At spectral parameters where the geometric-series condition
-of the flow fails, the root necessarily lies below, which lets the
-search treat "invalid" as "to the right of the root" without ever
-leaving certified territory.  The search stops once |f(z)| <= tol_root *
-phi, which the slope bound turns into |z - z*| <= tol_root * phi, or
-once the safeguard rejects a Newton step no longer than that: f is then
-at its rounding floor, which can lie above tol_root * phi.
+needs them.  Inside the proven regime it first steers on the flow
+restarted s levels below the top (O(s) passes, s set by eps); one full
+O(N) pass from there certifies the root.  At spectral parameters where
+the geometric-series condition of the flow fails, the root necessarily
+lies below, which lets the search treat "invalid" as "to the right of
+the root" without ever leaving certified territory.  The search stops
+once |f(z)| <= tol_root * phi, which the slope bound turns into
+|z - z*| <= tol_root * phi, or once the safeguard rejects a Newton step
+no longer than that: f is then at its rounding floor, which can lie
+above tol_root * phi.
 """
 
 import math
@@ -39,7 +42,8 @@ GAP_COEF = (3.0 - 2.0 * math.sqrt(2.0)) / 6.0
 
 # decay constant of the truncation error (1/(1+c*sqrt(eps)))^(N^(1-beta)),
 # conservative lower end of the range measured by the truncation-decay
-# experiment (1.0 at eps=0.01 to 1.4 at eps=0.04).  Diagnostic use only.
+# experiment (1.0 at eps=0.01 to 1.4 at eps=0.04).  It sizes the budget and
+# the steering span (_truncation_span), but never certifies a root.
 FITTED_DECAY_C = 1.0
 # multiplier absorbing the unspecified constants of the three budget terms
 BUDGET_FACTOR = 10.0
@@ -52,8 +56,9 @@ class BracketError(RuntimeError):
 @dataclass(frozen=True)
 class GroundEnergyResult:
     z_star: float
-    iterations: int  # Newton and bisection steps after the first evaluation
+    iterations: int  # Newton and bisection steps after each stage's first evaluation
     evaluations: int  # flow passes, bracket probes included
+    full_evaluations: int  # the O(N) passes among them
     window: SpectralWindow
     bracket: Tuple[float, float]
     upper_bound_check: bool
@@ -73,12 +78,12 @@ def _flow_side(params, z):
     return 1 if _f_or_right(_flow_point(params, z)) > 0.0 else -1
 
 
-def _flow_point(params, z, coefficients=None):
-    """(f(z), f'(z)), or None where the flow is invalid or trips the
-    pole guard (z is then right of the root).  coefficients is
-    level_coefficients(params), computed by g_check when not given."""
+def _flow_point(params, z, coefficients=None, start_level=0):
+    """(f(z), f'(z)) of the flow from start_level, or None where it is
+    invalid or trips the pole guard (z is then right of the root).
+    coefficients: level_coefficients(params, start_level), or None."""
     try:
-        table = g_check(params, z, coefficients=coefficients)
+        table = g_check(params, z, start_level, coefficients)
     except FlowDomainError:
         return None
     return (table.f_value, table.f_slope) if table.valid else None
@@ -87,6 +92,13 @@ def _flow_point(params, z, coefficients=None):
 def _f_or_right(point) -> float:
     # an invalid point counts as right of the root, where f < 0
     return point[0] if point is not None else -math.inf
+
+
+def _truncation_span(params: ModelParams) -> int:
+    """Levels s of the steering flow: the smallest even s with
+    (1 + FITTED_DECAY_C * sqrt(eps))^-s <= 1e-16."""
+    s = math.ceil(math.log(1e16) / math.log1p(FITTED_DECAY_C * math.sqrt(params.epsilon)))
+    return s + s % 2
 
 
 def solve_fixed_point(
@@ -101,8 +113,17 @@ def solve_fixed_point(
     Bogoliubov energy.  z* - E is positive and O(1/N) wherever it has
     been measured, so the start lies just left of the root; f is concave
     where the flow is valid, so the first step lands just right of the
-    root and the next ones converge monotonically from there.  At
-    in-regime points that takes 2-4 flow passes.
+    root and the next ones converge monotonically from there, in 2-4
+    flow passes at in-regime points.
+
+    Inside the proven regime, and if N > s = _truncation_span(params),
+    the loop runs twice.  Stage 1 steers on the flow restarted with value
+    1 at level N - s: O(s) passes, whose root the deeper shells move by
+    about (1 + FITTED_DECAY_C*sqrt(eps))^-s <= 1e-16.  Stage 2 certifies
+    on the full flow from stage 1's last iterate (from min(E, window top)
+    if stage 1 raised BracketError or ended invalid); in the regime its
+    first pass meets the stop rule.  All fields but the counts come from
+    stage 2, so stage 1 changes the cost of a solve, never its answer.
 
     result.bracket = (lo, hi): f > 0 was measured at lo, and f <= 0 or
     an invalid flow at hi; every iterate moves the end on its side.  An
@@ -117,13 +138,14 @@ def solve_fixed_point(
     to 0 (extended_bracket), which lies above the ground energy for
     phi > 0 and is measured on the same terms.
 
-    The search stops once |f(z)| <= tol_root * phi; since f' <= -1 that
+    A stage stops once |f(z)| <= tol_root * phi; since f' <= -1 that
     certifies |z - z*| <= tol_root * phi.  Where the rounding noise of f
     exceeds that (large |f'|, as at N = 2e5, eps = 1e-6), it stops at a
     rejected Newton step no longer than tol_root * phi instead of
-    bisecting the bracket down to that width.  result.iterations counts the
-    Newton and bisection steps after the first evaluation, and
-    result.evaluations every flow pass, bracket probes included.
+    bisecting the bracket down to that width.  result.iterations counts
+    the Newton and bisection steps after each stage's first evaluation,
+    result.evaluations every flow pass, bracket probes included, and
+    result.full_evaluations the O(N) passes among them.
     """
     cfg = cfg or FlowConfig()
     if params.phi <= 0.0:
@@ -132,17 +154,16 @@ def solve_fixed_point(
     window = spectral_window(params, cfg)
     phi = params.phi
     tol = cfg.tol_root * phi
-    coefficients = level_coefficients(params)
-
-    lo, hi = window.z_min, window.z_max
-    lo_known = hi_known = extended = False
-    evaluations = 0
+    # the current stage's flow start and bracket (set by search), and counts
+    start_level = coefficients = lo = hi = lo_known = hi_known = extended = None
+    evaluations = full_evaluations = iterations = 0
 
     def measure(z):
         # one flow pass; moves the bracket end on the side of the root it finds
-        nonlocal lo, hi, lo_known, hi_known, extended, evaluations
+        nonlocal lo, hi, lo_known, hi_known, extended, evaluations, full_evaluations
         evaluations += 1
-        point = _flow_point(params, z, coefficients)
+        full_evaluations += start_level == 0
+        point = _flow_point(params, z, coefficients, start_level)
         if _f_or_right(point) <= 0.0:
             hi, hi_known = z, True
         elif z < hi:
@@ -158,44 +179,59 @@ def solve_fixed_point(
             hi, extended = 0.0, True
         return point
 
+    def search(z, level):
+        # one stage on the flow from level, started at z; returns the
+        # last iterate and its (f, f'), or None where the flow is invalid
+        nonlocal start_level, coefficients, lo, hi, lo_known, hi_known, extended, iterations
+        start_level, coefficients = level, level_coefficients(params, level)
+        lo, hi = window.z_min, window.z_max
+        lo_known = hi_known = extended = False
+        point = measure(z)
+        last_step = math.inf
+        while True:
+            f = _f_or_right(point)
+            if abs(f) <= tol:
+                break
+            z_new = z - f / point[1] if point is not None else math.nan
+            admissible = lo < z_new < hi and abs(z_new - z) < 0.5 * last_step
+            if not admissible and not (lo_known and hi_known):
+                # measure a bracket end the safeguard needs; the search goes
+                # on from that end when f is smaller there
+                if lo_known:
+                    z_end, at_end = hi, measure(hi)
+                else:
+                    for _ in range(64):
+                        z_end, at_end = lo, measure(lo)
+                        if lo_known:
+                            break
+                        lo -= 10.0 * phi
+                    else:
+                        raise BracketError("could not find a lower bracket with f > 0")
+                if abs(_f_or_right(at_end)) < abs(f):
+                    z, point = z_end, at_end
+                continue
+            if not admissible:
+                if abs(z_new - z) <= tol:
+                    break  # a rejected step within tol: f is at its rounding floor
+                z_new = 0.5 * (lo + hi)
+                if hi - lo <= tol or not lo < z_new < hi:
+                    break  # bracket exhausted: z, one of its ends, is within tol
+            last_step = abs(z_new - z)
+            z = z_new
+            point = measure(z)
+            iterations += 1
+        return z, point
+
     e_bog = bogoliubov_energy(params)
     z = min(e_bog, window.z_max)
-    point = measure(z)
-    iterations = 0
-    last_step = math.inf
-    while True:
-        f = _f_or_right(point)
-        if abs(f) <= tol:
-            break
-        z_new = z - f / point[1] if point is not None else math.nan
-        admissible = lo < z_new < hi and abs(z_new - z) < 0.5 * last_step
-        if not admissible and not (lo_known and hi_known):
-            # measure a bracket end the safeguard needs; the search goes
-            # on from that end when f is smaller there
-            if lo_known:
-                z_end, at_end = hi, measure(hi)
-            else:
-                for _ in range(64):
-                    z_end, at_end = lo, measure(lo)
-                    if lo_known:
-                        break
-                    lo -= 10.0 * phi
-                else:
-                    raise BracketError("could not find a lower bracket with f > 0")
-            if abs(_f_or_right(at_end)) < abs(f):
-                z, point = z_end, at_end
-            continue
-        if not admissible:
-            if abs(z_new - z) <= tol:
-                break  # a rejected step within tol: f is at its rounding floor
-            z_new = 0.5 * (lo + hi)
-            if hi - lo <= tol or not lo < z_new < hi:
-                break  # bracket exhausted: z, one of its ends, is within tol
-        last_step = abs(z_new - z)
-        z = z_new
-        point = measure(z)
-        iterations += 1
-    z_star = z
+    restart = params.n_particles - _truncation_span(params)
+    if report.solver_regime_ok and restart > 0:
+        try:
+            z_steered, steered = search(z, restart)
+        except BracketError:  # stage 2 then starts from min(E, window top)
+            steered = None
+        z = z_steered if steered is not None else z
+    z_star, point = search(z, 0)
 
     eps = params.epsilon
     cap = e_bog + UPPER_BOUND_COEF * math.sqrt(eps) * phi * math.sqrt(eps * (eps + 2.0))
@@ -207,6 +243,7 @@ def solve_fixed_point(
         z_star=z_star,
         iterations=iterations,
         evaluations=evaluations,
+        full_evaluations=full_evaluations,
         window=window,
         bracket=(lo, hi),
         upper_bound_check=z_star < cap,

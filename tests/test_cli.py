@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import bogoflow
-from bogoflow import ModelParams, build_sector_hamiltonian, cli
+from bogoflow import FlowConfig, ModelParams, build_sector_hamiltonian, cli
 
 
 def run_cli(args):
@@ -242,3 +242,54 @@ def test_verify_uses_grid_equal_to_solve_defaults(tmp_path, monkeypatch):
     assert (seen[0].n_values, seen[0].eps_values) == ((1024,), (0.01,))
     assert seen[1].n_values == cli.verify.DEFAULT_GRID_N
     assert seen[1].eps_values == cli.verify.DEFAULT_GRID_EPS
+
+
+def test_every_flag_parses_to_the_same_configs(tmp_path, monkeypatch, capsys):
+    # the flags are built from the key table; each one still sets what it
+    # set when every flag was written out (values frozen from that parser)
+    seen = []
+    monkeypatch.setattr(cli.verify, "run_all", lambda vconf: seen.append(vconf) or [])
+    out = tmp_path / "verify"
+    argv = [
+        "--mode", "verify", "--n", "16:64:2", "--epsilon", "0.1,0.02", "--phi", "1.5",
+        "--delta0", "2", "--nu", "1.6", "--mu", "0.6", "--gamma", "0.3", "--beta", "0.7",
+        "--delta", "1.2", "--tol", "1e-11", "--out", str(out), "--format", "csv",
+        "--workers", "3", "--only", "cf", "--perturb-tk", "0.25",
+    ]
+    config = cli.parse_args(argv)
+    assert config.as_dict() == {
+        "mode": "verify", "n_values": [16, 32, 64], "eps_values": [0.1, 0.02], "phi": 1.5,
+        "delta0": 2.0, "nu": 1.6, "mu": 0.6, "gamma": 0.3, "beta": 0.7, "delta": 1.2,
+        "tol": 1e-11, "out": str(out), "formats": ["csv"], "workers": 3, "only": "cf",
+        "perturb_tk": 0.25,
+    }
+    assert config.flow_config() == FlowConfig(
+        nu=1.6, mu=0.6, gamma=0.3, beta=0.7, delta=1.2, tol_root=1e-11
+    )
+    run_cli(argv)
+    assert seen == [
+        cli.verify.VerifyConfig(
+            n_values=(16, 32, 64), eps_values=(0.1, 0.02), phi=1.5, only="cf", perturb_tk=0.25
+        )
+    ]
+    with pytest.raises(SystemExit):
+        cli.parse_args(["--mode", "fit"])  # choices still enforced
+    with pytest.raises(SystemExit):
+        cli.parse_args(["--help"])
+    usage = capsys.readouterr().out
+    assert "--mode {solve,sweep,verify,sequences}" in usage
+    assert "--n N" in usage and "particle numbers: comma list or start:stop:factor" in usage
+    assert "epsilon grid: comma list or start:stop:factor" in usage
+    assert "--perturb-tk PERTURB_TK" in usage
+
+
+def test_sweep_row_beyond_exact_level_arithmetic_carries_its_reason(tmp_path):
+    out = tmp_path / "sweep"
+    code = run_cli(["--mode", "sweep", "--n", f"1024,{2**52 + 2}", "--epsilon", "0.01", "--out", str(out)])
+    assert code == 0
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok", "error:ValueError"]
+    reason = json.loads((out / "manifest.json").read_text())["points"][1]["reason"]
+    assert reason == (
+        "n_particles must be at most 2**52: level arithmetic i - 2, m + 2 is exact only below 2**53"
+    )

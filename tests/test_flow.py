@@ -68,6 +68,22 @@ def test_w_product_level_validation():
         w_product(p, 8, -1.0)
 
 
+def test_w_product_reads_only_its_own_levels():
+    # levels i - 2 and i alone, bit for bit the entry of the full array
+    from bogoflow import flow
+
+    p = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
+    z = bogoliubov_energy(p)
+    for i in (2, 4, 1000, 123456, p.n_particles - 2):
+        assert w_product(p, i, z) == flow._w_product_arrays(p, z, i - 2)[0][1]
+    # z on the pole of level i + 2: levels up to i are fine, i + 2 is not
+    i = 1000
+    pole = float(flow._coefficients_at(p, np.array([i + 2.0]))[1][0])
+    assert 0.0 < w_product(p, i, pole) < math.inf
+    with pytest.raises(FlowDomainError):
+        w_product(p, i + 2, pole)
+
+
 def test_pole_floor_raises():
     # z sitting exactly on a shell resolvent pole trips the guard
     p = ModelParams(n_particles=16, epsilon=0.1)

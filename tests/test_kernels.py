@@ -178,3 +178,17 @@ def test_pivot_buffer_must_be_contiguous_float64():
     g = np.ones(2 * 257)[::2]
     assert _kernels.flow_recursion(w, g) == -1
     np.testing.assert_allclose(g, ref, rtol=1e-14, atol=0.0)
+
+
+def test_flow_pivots_alone_invert_to_the_table():
+    # with g None the kernel leaves the pivots; inverting them in place
+    # gives g of the full call bit for bit, and the last pivot is exact
+    rng = np.random.default_rng(7)
+    w = _flow_inputs(4097, rng)
+    g = np.ones(w.size)
+    d = np.ones(w.size)
+    keep = np.ones(w.size)
+    assert _kernels.flow_recursion(w, g, keep) == _kernels.flow_recursion(w, None, d) == -1
+    np.testing.assert_array_equal(d, keep)
+    np.divide(1.0, d, out=d)
+    np.testing.assert_array_equal(d, g)

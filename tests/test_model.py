@@ -18,6 +18,12 @@ def test_params_reject_odd_n():
         ModelParams(n_particles=3, epsilon=0.1)
 
 
+def test_params_reject_n_beyond_exact_level_arithmetic():
+    ModelParams(n_particles=2**52, epsilon=0.1)
+    with pytest.raises(ValueError, match=r"at most 2\*\*52: level arithmetic i - 2, m \+ 2"):
+        ModelParams(n_particles=2**52 + 2, epsilon=0.1)
+
+
 def test_params_reject_bad_values():
     with pytest.raises(ValueError):
         ModelParams(n_particles=0, epsilon=0.1)

@@ -25,6 +25,22 @@ def _lapack_lambda0(params):
     )[0]
 
 
+def _counted_solve(monkeypatch, params):
+    # the solve and the (z, start_level) of each of its flow passes
+    from bogoflow import spectrum
+
+    calls = []
+
+    def counting_g_check(params, z, start_level=0, coefficients=None):
+        calls.append((z, start_level))
+        return g_check(params, z, start_level, coefficients)
+
+    monkeypatch.setattr(spectrum, "g_check", counting_g_check)
+    result = solve_fixed_point(params)
+    monkeypatch.undo()
+    return result, calls
+
+
 def test_solve_n2_analytic():
     # 2x2 sector: ground energy eps - sqrt(eps^2 + 1/2) at phi = 1
     result = solve_fixed_point(ModelParams(n_particles=2, epsilon=0.01))
@@ -217,34 +233,31 @@ def test_newton_solve_flow_evaluations_and_accuracy(monkeypatch):
     # every flow pass, bracket probes included, from the start at the
     # closed-form energy; the extended bracket at N = 2, eps = 0.001; the
     # root checked against LAPACK
-    from bogoflow import spectrum
-
-    calls = []
-
-    def counting_g_check(*args, **kwargs):
-        calls.append(args[1])
-        return g_check(*args, **kwargs)
-
-    monkeypatch.setattr(spectrum, "g_check", counting_g_check)
     for n in (2, 4, 1024, 16384, 200000):
         for eps in (0.001, 0.01, 0.5):
             params = ModelParams(n_particles=n, epsilon=eps)
             lam0 = _lapack_lambda0(params)
-            calls.clear()
-            result = solve_fixed_point(params)
+            result, calls = _counted_solve(monkeypatch, params)
+            zs = [z for z, _ in calls]
+            full = [z for z, start in calls if start == 0]
             assert len(calls) <= 8, (n, eps, len(calls))
             assert result.evaluations == len(calls)
+            assert result.full_evaluations == len(full)
             assert result.iterations <= len(calls) - 1
             assert abs(result.f_at_z_star) <= 1e-12
             assert abs(result.z_star - lam0) <= 1e-10, (n, eps)
             if (n, eps) == (2, 0.001):
                 assert result.extended_bracket
             if n >= 10**4:
-                assert len(calls) <= 4, (n, eps, len(calls))
                 if result.assumptions.solver_regime_ok:
-                    assert result.window.z_min not in calls, (n, eps)
+                    # one O(N) pass certifies what the truncated passes found
+                    assert len(full) == 1, (n, eps, calls)
+                    assert len(calls) - len(full) <= 4, (n, eps, calls)
+                    assert result.window.z_min not in zs, (n, eps)
+                else:
+                    assert len(calls) == len(full) <= 4, (n, eps, calls)
             lo, hi = result.bracket
-            evaluated = set(calls)
+            evaluated = set(full)
             if lo in evaluated:
                 assert _flow_side(params, lo) == 1, (n, eps)
             if hi in evaluated:
@@ -296,5 +309,98 @@ def test_solve_identical_with_and_without_precomputed_coefficients(monkeypatch):
         for n, eps in ((2, 0.001), (1024, 0.01), (16384, 0.5), (200000, 0.0079))
     ]
     shared = [repr(solve_fixed_point(p)) for p in points]
-    monkeypatch.setattr(spectrum, "level_coefficients", lambda params: None)
+    monkeypatch.setattr(spectrum, "level_coefficients", lambda params, start_level=0: None)
     assert [repr(solve_fixed_point(p)) for p in points] == shared
+
+
+TWO_STAGE_GRID = [
+    (n, eps) for n in (1024, 16384, 2 * 10**5, 10**6) for eps in (1e-4, 1e-3, 0.01, 0.05, 0.5)
+]
+
+
+def test_two_stage_root_agrees_with_the_full_flow_search(monkeypatch):
+    # (a) the full-only search, with stage 1 turned off by a span >= N,
+    # finds the same root within tol_root * phi; (b) the last pass is the
+    # full flow at z*, and f_at_z_star is its f
+    from bogoflow import spectrum
+
+    staged = {point: _counted_solve(monkeypatch, ModelParams(*point)) for point in TWO_STAGE_GRID}
+    monkeypatch.setattr(spectrum, "_truncation_span", lambda params: params.n_particles)
+    tol = FlowConfig().tol_root
+    for (n, eps), (result, calls) in staged.items():
+        params = ModelParams(n_particles=n, epsilon=eps)
+        full_only = solve_fixed_point(params)
+        assert full_only.full_evaluations == full_only.evaluations
+        assert abs(result.z_star - full_only.z_star) <= tol, (n, eps)
+        assert calls[-1] == (result.z_star, 0), (n, eps)
+        assert result.f_at_z_star == g_check(params, result.z_star).f_value
+        if result.assumptions.solver_regime_ok:
+            assert result.full_evaluations == 1, (n, eps)
+            assert result.evaluations > 1, (n, eps)  # stage 1 ran
+
+
+def test_steering_span_follows_epsilon():
+    from bogoflow.spectrum import _truncation_span
+
+    spans = [_truncation_span(ModelParams(4, eps)) for eps in (0.05, 0.01, 0.005, 1e-3, 1e-4)]
+    assert spans == [184, 388, 540, 1184, 3704]
+
+
+@pytest.mark.parametrize(
+    "n, eps, falls_back", [(1024, 0.01, True), (16384, 0.5, False), (2 * 10**5, 0.005, True)]
+)
+def test_a_poor_steering_flow_changes_only_the_cost(monkeypatch, n, eps, falls_back):
+    # (c) a span of 4 levels: at two points stage 1 finds no sign change
+    # in the window and stage 2 is the full-only search from min(E, top),
+    # pass for pass; at the third it steers far from z* and stage 2 goes
+    # on from there.  The full-flow stage certifies the root either way.
+    from bogoflow import spectrum
+
+    params = ModelParams(n_particles=n, epsilon=eps)
+    monkeypatch.setattr(spectrum, "_truncation_span", lambda params: params.n_particles)
+    full_only = solve_fixed_point(params)
+    monkeypatch.setattr(spectrum, "_truncation_span", lambda params: 4)
+    result, calls = _counted_solve(monkeypatch, params)
+    assert any(start == n - 4 for _, start in calls)
+    assert abs(result.z_star - _lapack_lambda0(params)) <= 1e-10
+    assert abs(result.f_at_z_star) <= FlowConfig().tol_root
+    if falls_back:
+        assert result.z_star == full_only.z_star
+        assert result.full_evaluations == full_only.evaluations
+
+
+@pytest.mark.parametrize("n, eps", [(2 * 10**5, 1e-6), (128, 0.01)])
+def test_no_steering_outside_the_regime_or_below_the_span(monkeypatch, n, eps):
+    # (d) N = 2e5, eps = 1e-6 lies outside the proven regime, and at
+    # N = 128, eps = 0.01 the span 388 exceeds N: today's search, pass
+    # for pass
+    params = ModelParams(n_particles=n, epsilon=eps)
+    result, calls = _counted_solve(monkeypatch, params)
+    assert all(start == 0 for _, start in calls)
+    assert result.full_evaluations == result.evaluations == len(calls)
+
+
+def test_steering_that_ends_invalid_falls_back_to_the_closed_form_start(monkeypatch):
+    # a steering flow valid only at its start point: stage 1 bisects
+    # against invalid points and ends on one, so stage 2 starts at
+    # min(E, window top), exactly as the full-only search does
+    from bogoflow import spectrum
+
+    params = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
+    monkeypatch.setattr(spectrum, "_truncation_span", lambda params: params.n_particles)
+    full_only = solve_fixed_point(params)
+    monkeypatch.undo()
+    z0 = min(bogoliubov_energy(params), full_only.window.z_max)
+    real_flow_point = spectrum._flow_point
+
+    def steering_valid_only_at_start(params, z, coefficients=None, start_level=0):
+        if start_level > 0 and z != z0:
+            return None
+        return real_flow_point(params, z, coefficients, start_level)
+
+    monkeypatch.setattr(spectrum, "_flow_point", steering_valid_only_at_start)
+    result, calls = _counted_solve(monkeypatch, params)
+    assert calls[0] == (z0, params.n_particles - 388)
+    assert [z for z, start in calls if start == 0][0] == z0
+    assert result.z_star == full_only.z_star
+    assert result.full_evaluations == full_only.evaluations < result.evaluations
