@@ -4,7 +4,8 @@
 Each pair amplitude is one product step of flow factor, shell resolvent,
 and coupling element; signs alternate.  The result matches the inverse-
 iteration eigenvector to better than 1e-9 overlap, and the analytic tail
-series dominates whatever a truncation omits.
+series dominates whatever a truncation omits.  At large N the amplitudes
+need the flow's top levels only, which two restarts of the flow enclose.
 """
 
 import numpy as np
@@ -34,3 +35,10 @@ worst = max(
     meas[j] / meas[j - 1] / (series.c[j - 2] / series.c[j - 3]) for j in range(3, 40)
 )
 print(f"measured decay / series decay, worst ratio: {worst:.6f} (<= 1)")
+
+big = bf.ModelParams(n_particles=10**9, epsilon=0.01)
+top = bf.expand_ground_state(big, bf.bogoliubov_energy(big))
+print(
+    f"\nN = 1e9 at the closed-form energy: {top.coeffs.size} amplitudes, "
+    f"flow read from level N - {top.flow_span} (tail bound {top.tail_bound:.1e})"
+)

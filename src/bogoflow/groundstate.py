@@ -9,8 +9,30 @@ level <-> pair-index dictionary i = N - 2k,
 
 where d, t are the sector matrix elements and G the flow factors.  The
 signs alternate, matching the sign structure forced by the positive
-couplings.  Everything else here bounds what truncating that product
-chain throws away.
+couplings.
+
+Above FULL_SECTOR_LIMIT the expansion stops after at most a few
+thousand pairs, so it reads G only on the top levels, and it takes them
+from two restarts of the flow at level R = N - S instead of a full pass.
+For z < 0 and eps*N >= 1, every level with m = N - i >= 2/eps has
+
+    W_i(z) <= W_i(0) = 1/4 * i/(i+eps*N) * (i-1)/(i-2+eps*N) * (1+2/m)
+                     <= (1+2/m) / (4*(1+eps)) <= 1/4,
+
+so with S >= 2/eps the full flow has G(R) in [1, 2].  Each step
+G -> 1/(1 - W*G) is increasing in G, in floating point too (each
+operation of the pivot step rounds monotonically), so the restarts with
+G = 1 and G = 2 at R bracket the full pass at every level above R, and
+if the upper one is valid so is the full pass.  G is read from the
+lower restart on the top levels where the two agree within 4 ulp.  S
+starts at max(steering span, 2/eps + 2) + 2*EXPAND_BLOCK and doubles
+while the expansion needs a level below that prefix.  The full pass
+runs instead, with its shifted fallback, where z >= 0, eps*N < 1,
+either restart is invalid or trips the pole floor (or the full pass
+would trip it below R), or S reaches N.
+
+Everything else here bounds what truncating the product chain throws
+away.
 """
 
 import math
@@ -19,7 +41,15 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import FlowDomainError, g_check, g_truncated
+from .flow import (
+    FlowDomainError,
+    _coefficients_at,
+    _flow_span,
+    _w_product_arrays,
+    g_check,
+    g_truncated,
+    level_coefficients,
+)
 from .model import (
     FlowConfig,
     ModelParams,
@@ -28,6 +58,7 @@ from .model import (
     majorant_lower_bound,
 )
 from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian, sector_elements
+from .spectrum import _truncation_span
 
 # stop extending the vector once coefficients fall below this relative size
 COEFF_FLOOR = 1e-18
@@ -43,6 +74,7 @@ class GroundStateVector:
     z_star: float
     tail_bound: float
     shifted_evaluation: bool
+    flow_span: int  # N - level the flow read started from: S if truncated, N if full
     overlap_oracle: Optional[float] = None
 
     @property
@@ -82,9 +114,11 @@ def expand_ground_state(
 
     The flow is evaluated at z_star itself; the shared denominators are
     finite there because each eliminated block sits strictly above the
-    ground energy.  If the pole guard trips anyway, the evaluation falls
-    back to z_star - 10*tol_root*phi, which changes the coefficients by
-    O(tol) only.
+    ground energy.  Above FULL_SECTOR_LIMIT, G comes from the two
+    restarts at level N - S where their enclosure applies (module
+    docstring), else from a full pass.  If the pole guard of the full
+    pass trips, the evaluation falls back to z_star - 10*tol_root*phi,
+    which changes the coefficients by O(tol) only.
     """
     cfg = cfg or FlowConfig()
     n = params.n_particles
@@ -94,53 +128,41 @@ def expand_ground_state(
     if not 0 <= k_max <= half:
         raise ValueError("k_max out of range")
 
-    z_eval = z_star
+    coeffs = None
     shifted = False
-    try:
-        table = g_check(params, z_eval)
-        if not table.valid:
-            raise FlowDomainError("flow invalid at z_star")
-    except FlowDomainError:
-        z_eval = z_star - 10.0 * cfg.tol_root * params.phi
-        shifted = True
-        table = g_check(params, z_eval)
-
-    g_rev = table.g_values[::-1]  # g_rev[k - 1] is G at level N - 2k
-
-    def ratios(k_lo, k_hi):
-        # psi_k / psi_{k-1} for k_lo <= k < k_hi
-        d, t = sector_elements(params, k_lo - 1, k_hi)
-        return -g_rev[k_lo - 1 : k_hi - 1] * t / (d[1:] - z_eval)
-
-    # cumprod and cumsum accumulate in index order, so every psi_k and the
-    # stop index equal those of the term-by-term recursion to the bit
-    coeffs = np.empty(k_max + 1)
-    coeffs[0] = 1.0
-    last = k_max
-    if n <= FULL_SECTOR_LIMIT:
-        coeffs[1:] = ratios(1, k_max + 1)
-        np.cumprod(coeffs, out=coeffs)
-    else:
-        # adaptive stop at the first psi_k below COEFF_FLOOR * |psi_0..k|,
-        # block by block with the running product and norm carried over
-        # (a product or sum commutes, so the carry changes no bit); the
-        # matrix elements and products past the stop, most of the products
-        # subnormal, are never formed
-        prod, norm_sq = 1.0, 1.0
-        for start in range(1, k_max + 1, EXPAND_BLOCK):
-            block = coeffs[start : start + EXPAND_BLOCK]
-            block[:] = ratios(start, start + block.size)
-            block[0] *= prod
-            np.cumprod(block, out=block)
-            sq = block * block
-            sq[0] += norm_sq
-            np.cumsum(sq, out=sq)
-            small = np.abs(block) < COEFF_FLOOR * np.sqrt(sq)
-            if small.any():
-                last = start + int(np.argmax(small))
+    span = n
+    if n > FULL_SECTOR_LIMIT and z_star < 0.0 and params.epsilon * n >= 1.0:
+        span = _expansion_span(params)
+        while span < n:
+            g_top = _enclosed_top(params, z_star, span)
+            if g_top is None:
                 break
-            prod, norm_sq = float(block[-1]), float(sq[-1])
-    coeffs = coeffs[: last + 1]
+            coeffs = _adaptive_coefficients(params, z_star, g_top, k_max)
+            if coeffs is not None:
+                break
+            span *= 2
+    if coeffs is None:
+        span = n
+        z_eval = z_star
+        try:
+            table = g_check(params, z_eval)
+            if not table.valid:
+                raise FlowDomainError("flow invalid at z_star")
+        except FlowDomainError:
+            z_eval = z_star - 10.0 * cfg.tol_root * params.phi
+            shifted = True
+            table = g_check(params, z_eval)
+        g_rev = table.g_values[::-1]
+        if n <= FULL_SECTOR_LIMIT:
+            # cumprod accumulates in index order, so every psi_k equals
+            # that of the term-by-term recursion to the bit
+            coeffs = np.empty(k_max + 1)
+            coeffs[0] = 1.0
+            coeffs[1:] = _ratios(params, z_eval, g_rev, 1, k_max + 1)
+            np.cumprod(coeffs, out=coeffs)
+        else:
+            coeffs = _adaptive_coefficients(params, z_eval, g_rev, k_max)
+    last = coeffs.size - 1
 
     tail_bound = 0.0
     if last < half:
@@ -158,8 +180,80 @@ def expand_ground_state(
         z_star=z_star,
         tail_bound=tail_bound,
         shifted_evaluation=shifted,
+        flow_span=span,
         overlap_oracle=overlap,
     )
+
+
+def _ratios(params, z, g_rev, k_lo, k_hi):
+    # psi_k / psi_{k-1} for k_lo <= k < k_hi; g_rev[k - 1] is G at level N - 2k
+    d, t = sector_elements(params, k_lo - 1, k_hi)
+    return -g_rev[k_lo - 1 : k_hi - 1] * t / (d[1:] - z)
+
+
+def _adaptive_coefficients(params, z, g_rev, k_max):
+    """psi_0..psi_last with the adaptive stop at the first psi_k below
+    COEFF_FLOOR * |psi_0..k|, or None if a block needs G beyond g_rev.
+
+    Block by block with the running product and norm carried over (a
+    product or sum commutes, so the carry changes no bit, and cumprod
+    and cumsum accumulate in index order, so every psi_k and the stop
+    index equal those of the term-by-term recursion); the matrix
+    elements and products past the stop, most of the products
+    subnormal, are never formed.
+    """
+    blocks = [np.ones(1)]
+    prod, norm_sq = 1.0, 1.0
+    for start in range(1, k_max + 1, EXPAND_BLOCK):
+        stop = min(start + EXPAND_BLOCK, k_max + 1)
+        if stop - 1 > g_rev.size:
+            return None
+        block = _ratios(params, z, g_rev, start, stop)
+        block[0] *= prod
+        np.cumprod(block, out=block)
+        sq = block * block
+        sq[0] += norm_sq
+        np.cumsum(sq, out=sq)
+        small = np.abs(block) < COEFF_FLOOR * np.sqrt(sq)
+        if small.any():
+            blocks.append(block[: int(np.argmax(small)) + 1])
+            break
+        blocks.append(block)
+        prod, norm_sq = float(block[-1]), float(sq[-1])
+    return np.concatenate(blocks)
+
+
+def _expansion_span(params: ModelParams) -> int:
+    """First span S of the truncated expansion: the root search's
+    steering span or the lemma's 2/eps + 2 levels, whichever is larger,
+    plus the levels of two expansion blocks; even."""
+    s = max(_truncation_span(params), math.ceil(2.0 / params.epsilon) + 2) + 2 * EXPAND_BLOCK
+    return s + s % 2
+
+
+def _enclosed_top(params: ModelParams, z: float, span: int):
+    """G at levels N-2, N-4, ... on the prefix that the restarts with
+    G = 1 and G = 2 at level N - span certify, or None where the full
+    pass must run instead.  Needs z < 0 and eps*N >= 1 (module
+    docstring); a span the lemma does not cover certifies no level."""
+    restart = params.n_particles - span
+    if span < 2.0 / params.epsilon:
+        return np.empty(0)
+    count = span // 2
+    try:
+        # below the restart d - z is positive and concave in the level, so
+        # the full pass's pole guard there is decided at levels 0 and R - 2
+        _w_product_arrays(params, z, 0, _coefficients_at(params, np.array([0.0, restart - 2.0])))
+        coefficients = level_coefficients(params, restart)
+        _, low, _, _, _, low_bad = _flow_span(params, z, restart, 0, count, coefficients, 1.0)
+        _, high, _, _, _, high_bad = _flow_span(params, z, restart, 0, count, coefficients, 0.5)
+    except FlowDomainError:
+        return None
+    if low_bad >= 0 or high_bad >= 0:
+        return None
+    low, high = low[::-1], high[::-1]
+    apart = np.abs(high - low) > 4.0 * np.spacing(low)
+    return low[: int(np.argmax(apart)) if apart.any() else count]
 
 
 def eigen_residual(tri: TridiagonalHamiltonian, psi: np.ndarray, z: float) -> float:

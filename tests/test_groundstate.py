@@ -66,6 +66,7 @@ def test_adaptive_stop_beyond_full_sector_limit():
     params = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
     result = solve_fixed_point(params)
     vec = expand_ground_state(params, result.z_star, compare_oracle=True)
+    assert vec.flow_span < params.n_particles  # from the top of the flow only
     assert vec.coeffs.size < 10**4  # stopped long before N/2 pairs
     assert 0.0 <= vec.tail_bound < 1e-12
     assert vec.overlap_oracle >= 1.0 - 1e-9
@@ -214,3 +215,126 @@ def test_vectorized_expansion_matches_loop_bitwise(n, eps, k_max):
     vec = expand_ground_state(params, z, k_max=k_max)
     assert not vec.shifted_evaluation
     np.testing.assert_array_equal(vec.coeffs, _expand_by_loop(params, z, k_max))
+
+
+def _full_pass_expansion(monkeypatch, params, z, **kwargs):
+    # the reference: the same expansion with the enclosure declined
+    from bogoflow import groundstate
+
+    with monkeypatch.context() as m:
+        m.setattr(groundstate, "_enclosed_top", lambda *args: None)
+        return expand_ground_state(params, z, **kwargs)
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.05, 0.01, 0.005, 1e-3, 1e-4])
+@pytest.mark.parametrize("n", [100002, 2 * 10**5, 4 * 10**5, 10**6])
+def test_truncated_expansion_matches_full_pass_bitwise(monkeypatch, n, eps):
+    # the two restarts at level N - S agree on every level the expansion
+    # reads, so coefficients and tail bound equal the full pass's to the bit
+    params = ModelParams(n_particles=n, epsilon=eps)
+    z = solve_fixed_point(params).z_star
+    vec = expand_ground_state(params, z)
+    ref = _full_pass_expansion(monkeypatch, params, z)
+    assert vec.flow_span < n and ref.flow_span == n
+    assert not vec.shifted_evaluation and not ref.shifted_evaluation
+    np.testing.assert_array_equal(vec.coeffs, ref.coeffs)
+    assert vec.tail_bound == ref.tail_bound
+
+
+def test_truncated_expansion_k_max_cuts(monkeypatch):
+    params = ModelParams(n_particles=2 * 10**5, epsilon=1e-4)
+    z = solve_fixed_point(params).z_star
+    for k_max in (0, 1, 10, 2047, 2048, 2500, 10**5):
+        vec = expand_ground_state(params, z, k_max=k_max)
+        ref = _full_pass_expansion(monkeypatch, params, z, k_max=k_max)
+        assert vec.flow_span < params.n_particles
+        np.testing.assert_array_equal(vec.coeffs, ref.coeffs)
+        assert vec.tail_bound == ref.tail_bound
+
+
+def test_full_pass_where_enclosure_does_not_apply():
+    # eps*N < 1, N at the full-sector limit, and z >= 0 take the full pass
+    for n, eps, z in [
+        (2 * 10**5, 1e-6, None),
+        (10**5, 0.01, None),
+        (2 * 10**5, 0.01, 0.0),
+    ]:
+        params = ModelParams(n_particles=n, epsilon=eps)
+        if z is None:
+            z = solve_fixed_point(params).z_star
+        assert expand_ground_state(params, z).flow_span == n
+
+
+def test_forced_short_span_doubles_to_same_vector(monkeypatch):
+    # a 4-level first span certifies too few levels; the span doubles
+    # until the restarts agree on every level read (with k_max = 20 that
+    # happens before the first span the lemma covers, 64 levels, has
+    # reached the top), and the vector is the one of the full pass
+    from bogoflow import groundstate
+
+    params = ModelParams(n_particles=3 * 10**5, epsilon=0.05)
+    z = solve_fixed_point(params).z_star
+    for k_max in (20, None):
+        ref = _full_pass_expansion(monkeypatch, params, z, k_max=k_max)
+        with monkeypatch.context() as m:
+            m.setattr(groundstate, "_expansion_span", lambda params: 4)
+            vec = expand_ground_state(params, z, k_max=k_max)
+        assert 4 < vec.flow_span < params.n_particles
+        np.testing.assert_array_equal(vec.coeffs, ref.coeffs)
+        assert vec.tail_bound == ref.tail_bound
+
+
+def test_solve_and_expand_run_one_full_flow_pass(monkeypatch):
+    from bogoflow import flow, groundstate
+
+    starts = []
+    span = flow._flow_span
+
+    def counted(params, z, start_level, *args):
+        starts.append(start_level)
+        return span(params, z, start_level, *args)
+
+    monkeypatch.setattr(flow, "_flow_span", counted)
+    monkeypatch.setattr(groundstate, "_flow_span", counted)
+    params = ModelParams(n_particles=3 * 10**5, epsilon=0.01)
+    vec = expand_ground_state(params, solve_fixed_point(params).z_star)
+    assert vec.flow_span < params.n_particles
+    assert starts.count(0) == 1
+
+
+_LEMMA_GRID = [
+    (n, eps)
+    for n in (1024, 2 * 10**5, 10**6)
+    for eps in (1e-4, 1e-3, 0.01, 0.1, 1.0, 10.0, 50.0)
+    if eps * n >= 1.0
+]
+
+
+@pytest.mark.parametrize("n, eps", _LEMMA_GRID)
+def test_w_at_most_quarter_where_pair_occupation_exceeds_two_over_eps(n, eps):
+    # the lemma behind the expansion's enclosure: for eps*N >= 1 and
+    # z <= 0, W_i(z) <= 1/4 on every level with m = N - i >= 2/eps
+    from bogoflow.flow import g_check
+
+    params = ModelParams(n_particles=n, epsilon=eps)
+    for z in (0.0, solve_fixed_point(params).z_star):
+        table = g_check(params, z)
+        deep = n - table.levels >= 2.0 / eps  # none at N = 1024, eps = 1e-3
+        assert table.w_products[deep].max(initial=0.0) <= 0.25
+
+
+def test_expansion_at_n_1e12_holds_only_the_top_of_the_flow():
+    # the coefficient buffer grows block by block, and the flow is read
+    # from two short restarts: N/2 floats would be 4 TB here
+    import tracemalloc
+
+    params = ModelParams(n_particles=10**12, epsilon=0.01)
+    tracemalloc.start()
+    try:
+        vec = expand_ground_state(params, bogoliubov_energy(params))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vec.flow_span < 10**4 and not vec.shifted_evaluation
+    assert 0.0 <= vec.tail_bound < 1e-12
+    assert peak < 5e6
