@@ -20,7 +20,7 @@ HAVE_NUMBA = False
 _TINY = 1e-300  # replaces an exact zero pivot/denominator
 
 
-def _pivots(c, y, step):
+def _pivots(c, y, step, e=None):
     """Fill y[j] = 1 - c[j]/y[j-1] for j >= 1 in place; y[0] is preset.
 
     dpttrf factors the tridiagonal matrix with unit diagonal and
@@ -33,7 +33,9 @@ def _pivots(c, y, step):
     pivot equals one pass bit for bit.  Returns True if one dpttrf call
     took every entry and every pivot is positive.  y must be C-contiguous
     float64: dpttrf writes the pivots back in place only into such an
-    array, and would fill a private copy of any other.
+    array, and would fill a private copy of any other.  e, a C-contiguous
+    float64 array of len(y) - 1 entries, receives the off-diagonal in
+    place of a fresh array.
     """
     if y.dtype != np.float64 or not y.flags.c_contiguous:
         raise ValueError("the pivot chain needs a C-contiguous float64 array")
@@ -48,14 +50,14 @@ def _pivots(c, y, step):
         return True
     j = 0  # y[j] is final
     if c[1:].min() >= 0.0:
-        info = dpttrf(y, np.sqrt(c[1:]), overwrite_d=1, overwrite_e=1)[2]
+        info = dpttrf(y, np.sqrt(c[1:], out=e), overwrite_d=1, overwrite_e=1)[2]
         if info == 0:
             return True
         # every entry before the first pivot <= 0 is final
         j = max(info - 2, 0)
         y[j + 1 :] = 1.0
     with np.errstate(invalid="ignore"):
-        e = np.sqrt(c[1:])
+        e = np.sqrt(c[1:], out=e)  # anew where dpttrf overwrote it
     for k in (np.flatnonzero(~(e[j:] < np.inf)) + j + 1).tolist() + [n]:
         while j < k - 1:  # entries j+1 .. k-1 by dpttrf
             info = dpttrf(y[j:k], e[j : k - 1], overwrite_d=1, overwrite_e=1)[2]
@@ -129,7 +131,7 @@ def _chain_loop(dfac, x):
     return first_bad
 
 
-def rational_chain(dfac, x):
+def rational_chain(dfac, x, c=None, e=None):
     """Fill x[j] = 1 - 1/(4*dfac[j]*x[j-1]) for j >= 1; x[0] preset.
 
     Shared by every auxiliary comparison sequence (they differ only in
@@ -137,11 +139,13 @@ def rational_chain(dfac, x):
     caller encodes by ordering dfac).  x, C-contiguous float64, is itself
     the pivot sequence of _pivots with c = 1/(4*dfac); _chain_loop
     computes the entries it hands back.  Returns the first index with a
-    nonpositive value, or -1.
+    nonpositive value, or -1.  c (dfac's shape) and e (one entry less),
+    C-contiguous float64 arrays, receive c and the dpttrf off-diagonal in
+    place of fresh arrays.
     """
     with np.errstate(divide="ignore"):
-        c = 0.25 / dfac
-    if _pivots(c, x, lambda j: _chain_loop(dfac[j - 1 : j + 1], x[j - 1 : j + 1])):
+        c = np.divide(0.25, dfac, out=c)
+    if _pivots(c, x, lambda j: _chain_loop(dfac[j - 1 : j + 1], x[j - 1 : j + 1]), e):
         return -1
     bad = x[1:] <= 0.0
     return 1 + int(np.argmax(bad)) if bad.any() else -1

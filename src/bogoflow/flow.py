@@ -26,8 +26,22 @@ factorization of the sector matrix minus z, through LAPACK dpttrf
 (_kernels.flow_recursion).  g_check runs the pass in one span;
 flow_blocks yields the same pass in blocks of FLOW_BLOCK levels, each
 continued from the last pivot of the block before, so a caller that
-keeps only part of the levels (as the verify check against the
-minorant chain does) needs O(FLOW_BLOCK) memory.
+keeps only part of the levels needs O(FLOW_BLOCK) memory.
+
+A caller that reads G on the top levels only (the ground-state
+expansion, and the verify check against the minorant chain) takes it
+from two restarts at level R = N - S instead of a pass.  For z < 0 and
+eps*N >= 1, every level with m = N - i >= 2/eps has
+
+    W_i(z) <= W_i(0) = 1/4 * i/(i+eps*N) * (i-1)/(i-2+eps*N) * (1+2/m)
+                     <= (1+2/m) / (4*(1+eps)) <= 1/4,
+
+so with S >= 2/eps the full flow has G(R) in [1, 2].  Each step
+G -> 1/(1 - W*G) is increasing in G, in floating point too (each
+operation of the pivot step rounds monotonically), so the restarts with
+G = 1 and G = 2 at R (enclosure) bracket the full pass at every level
+above R, and if the upper one is valid so is the full pass.  Where the
+two agree bit for bit, the full pass equals them.
 
 The one-dimensional remainder after the last elimination,
 
@@ -60,8 +74,9 @@ from .model import ModelParams
 # Denominators of W below this multiple of phi*N indicate z outside the
 # admissible window; positivity is only guaranteed inside it.
 POLE_FLOOR = 1e-12
-# levels per block of the flow pass (flow_blocks), which bounds its memory
-FLOW_BLOCK = 1 << 16
+# levels per block of the flow pass (flow_blocks), which bounds its memory;
+# a block's arrays then stay in a core's L2 cache
+FLOW_BLOCK = 1 << 14
 # block length and cutoff of the amplitude sum behind the slope of f
 SLOPE_BLOCK = 2048
 SLOPE_NEGLIGIBLE = 1e-250
@@ -198,6 +213,36 @@ def flow_blocks(params: ModelParams, z: float):
         stop = min(lo + FLOW_BLOCK, count)
         _, g, _, _, pivot, bad = _flow_span(params, z, 0, first, stop, None, pivot)
         yield lo, g[lo - first :], bad
+
+
+def enclosure(params: ModelParams, z: float, span: int):
+    """The restarts with G = 1 and G = 2 at level R = N - span (even), as
+    (low, high): G at levels R, R+2, ..., N-2 of each, which bracket the
+    full pass there (module docstring).  None where the full pass must
+    run instead: z >= 0, eps*N < 1, span >= N, a restart invalid, or the
+    pole guard of either restart or of the full pass below R tripped.  A
+    span below 2/eps, which the bracket does not cover, gives two empty
+    chains.
+    """
+    n = params.n_particles
+    if not (z < 0.0 and params.epsilon * n >= 1.0 and span < n):
+        return None
+    if span < 2.0 / params.epsilon:
+        return np.empty(0), np.empty(0)
+    restart = n - span
+    count = span // 2
+    try:
+        # below the restart d - z is positive and concave in the level, so
+        # the full pass's pole guard there is decided at levels 0 and R - 2
+        _w_product_arrays(params, z, 0, _coefficients_at(params, np.array([0.0, restart - 2.0])))
+        coefficients = level_coefficients(params, restart)
+        _, low, _, _, _, low_bad = _flow_span(params, z, restart, 0, count, coefficients, 1.0)
+        _, high, _, _, _, high_bad = _flow_span(params, z, restart, 0, count, coefficients, 0.5)
+    except FlowDomainError:
+        return None
+    if low_bad >= 0 or high_bad >= 0:
+        return None
+    return low, high
 
 
 def g_check(

@@ -13,23 +13,13 @@ couplings.
 
 Above FULL_SECTOR_LIMIT the expansion stops after at most a few
 thousand pairs, so it reads G only on the top levels, and it takes them
-from two restarts of the flow at level R = N - S instead of a full pass.
-For z < 0 and eps*N >= 1, every level with m = N - i >= 2/eps has
-
-    W_i(z) <= W_i(0) = 1/4 * i/(i+eps*N) * (i-1)/(i-2+eps*N) * (1+2/m)
-                     <= (1+2/m) / (4*(1+eps)) <= 1/4,
-
-so with S >= 2/eps the full flow has G(R) in [1, 2].  Each step
-G -> 1/(1 - W*G) is increasing in G, in floating point too (each
-operation of the pivot step rounds monotonically), so the restarts with
-G = 1 and G = 2 at R bracket the full pass at every level above R, and
-if the upper one is valid so is the full pass.  G is read from the
+from flow.enclosure, the two restarts of the flow at level N - S that
+bracket the full pass, instead of a full pass.  G is read from the
 lower restart on the top levels where the two agree within 4 ulp.  S
 starts at max(steering span, 2/eps + 2) + 2*EXPAND_BLOCK and doubles
 while the expansion needs a level below that prefix.  The full pass
-runs instead, with its shifted fallback, where z >= 0, eps*N < 1,
-either restart is invalid or trips the pole floor (or the full pass
-would trip it below R), or S reaches N.
+runs instead, with its shifted fallback, where the enclosure does not
+apply (z >= 0, eps*N < 1, S >= N) or fails its checks.
 
 Everything else here bounds what truncating the product chain throws
 away.
@@ -41,15 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .flow import (
-    FlowDomainError,
-    _coefficients_at,
-    _flow_span,
-    _w_product_arrays,
-    g_check,
-    g_truncated,
-    level_coefficients,
-)
+from . import flow
+from .flow import FlowDomainError, g_check, g_truncated
 from .model import (
     FlowConfig,
     ModelParams,
@@ -131,12 +114,12 @@ def expand_ground_state(
     coeffs = None
     shifted = False
     span = n
-    if n > FULL_SECTOR_LIMIT and z_star < 0.0 and params.epsilon * n >= 1.0:
+    if n > FULL_SECTOR_LIMIT:
         span = _expansion_span(params)
-        while span < n:
-            g_top = _enclosed_top(params, z_star, span)
-            if g_top is None:
-                break
+        while (pair := flow.enclosure(params, z_star, span)) is not None:
+            low, high = pair[0][::-1], pair[1][::-1]
+            apart = np.abs(high - low) > 4.0 * np.spacing(low)
+            g_top = low[: int(np.argmax(apart)) if apart.any() else low.size]
             coeffs = _adaptive_coefficients(params, z_star, g_top, k_max)
             if coeffs is not None:
                 break
@@ -229,31 +212,6 @@ def _expansion_span(params: ModelParams) -> int:
     plus the levels of two expansion blocks; even."""
     s = max(_truncation_span(params), math.ceil(2.0 / params.epsilon) + 2) + 2 * EXPAND_BLOCK
     return s + s % 2
-
-
-def _enclosed_top(params: ModelParams, z: float, span: int):
-    """G at levels N-2, N-4, ... on the prefix that the restarts with
-    G = 1 and G = 2 at level N - span certify, or None where the full
-    pass must run instead.  Needs z < 0 and eps*N >= 1 (module
-    docstring); a span the lemma does not cover certifies no level."""
-    restart = params.n_particles - span
-    if span < 2.0 / params.epsilon:
-        return np.empty(0)
-    count = span // 2
-    try:
-        # below the restart d - z is positive and concave in the level, so
-        # the full pass's pole guard there is decided at levels 0 and R - 2
-        _w_product_arrays(params, z, 0, _coefficients_at(params, np.array([0.0, restart - 2.0])))
-        coefficients = level_coefficients(params, restart)
-        _, low, _, _, _, low_bad = _flow_span(params, z, restart, 0, count, coefficients, 1.0)
-        _, high, _, _, _, high_bad = _flow_span(params, z, restart, 0, count, coefficients, 0.5)
-    except FlowDomainError:
-        return None
-    if low_bad >= 0 or high_bad >= 0:
-        return None
-    low, high = low[::-1], high[::-1]
-    apart = np.abs(high - low) > 4.0 * np.spacing(low)
-    return low[: int(np.argmax(apart)) if apart.any() else count]
 
 
 def eigen_residual(tri: TridiagonalHamiltonian, psi: np.ndarray, z: float) -> float:

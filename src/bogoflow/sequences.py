@@ -25,8 +25,9 @@ from .model import (
 # absolute slack absorbing rounding when checking strict analytic
 # inequalities: bound comparisons use BOUND_SLACK * (1 + |value|)
 BOUND_SLACK = 1e-14
-# block length of the streamed majorant chain, which bounds its memory
-STREAM_BLOCK = 1 << 16
+# block length of the streamed majorant chain, which bounds its memory;
+# a block's scratch buffers then stay in a core's L2 cache
+STREAM_BLOCK = 1 << 14
 
 
 def bound_holds(margin, tol, bound) -> bool:
@@ -105,26 +106,35 @@ def x_sequence_blocks(n: int, a: float, b: float, c: float, sqrt_eta_a: float, x
     Yields SequenceWithBound blocks that cover entries 0 .. N/2 - 1 once
     each; first_nonpositive is an index into the whole chain, or -1 if
     the block holds no failure.  Each block runs up to STREAM_BLOCK steps
-    of rational_chain from the last value of the block before, so memory
-    is O(STREAM_BLOCK) for any N.  That value is the chain's pivot, so
-    the blocks equal x_sequence bit for bit at any block length.
+    of rational_chain from the last value of the block before.  That
+    value is the chain's pivot, so the blocks equal x_sequence bit for
+    bit at any block length.  A block's arrays, and D, 0.25/D and the
+    dpttrf off-diagonal behind them, live in scratch buffers of
+    STREAM_BLOCK + 1 entries that the next block overwrites: memory is
+    O(STREAM_BLOCK) for any N, and a caller copies what it keeps.
     """
     count = n // 2  # entries t = 0 .. count - 1
+    size = min(STREAM_BLOCK + 1, max(count, 1))
+    two_j = np.arange(0, 2 * size, 2)
+    m_buf, work, dfac, c_buf, e_buf, x_buf, bound_buf = np.empty((7, size))
+    level_buf = np.empty(size, dtype=np.int64)
     x_last = 1.0
     for t0 in range(1, max(count, 2), STREAM_BLOCK):  # N = 2 still yields entry 0
         # entry 0 of the block is entry t0 - 1: the start value, or the
         # carried value that the block before already yielded
-        t = np.arange(t0 - 1, min(t0 + STREAM_BLOCK, count), dtype=np.float64)
-        m = n - 2.0 * t
-        x = np.empty_like(t)
+        k = min(t0 + STREAM_BLOCK, count) - t0 + 1
+        # m = N - 2t, exact in float64 as in x_sequence
+        m = np.subtract(n - 2 * (t0 - 1), two_j[:k], out=m_buf[:k])
+        d = chain_denominator(np.add(m, 1.0, out=work[:k]), a, b, c, dfac[:k], work[:k])
+        x = x_buf[:k]
         x[0] = x_last
-        bad = int(_kernels.rational_chain(chain_denominator(m + 1.0, a, b, c), x))
+        bad = int(_kernels.rational_chain(d, x, c_buf[:k], e_buf[: k - 1]))
         x_last = float(x[-1])
-        new = slice(0 if t0 == 1 else 1, None)
+        new = 0 if t0 == 1 else 1
         yield SequenceWithBound(
-            levels=(2 * t[new]).astype(np.int64),
-            values=x[new],
-            bound=majorant_lower_bound(m[new], b, sqrt_eta_a, xi),
+            levels=np.add(2 * (t0 - 1), two_j[new:k], out=level_buf[new:k]),
+            values=x[new:],
+            bound=majorant_lower_bound(m[new:], b, sqrt_eta_a, xi, bound_buf[new:k]),
             bound_is_lower=True,
             first_nonpositive=t0 - 1 + bad if bad >= 0 else -1,
         )
@@ -132,30 +142,65 @@ def x_sequence_blocks(n: int, a: float, b: float, c: float, sqrt_eta_a: float, x
 
 @dataclass(frozen=True)
 class StreamedSequenceSummary:
-    """Terminal value and worst bound margin of a chain, bounded memory."""
+    """Terminal value and bound margins of a chain, bounded memory.
+
+    min_margin is the least value - bound, and min_slack the least
+    margin + BOUND_SLACK * (1 + |value|), the margin check_x_bounds
+    reports.  holds is SequenceWithBound.holds over the whole chain.  A
+    NaN entry makes both minima NaN, as the minimum of the one-pass
+    arrays would be, and fails holds.
+    """
 
     terminal: float
     min_margin: float
     first_nonpositive: int
+    min_slack: float
+    holds: bool
+    count: int
 
     @classmethod
     def of(cls, blocks) -> "StreamedSequenceSummary":
-        """Reduce the blocks of x_sequence_blocks."""
-        min_margin, first_bad = math.inf, -1
+        """Reduce the blocks of x_sequence_blocks.  Each block's margin
+        and slack are formed in two scratch buffers, in the operations of
+        SequenceWithBound.margin and .holds."""
+        least = worst = math.inf
+        holds, first_bad, count = True, -1, 0
+        margin = slack = np.empty(0)
         for block in blocks:
-            min_margin = min(min_margin, float(np.min(block.margin)))
+            k = block.values.size
+            if margin.size < k:
+                margin, slack = np.empty(k), np.empty(k)
+            mg = np.subtract(block.values, block.bound, out=margin[:k])
+            sl = np.abs(block.values, out=slack[:k])
+            sl += 1.0
+            sl *= BOUND_SLACK
+            sl += mg
+            block_worst = sl.min()
+            # a least slack >= 0 decides the block: margin + tol >= 0 after
+            # rounding only if margin >= -tol exactly
+            if holds and not block_worst >= 0.0:
+                holds = block.holds()
+            least = np.minimum(least, mg.min())
+            worst = np.minimum(worst, block_worst)
             if first_bad < 0:
                 first_bad = block.first_nonpositive
-        terminal = float(block.values[-1])
-        return cls(terminal=terminal, min_margin=min_margin, first_nonpositive=first_bad)
+            count += k
+        return cls(
+            terminal=float(block.values[-1]),
+            min_margin=float(least),
+            first_nonpositive=first_bad,
+            min_slack=float(worst),
+            holds=holds,
+            count=count,
+        )
 
 
 def x_sequence_terminal(
     params: ModelParams, cfg: Optional[FlowConfig] = None
 ) -> StreamedSequenceSummary:
     """Streaming form of x_sequence for sweeps at very large N: returns
-    only the terminal entry and the minimum lower-bound margin instead
-    of materializing O(N) arrays; memory is O(STREAM_BLOCK).
+    only the terminal entry and the bound margins instead of
+    materializing O(N) arrays; memory is O(STREAM_BLOCK).
     """
     cfg = cfg or FlowConfig()
     blocks = x_sequence_blocks(params.n_particles, *majorant_coefficients(params, cfg))

@@ -22,7 +22,6 @@ from .model import (
     c_coefficient,
     chain_denominator,
     check_assumptions,
-    majorant_coefficients,
 )
 
 DEFAULT_GRID_N = (2, 4, 16, 128, 1024)
@@ -158,20 +157,35 @@ def check_g_lower_bound_link(
 ) -> PropertyResult:
     """Flow factors dominate the reciprocal minorant chain on the tail:
     G_i >= 1/xtilde_i for levels from N - N^(1-gamma) on, at the window
-    edge for the configured delta.  The flow pass is streamed, keeping G
-    on the chain's levels only."""
+    edge for the configured delta.
+
+    G on the chain's levels comes from flow.enclosure where its two
+    restarts agree bit for bit on every one of those levels, which pins
+    the full pass to that value; the span starts at _link_span and
+    doubles while they differ.  Where the enclosure does not apply, the
+    flow pass is streamed, keeping G on the chain's levels only.
+    """
     cfg = cfg or FlowConfig()
     eps, phi = params.epsilon, params.phi
     delta = cfg.resolved_delta(eps)
     z = bogoliubov_energy(params) + (delta - 1.0) * phi * math.sqrt(eps * (eps + 2.0))
     seq = sequences.xtilde_sequence(params, cfg)
     first = int(seq.levels[0]) // 2  # the chain covers pass indices first..N/2-1
-    kept, valid = [], True
-    for start, g, bad in flow.flow_blocks(params, z):
-        valid = valid and bad < 0
-        if start + g.size > first:
-            kept.append(g[max(first - start, 0) :])
-    g_on_levels = np.concatenate(kept)
+    count = seq.values.size
+    span = _link_span(eps, 2 * count)
+    valid = True
+    while (pair := flow.enclosure(params, z, span)) is not None:
+        g_on_levels, high = pair[0][-count:], pair[1][-count:]
+        if g_on_levels.size == count and np.array_equal(g_on_levels, high):
+            break
+        span *= 2
+    else:
+        kept = []
+        for start, g, bad in flow.flow_blocks(params, z):
+            valid = valid and bad < 0
+            if start + g.size > first:
+                kept.append(g[max(first - start, 0) :])
+        g_on_levels = np.concatenate(kept)
     with np.errstate(divide="ignore"):
         recip = 1.0 / seq.values
     ok_mask = seq.values > 0.0
@@ -186,28 +200,22 @@ def check_g_lower_bound_link(
     )
 
 
+def _link_span(eps: float, chain_span: int) -> int:
+    """First restart span of check_g_lower_bound_link: the minorant
+    chain's span plus max(2/eps + 2, 2*EXPAND_BLOCK) levels; even."""
+    s = chain_span + max(math.ceil(2.0 / eps) + 2, 2 * groundstate.EXPAND_BLOCK)
+    return s + s % 2
+
+
 def check_x_bounds(params: ModelParams, cfg: Optional[FlowConfig] = None) -> PropertyResult:
     """The majorant chain stays above its lower bound, streamed block by
     block: every entry gets the slack BOUND_SLACK * (1 + |x|)."""
-    cfg = cfg or FlowConfig()
-    coefs = majorant_coefficients(params, cfg)
-    holds, first_bad, count = True, -1, 0
-    worst = least = math.inf
-    for seq in sequences.x_sequence_blocks(params.n_particles, *coefs):
-        margin = seq.margin
-        tol = sequences.BOUND_SLACK * (1.0 + np.abs(seq.values))
-        # np.minimum keeps a NaN, as the minimum over the whole chain would
-        worst = np.minimum(worst, (margin + tol).min())
-        least = np.minimum(least, margin.min())
-        holds = holds and sequences.bound_holds(margin, tol, seq.bound)
-        if first_bad < 0:
-            first_bad = seq.first_nonpositive
-        count += seq.values.size
+    summary = sequences.x_sequence_terminal(params, cfg)
     return PropertyResult(
         name="x_lower_bound",
-        passed=holds and first_bad < 0,
-        margin=float(worst),
-        details=f"min margin {float(least):.3e} over {count} entries",
+        passed=summary.holds and summary.first_nonpositive < 0,
+        margin=summary.min_slack,
+        details=f"min margin {summary.min_margin:.3e} over {summary.count} entries",
     )
 
 

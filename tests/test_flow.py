@@ -229,9 +229,10 @@ def test_g_dominates_reciprocal_minorant_chain():
 
 def test_streamed_lower_bound_link_matches_full_table(monkeypatch):
     # the check keeps G on the minorant chain's levels only, from the
-    # streamed pass; its row equals the one built from a full g_check.
-    # The blocks, the default two at this N or blocks of 700 levels,
-    # equal g_check's one pass bit for bit.
+    # enclosure here and from the streamed pass where that does not
+    # apply; its row equals the one built from a full g_check.  The
+    # blocks, the default seven at this N or blocks of 700 levels, equal
+    # g_check's one pass bit for bit.
     from bogoflow import flow, sequences, verify
     from bogoflow.model import FlowConfig
 
@@ -266,6 +267,74 @@ def test_streamed_lower_bound_link_matches_full_table(monkeypatch):
             w = flow._flow_span(p, z, 0, first, stop, None, 1.0)[0]
             np.testing.assert_array_equal(w[lo - first :], table.w_products[lo:stop])
         assert verify.check_g_lower_bound_link(p).as_dict() == expected.as_dict()
+
+
+def _streamed_link_row(monkeypatch, params, cfg=None):
+    # the reference: the check with the enclosure declined, which streams
+    # the full flow pass
+    from bogoflow import flow, verify
+
+    with monkeypatch.context() as m:
+        m.setattr(flow, "enclosure", lambda *args: None)
+        return verify.check_g_lower_bound_link(params, cfg).as_dict()
+
+
+def _no_full_pass(*args):
+    raise AssertionError("the check ran an O(N) flow pass")
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.01])
+@pytest.mark.parametrize("n", [2 * 10**5, 10**6, 10**7])
+def test_lower_bound_link_reads_the_enclosure(monkeypatch, n, eps):
+    # the two restarts agree bit for bit on every level of the minorant
+    # chain, which pins the full pass there: the row equals the streamed
+    # pass's, and no O(N) pass runs
+    from bogoflow import flow, verify
+
+    p = ModelParams(n_particles=n, epsilon=eps)
+    expected = _streamed_link_row(monkeypatch, p)
+    monkeypatch.setattr(flow, "flow_blocks", _no_full_pass)
+    assert verify.check_g_lower_bound_link(p).as_dict() == expected
+
+
+def test_lower_bound_link_short_span_doubles_to_same_row(monkeypatch):
+    # a 4-level first span covers none of the chain's 1709 levels; the
+    # span doubles until the restarts agree on all of them
+    from bogoflow import flow, verify
+
+    p = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
+    expected = _streamed_link_row(monkeypatch, p)
+    spans = []
+    enclosure = flow.enclosure
+    monkeypatch.setattr(
+        flow, "enclosure", lambda params, z, span: spans.append(span) or enclosure(params, z, span)
+    )
+    monkeypatch.setattr(verify, "_link_span", lambda eps, chain_span: 4)
+    monkeypatch.setattr(flow, "flow_blocks", _no_full_pass)
+    assert verify.check_g_lower_bound_link(p).as_dict() == expected
+    assert spans == [4 << j for j in range(len(spans))]
+    assert 2 * 1709 < spans[-1] < p.n_particles
+
+
+@pytest.mark.parametrize(
+    "n, eps, delta",
+    [
+        pytest.param(2 * 10**5, 1e-6, None, id="eps-N-below-1"),
+        pytest.param(2 * 10**5, 0.5, 1.9, id="z-positive"),
+    ],
+)
+def test_lower_bound_link_streams_where_the_enclosure_does_not_apply(monkeypatch, n, eps, delta):
+    from bogoflow import FlowConfig, flow, verify
+
+    p, cfg = ModelParams(n_particles=n, epsilon=eps), FlowConfig(delta=delta)
+    z = bogoliubov_energy(p) + (cfg.resolved_delta(eps) - 1.0) * p.phi * math.sqrt(eps * (eps + 2.0))
+    assert eps * n < 1.0 or z >= 0.0
+    expected = _streamed_link_row(monkeypatch, p, cfg)
+    passes = []
+    blocks = flow.flow_blocks
+    monkeypatch.setattr(flow, "flow_blocks", lambda *args: passes.append(1) or blocks(*args))
+    assert verify.check_g_lower_bound_link(p, cfg).as_dict() == expected
+    assert passes == [1]
 
 
 def test_g_monotone_in_z_per_level():

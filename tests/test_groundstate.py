@@ -219,10 +219,10 @@ def test_vectorized_expansion_matches_loop_bitwise(n, eps, k_max):
 
 def _full_pass_expansion(monkeypatch, params, z, **kwargs):
     # the reference: the same expansion with the enclosure declined
-    from bogoflow import groundstate
+    from bogoflow import flow
 
     with monkeypatch.context() as m:
-        m.setattr(groundstate, "_enclosed_top", lambda *args: None)
+        m.setattr(flow, "enclosure", lambda *args: None)
         return expand_ground_state(params, z, **kwargs)
 
 
@@ -285,7 +285,7 @@ def test_forced_short_span_doubles_to_same_vector(monkeypatch):
 
 
 def test_solve_and_expand_run_one_full_flow_pass(monkeypatch):
-    from bogoflow import flow, groundstate
+    from bogoflow import flow
 
     starts = []
     span = flow._flow_span
@@ -295,7 +295,6 @@ def test_solve_and_expand_run_one_full_flow_pass(monkeypatch):
         return span(params, z, start_level, *args)
 
     monkeypatch.setattr(flow, "_flow_span", counted)
-    monkeypatch.setattr(groundstate, "_flow_span", counted)
     params = ModelParams(n_particles=3 * 10**5, epsilon=0.01)
     vec = expand_ground_state(params, solve_fixed_point(params).z_star)
     assert vec.flow_span < params.n_particles

@@ -61,11 +61,44 @@ def test_streaming_blocks_match_one_pass(b, monkeypatch):
     assert whole.first_nonpositive == (3813 if b == 100.0 else -1)
 
 
+@pytest.mark.parametrize("block_length", (700, sequences.STREAM_BLOCK))
+def test_streamed_blocks_equal_one_pass_bitwise(block_length, monkeypatch):
+    # D, 0.25/D, the off-diagonal and the bound are formed in scratch
+    # buffers that the next block overwrites, so each block is copied
+    p = ModelParams(n_particles=2 * 10**5 + 2, epsilon=0.04)
+    seq = x_sequence(p)
+    monkeypatch.setattr(sequences, "STREAM_BLOCK", block_length)
+    coefs = sequences.majorant_coefficients(p, FlowConfig())
+    blocks = [
+        (b.levels.copy(), b.values.copy(), b.bound.copy())
+        for b in x_sequence_blocks(p.n_particles, *coefs)
+    ]
+    for field, got in zip(("levels", "values", "bound"), zip(*blocks)):
+        np.testing.assert_array_equal(np.concatenate(got), getattr(seq, field))
+
+
+def test_streamed_summary_keeps_nan(monkeypatch):
+    # a NaN coefficient makes every entry NaN; the summary's minima keep
+    # the NaN, as the minimum of the one-pass arrays would, instead of
+    # reading as a healthy chain
+    nan = math.nan
+    blocks = x_sequence_blocks(10**4, nan, 0.3565, 0.0172, 0.2698, 0.4472)
+    summary = StreamedSequenceSummary.of(blocks)
+    assert math.isnan(summary.min_margin) and math.isnan(summary.min_slack)
+    assert not summary.holds
+
+    p = ModelParams(n_particles=10**4, epsilon=0.04)
+    coefs = sequences.majorant_coefficients(p, FlowConfig())
+    monkeypatch.setattr(sequences, "majorant_coefficients", lambda params, cfg: (nan, *coefs[1:]))
+    result = verify.check_x_bounds(p)
+    assert not result.passed and math.isnan(result.margin)
+
+
 @pytest.mark.parametrize("eps", (0.04, 0.01))
 def test_streamed_x_check_matches_materialized(eps, monkeypatch):
     # the streamed check applies the one-pass rule entry by entry, and a
     # block resumes the chain from its carried value, so the default
-    # blocks (two at this N) and blocks of 700 give the one-pass row bit
+    # blocks (seven at this N) and blocks of 700 give the one-pass row bit
     # for bit
     p = ModelParams(n_particles=2 * 10**5, epsilon=eps)
     seq = x_sequence(p)
