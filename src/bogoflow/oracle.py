@@ -15,10 +15,21 @@ force on the full three-mode occupation basis for small N.
 The low eigenpairs come from LAPACK through scipy's eigh_tridiagonal:
 stebz bisects on Sturm counts for the eigenvalues (Barth, Martin and
 Wilkinson 1967) and stein runs inverse iteration for the vectors, to the
-absolute tolerance ORACLE_TOL.  schur_complement evaluates the nested
-fraction of (T - z) straight from the matrix elements.  No part of this
-module looks at the flow; it is the independent side of every
-equivalence check.
+absolute tolerance ORACLE_TOL.  Like the Feshbach-Schur map of the paper,
+they solve only the leading block T[:K, :K] of the low pair occupations;
+K doubles from 256 while 4K <= size, and K = size is the full solve.  A
+block is accepted when its certificate closes.  Its Ritz values bound
+lambda_j from above (Cauchy interlacing).  If rows K+1.. of T - x,
+x = theta_{m-1}, are strictly diagonally dominant and q = d_K - x - t_K > 0,
+every bottom-up pivot of the tail is at least t_{k-1}, so the tail is
+positive definite and folds onto row K-1 as at most t_{K-1}^2/q; Sylvester
+inertia then bounds lambda_j from below by the eigenvalues mu_j of the block
+with that entry lowered by t_{K-1}^2/q.  The block is used when
+theta_j - mu_j <= ORACLE_TOL and the zero-padded vector's residual
+|t_{K-1} v_{K-1}| is below ORACLE_TOL * (1 + |theta_0|).  schur_complement
+evaluates the nested fraction of (T - z) straight from the matrix elements.
+No part of this module looks at the flow; it is the independent side of
+every equivalence check.
 """
 
 import math
@@ -143,36 +154,73 @@ class EigenPair:
     value: float
     vector: np.ndarray
     residual: float
+    block_size: int  # K of the leading block solved; tri.size on the full path
+    enclosure: float  # theta_0 - mu_0 of the block certificate; 0.0 on the full path
 
 
 class ConvergenceError(RuntimeError):
     pass
 
 
-# Absolute bisection tolerance passed to stebz; it gives errors in lambda_0
-# of at most 4e-15 up to N = 1e6.  A norm-relative one (1e-13 * norm_inf)
-# leaves 3e-10 at N = 4e4 and 4e-9 at N = 1e6, above the 1e-10 agreement
-# the flow is checked to; the stebz default leaves 1.3e-11 at N = 1e6.
+# Absolute bisection tolerance passed to stebz, and the widest certified
+# enclosure [mu_j, theta_j] a leading block may leave; it gives errors in
+# lambda_0 of at most 4e-15 up to N = 1e6.  A norm-relative one
+# (1e-13 * norm_inf) leaves 3e-10 at N = 4e4 and 4e-9 at N = 1e6, above the
+# 1e-10 agreement the flow is checked to; the stebz default leaves 1.3e-11.
 ORACLE_TOL = 1e-14
 
 
+def _stebz(diag, offdiag, m: int, vectors: bool):
+    return eigh_tridiagonal(
+        diag, offdiag, eigvals_only=not vectors, select="i", select_range=(0, m - 1), tol=ORACLE_TOL,
+        lapack_driver="stebz",
+    )
+
+
+def _leading_block(tri: TridiagonalHamiltonian, m: int, vectors: bool):
+    """(the m lowest Ritz values of the smallest certified leading block
+    T[:K, :K], its first Ritz vector zero-padded to tri.size or None, K,
+    theta_0 - mu_0); K = tri.size is the plain full solve."""
+    d, e, n = tri.diag, tri.offdiag, tri.size
+    k = max(256, m)
+    if 4 * k <= n:
+        t = np.abs(e)
+        slack = d[1:] - t  # slack[j] = d - |t_j| - |t_{j+1}| on row j + 1, t_{n-1} := 0
+        slack[:-1] -= t[1:]
+    while 4 * k <= n:
+        out = _stebz(d[:k], e[: k - 1], m, vectors)
+        theta, v = out if vectors else (out, None)
+        q = d[k] - theta[-1] - t[k]
+        if q > 0.0 and slack[k:].min() > theta[-1]:
+            lowered = d[:k].copy()
+            lowered[-1] -= t[k - 1] ** 2 / q
+            mu = _stebz(lowered, e[: k - 1], m, False)
+            padding_ok = v is None or abs(t[k - 1] * v[-1, 0]) <= ORACLE_TOL * (1.0 + abs(theta[0]))
+            if np.max(theta - mu) <= ORACLE_TOL and padding_ok:
+                v = None if v is None else np.concatenate([v[:, 0], np.zeros(n - k)])
+                return theta, v, k, float(theta[0] - mu[0])
+        k *= 2
+    out = _stebz(d, e, m, vectors)
+    return (out[0], out[1][:, 0], n, 0.0) if vectors else (out, None, n, 0.0)
+
+
 def lowest_eigenpair(tri: TridiagonalHamiltonian) -> EigenPair:
-    """Smallest eigenvalue and eigenvector.
+    """Smallest eigenvalue and eigenvector, from the smallest certified
+    leading block.
 
     The vector is unit norm with its first nonzero component positive;
-    a residual above 1e-10 * norm_inf raises ConvergenceError.
+    a residual on the full matrix above 1e-10 * norm_inf raises
+    ConvergenceError.
     """
-    vals, vecs = eigh_tridiagonal(
-        tri.diag, tri.offdiag, select="i", select_range=(0, 0), tol=ORACLE_TOL, lapack_driver="stebz"
-    )
-    lam, v = float(vals[0]), vecs[:, 0]
-    nz = np.nonzero(v)[0]
+    vals, v, k, enclosure = _leading_block(tri, 1, True)
+    lam = float(vals[0])
+    nz = np.nonzero(v[:k])[0]  # v is zero below the block
     if nz.size and v[nz[0]] < 0.0:
         v = -v
     residual = float(np.linalg.norm(tri.matvec(v) - lam * v))
     if residual > 1e-10 * (tri.norm_inf() or 1.0):
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds 1e-10*norm")
-    return EigenPair(value=lam, vector=v, residual=residual)
+    return EigenPair(value=lam, vector=v, residual=residual, block_size=k, enclosure=enclosure)
 
 
 def low_spectrum(tri: TridiagonalHamiltonian, m: int) -> np.ndarray:
@@ -180,15 +228,7 @@ def low_spectrum(tri: TridiagonalHamiltonian, m: int) -> np.ndarray:
     lowest_eigenpair(tri).value."""
     if not 1 <= m <= tri.size:
         raise ValueError("m out of range")
-    vals = eigh_tridiagonal(
-        tri.diag,
-        tri.offdiag,
-        eigvals_only=True,
-        select="i",
-        select_range=(0, m - 1),
-        tol=ORACLE_TOL,
-        lapack_driver="stebz",
-    )
+    vals = _leading_block(tri, m, False)[0]
     vals[0] = lowest_eigenpair(tri).value
     return vals
 

@@ -7,12 +7,14 @@ from scipy.linalg import eigh_tridiagonal
 from bogoflow import (
     ModelParams,
     build_sector_hamiltonian,
+    cli,
     dense_crosscheck,
     low_spectrum,
     lowest_eigenpair,
+    oracle,
     schur_complement,
 )
-from bogoflow.oracle import TridiagonalHamiltonian
+from bogoflow.oracle import ORACLE_TOL, TridiagonalHamiltonian
 
 
 def test_matrix_elements_n2():
@@ -154,3 +156,80 @@ def test_csv_export(tmp_path):
     assert lines[0] == "k,d_k,t_k"
     assert len(lines) == 4
     assert lines[-1].endswith(",")  # no coupling on the last row
+
+
+def _full_stebz(tri, m, vectors=True):
+    return eigh_tridiagonal(
+        tri.diag, tri.offdiag, eigvals_only=not vectors, select="i", select_range=(0, m - 1), tol=ORACLE_TOL,
+        lapack_driver="stebz",
+    )
+
+
+@pytest.mark.parametrize("n", [2048, 16384, 200_000, 1_000_000])
+def test_leading_block_matches_the_full_matrix(n):
+    # the reference is LAPACK on the whole sector, not lowest_eigenpair;
+    # the tolerances sit about 2x above the worst value measured on this grid
+    for eps in (1e-6, 1e-4, 1e-3, 0.01, 0.5, 50.0):
+        tri = build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=eps))
+        w, v = _full_stebz(tri, 2)
+        pair = lowest_eigenpair(tri)
+        lam = low_spectrum(tri, 2)
+        assert abs(pair.value - w[0]) <= 1e-14
+        assert abs(lam[1] - w[1]) <= 3e-14
+        assert abs(pair.vector @ v[:, 0]) >= 1.0 - 1e-12
+        assert pair.value - pair.enclosure - 2 * ORACLE_TOL <= w[0] <= pair.value + 2 * ORACLE_TOL
+        k = pair.block_size
+        if k < tri.size:
+            assert abs(tri.offdiag[k - 1] * pair.vector[k - 1]) <= ORACLE_TOL * (1.0 + abs(pair.value))
+            assert not pair.vector[k:].any()
+        else:
+            assert pair.enclosure == 0.0
+        # at N = 2048 only K = 256 fits (4K <= 1025), which needs eps >= 0.01
+        if eps >= 0.01 or (eps >= 1e-3 and n >= 16384):
+            assert k < tri.size
+
+
+def test_deep_well_in_the_tail_takes_the_full_matrix():
+    # negative control: one diagonal entry far below every other near the
+    # bottom puts the ground state in the tail, where no leading block sees it
+    tri = build_sector_hamiltonian(ModelParams(n_particles=8190, epsilon=0.01))
+    diag = tri.diag.copy()
+    diag[tri.size - 10] = -1e3
+    tri = TridiagonalHamiltonian(diag=diag, offdiag=tri.offdiag)
+    assert tri.size == 4096
+    w, v = _full_stebz(tri, 2)
+    pair = lowest_eigenpair(tri)
+    assert pair.block_size == tri.size
+    assert abs(pair.value - w[0]) <= 1e-12 and pair.value < -999.0
+    assert abs(pair.vector @ v[:, 0]) >= 1.0 - 1e-12
+    np.testing.assert_allclose(low_spectrum(tri, 2), w, rtol=0.0, atol=1e-12)
+
+
+def test_cli_point_solves_every_oracle_call_on_a_small_block(monkeypatch):
+    sizes = []
+    stebz = oracle._stebz
+
+    def spy(diag, offdiag, m, vectors):
+        sizes.append(diag.size)
+        return stebz(diag, offdiag, m, vectors)
+
+    monkeypatch.setattr(oracle, "_stebz", spy)
+    config = cli.parse_args(["--mode", "solve", "--n", "80000", "--epsilon", "0.01"])
+    row = cli._solve_point(config, 80_000, 0.01)
+    assert row["overlap"] >= 1.0 - 1e-9 and row["oracle_delta"] <= 1e-10
+    assert len(sizes) >= 4 and max(sizes) <= 1024
+
+
+@pytest.mark.parametrize("n", [2, 64, 1000, 2044])
+def test_small_sizes_solve_the_full_matrix_bit_for_bit(n):
+    tri = build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=0.01))
+    assert tri.size < 1024
+    w, v = _full_stebz(tri, 1)
+    v = v[:, 0]
+    if v[np.nonzero(v)[0][0]] < 0.0:
+        v = -v
+    pair = lowest_eigenpair(tri)
+    assert pair.value == w[0] and np.array_equal(pair.vector, v)
+    assert pair.block_size == tri.size and pair.enclosure == 0.0
+    m = min(3, tri.size)
+    assert np.array_equal(low_spectrum(tri, m)[1:], _full_stebz(tri, m, vectors=False)[1:])
