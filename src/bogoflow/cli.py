@@ -17,7 +17,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -74,7 +74,8 @@ class RunConfig:
     tol: float = 1e-12
     out: Path = field(default_factory=lambda: Path("bogoflow-out"))
     formats: List[str] = field(default_factory=lambda: ["csv", "json"])
-    workers: int = 1
+    # None means unset: sweep then runs serially, verify on every usable CPU
+    workers: Optional[int] = None
     only: Optional[str] = None
     perturb_tk: float = 0.0
 
@@ -178,7 +179,7 @@ def parse_args(argv=None) -> RunConfig:
         config.out = Path(env_out)
     if config.n_values == [] or config.eps_values == []:
         raise ValueError("empty parameter grid")
-    if config.workers < 1:
+    if config.workers is not None and config.workers < 1:
         raise ValueError("workers must be >= 1")
     return config
 
@@ -299,8 +300,9 @@ def run_sweep(config: RunConfig) -> int:
                 "wall_ms": 0.0,
             }
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    workers = config.workers or 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(work, grid))
     else:
         rows = [work(point) for point in grid]
@@ -335,6 +337,7 @@ def run_verify(config: RunConfig) -> int:
         phi=config.phi,
         only=config.only,
         perturb_tk=config.perturb_tk,
+        workers=config.workers,
     )
     results = verify.run_all(vconf)
     for res in results:
@@ -343,7 +346,9 @@ def run_verify(config: RunConfig) -> int:
     path.write_text(
         json.dumps([r.as_dict() for r in results], indent=2) + "\n"
     )
-    _write_manifest(config, {"verify.json": _sha256(path)}, [])
+    points = [{"name": r.name, "worker": r.worker, "wall_ms": r.wall_ms} for r in results]
+    config = replace(config, workers=vconf.resolved_workers())
+    _write_manifest(config, {"verify.json": _sha256(path)}, points)
     return 0 if results and all(r.passed for r in results) else 1
 
 

@@ -5,10 +5,19 @@ Each check returns a PropertyResult with the measured margin (positive
 means the property holds with room to spare).  run_all drives the whole
 battery on a default grid; the CLI verify mode and the acceptance tests
 call the same functions with their own grids.
+
+The checks are independent: run_all deals them to forked workers, one per
+usable CPU by default (threads would not overlap the chains' LAPACK calls,
+which hold the GIL), and returns the rows in battery order, bit-identical
+to a serial run.  Python >= 3.12 may warn about fork() once BLAS threads run.
 """
 
 import math
+import os
+import pickle
+import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -34,6 +43,9 @@ class PropertyResult:
     passed: bool
     margin: float  # smallest slack observed; negative quantifies a failure
     details: str = ""
+    # where run_all ran the check; not part of the row
+    worker: int = field(default=0, compare=False)
+    wall_ms: float = field(default=0.0, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -513,9 +525,16 @@ class VerifyConfig:
     only: Optional[str] = None
     perturb_tk: float = 0.0
     sequence_points: List[ModelParams] = field(default_factory=list)
+    workers: Optional[int] = None  # None: one per CPU this process may use
+
+    def resolved_workers(self) -> int:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return (cpus or 1) if self.workers is None else self.workers
 
 
 def run_all(config: Optional[VerifyConfig] = None) -> List[PropertyResult]:
+    """The battery's rows, or those of the suites named by config.only, in
+    battery order, each with its worker and wall time (see _fork_map)."""
     config = config or VerifyConfig()
     # N = 10^7 satisfies every N-dependent part of the gamma condition at
     # the documented constants for both default epsilon values
@@ -524,43 +543,101 @@ def run_all(config: Optional[VerifyConfig] = None) -> List[PropertyResult]:
         ModelParams(n_particles=10**7, epsilon=0.01),
     ]
     mono_point = ModelParams(n_particles=256, epsilon=0.01, phi=config.phi)
+    grid = (config.n_values, config.eps_values, config.phi)
 
     suites = {
-        "cf": lambda: [
-            check_cf_equivalence(
-                config.n_values,
-                config.eps_values,
-                config.phi,
-                perturb_tk=config.perturb_tk,
-            )
+        "cf": [partial(check_cf_equivalence, *grid, perturb_tk=config.perturb_tk)],
+        "flow": [
+            partial(check_flow_monotonicity, mono_point),
+            partial(check_w_bound, ModelParams(n_particles=1024, epsilon=0.01, phi=config.phi)),
+            partial(check_g_lower_bound_link, seq_points[0]),
+            partial(check_fixed_point_uniqueness, mono_point),
         ],
-        "flow": lambda: [
-            check_flow_monotonicity(mono_point),
-            check_w_bound(ModelParams(n_particles=1024, epsilon=0.01, phi=config.phi)),
-            check_g_lower_bound_link(seq_points[0]),
-            check_fixed_point_uniqueness(mono_point),
+        "sequences": [
+            *(partial(check_x_bounds, p) for p in seq_points),
+            *(partial(check_xtilde_bounds, p) for p in seq_points),
+            check_y_closed_residual,
+            check_accessori,
+            check_coefficient_identities,
         ],
-        "sequences": lambda: [
-            *(check_x_bounds(p) for p in seq_points),
-            *(check_xtilde_bounds(p) for p in seq_points),
-            check_y_closed_residual(),
-            check_accessori(),
-            check_coefficient_identities(),
+        "spectrum": [
+            partial(check_flow_oracle, *grid),
+            partial(check_zstar_upper_bound, *grid),
+            partial(check_gap_bound, *grid),
+            partial(check_ebog_convergence, n_values=(10**3, 10**4, 10**5)),
         ],
-        "spectrum": lambda: [
-            check_flow_oracle(config.n_values, config.eps_values, config.phi),
-            check_zstar_upper_bound(config.n_values, config.eps_values, config.phi),
-            check_gap_bound(config.n_values, config.eps_values, config.phi),
-            check_ebog_convergence(n_values=(10**3, 10**4, 10**5)),
-        ],
-        "groundstate": lambda: [
-            check_overlap(config.n_values, config.eps_values, config.phi),
-            check_truncation_decay(),
-        ],
+        "groundstate": [partial(check_overlap, *grid), check_truncation_decay],
     }
-    results: List[PropertyResult] = []
-    for name, runner in suites.items():
-        if config.only and not name.startswith(config.only):
-            continue
-        results.extend(runner())
+    checks = []
+    for name, suite in suites.items():
+        if not config.only or name.startswith(config.only):
+            checks += suite
+    return _fork_map(checks, config.resolved_workers())
+
+
+def _run_share(checks: list, worker: int) -> list:
+    results = []
+    for check in checks:
+        t0 = time.perf_counter()
+        results.append(check())
+        results[-1].worker, results[-1].wall_ms = worker, 1000.0 * (time.perf_counter() - t0)
     return results
+
+
+def _fork_map(checks: list, workers: int) -> list:
+    """The checks' results in order.  Worker 0 is the caller and runs checks
+    0, workers, 2 * workers, ...; forked child w runs checks w, w + workers,
+    ... and pipes back its pickled results or the exception a check raised,
+    which is raised here.  Serial below 2 workers or 2 checks, or without
+    os.fork.  Every child is reaped before this returns or raises."""
+    workers = min(workers, len(checks))
+    if workers < 2 or not hasattr(os, "fork"):
+        return _run_share(checks, 0)
+    results, pipes = [None] * len(checks), {}  # child pid -> (worker, read end)
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                os.close(read_fd)
+                _child(checks[w::workers], w, write_fd)
+            os.close(write_fd)
+            pipes[pid] = (w, os.fdopen(read_fd, "rb"))
+        results[::workers] = _run_share(checks[::workers], 0)
+        for pid, (w, pipe) in list(pipes.items()):
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del pipes[pid]
+            if not payload:
+                raise RuntimeError(
+                    f"verify worker {w} ended without a result: wait status {status} "
+                    f"(exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            results[w::workers] = value
+        return results
+    finally:
+        for pid, (_, pipe) in pipes.items():
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
+def _child(checks: list, worker: int, fd: int) -> None:
+    """Forked worker: pipe (True, results) or (False, exception) to fd, the
+    exception as RuntimeError(repr) if it does not survive pickling; then
+    os._exit, which runs no atexit hook and flushes no inherited stdio."""
+    try:
+        try:
+            payload = pickle.dumps((True, _run_share(checks, worker)))
+        except BaseException as exc:  # interrupts too: the caller raises it
+            try:
+                payload = pickle.dumps((False, exc))
+                pickle.loads(payload)  # the caller must be able to rebuild it
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(repr(exc))))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)

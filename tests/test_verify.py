@@ -1,3 +1,7 @@
+import os
+
+import pytest
+
 from bogoflow import verify
 
 # The default battery's rows as the streamed-pass code wrote them (the
@@ -46,6 +50,52 @@ FROZEN_BATTERY = [
 ]
 
 
-def test_default_battery_is_frozen_to_the_bit():
-    rows = [(r.name, bool(r.passed), repr(float(r.margin)), r.details) for r in verify.run_all()]
+@pytest.mark.parametrize("workers", [1, None, 3])
+def test_default_battery_is_frozen_to_the_bit(workers):
+    results = verify.run_all(verify.VerifyConfig(workers=workers))
+    rows = [(r.name, bool(r.passed), repr(float(r.margin)), r.details) for r in results]
     assert rows == FROZEN_BATTERY
+
+
+def _boom(*args):
+    raise ValueError("boom")
+
+
+def _in_child(action):
+    """A stand-in check that does action(), and refuses to run in the caller."""
+    caller = os.getpid()
+
+    def check(*args):
+        assert os.getpid() != caller, "the stand-in check ran in the caller"
+        action()
+
+    return check
+
+
+def _raise_unpicklable():
+    class Local(Exception):
+        pass
+
+    raise Local("cannot be pickled")
+
+
+@pytest.mark.parametrize(
+    "name, check, error, message",
+    [
+        ("check_w_bound", _in_child(_boom), ValueError, "boom"),
+        ("check_w_bound", _in_child(lambda: os._exit(3)), RuntimeError, "exit code 3"),
+        ("check_w_bound", _in_child(_raise_unpicklable), RuntimeError, "Local"),
+        ("check_flow_monotonicity", _boom, ValueError, "boom"),  # the caller's own share
+    ],
+    ids=["child-raises", "child-exits", "child-unpicklable", "caller-raises"],
+)
+def test_a_failing_check_raises_in_the_caller_and_leaves_no_process(
+    monkeypatch, name, check, error, message
+):
+    # with 2 workers the caller runs the flow suite's checks 0 and 2
+    # (check_flow_monotonicity, check_g_lower_bound_link), the child 1 and 3
+    monkeypatch.setattr(verify, name, check)
+    with pytest.raises(error, match=message):
+        verify.run_all(verify.VerifyConfig(only="flow", workers=2))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
