@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -74,7 +73,8 @@ class RunConfig:
     tol: float = 1e-12
     out: Path = field(default_factory=lambda: Path("bogoflow-out"))
     formats: List[str] = field(default_factory=lambda: ["csv", "json"])
-    # None means unset: sweep then runs serially, verify on every usable CPU
+    # verify's process count; None means one per usable CPU.  Other modes
+    # run serially
     workers: Optional[int] = None
     only: Optional[str] = None
     perturb_tk: float = 0.0
@@ -287,25 +287,13 @@ def run_sweep(config: RunConfig) -> int:
     n_values, eps_values = config.grid()
     grid = [(n, eps) for n in n_values for eps in eps_values]
 
-    def work(point):
-        n, eps = point
+    rows = []
+    for n, eps in grid:
         try:
-            return _solve_point(config, n, eps)
+            rows.append(_solve_point(config, n, eps))
         except Exception as exc:  # per-row failure, recorded not raised
-            return {
-                "n": n,
-                "epsilon": eps,
-                "status": f"error:{type(exc).__name__}",
-                "reason": str(exc),
-                "wall_ms": 0.0,
-            }
-
-    workers = config.workers or 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(work, grid))
-    else:
-        rows = [work(point) for point in grid]
+            status = f"error:{type(exc).__name__}"
+            rows.append({"n": n, "epsilon": eps, "status": status, "reason": str(exc), "wall_ms": 0.0})
 
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:

@@ -29,9 +29,10 @@ continued from the last pivot of the block before, so a caller that
 keeps only part of the levels needs O(FLOW_BLOCK) memory.
 
 A caller that reads G on the top levels only (the ground-state
-expansion, and the verify check against the minorant chain) takes it
-from two restarts at level R = N - S instead of a pass.  For z < 0 and
-eps*N >= 1, every level with m = N - i >= 2/eps has
+expansion, and the verify check against the minorant chain) asks
+enclosure for them instead of running a pass.  enclosure restarts the
+flow twice at level R = N - S.  For z < 0 and eps*N >= 1, every level
+with m = N - i >= 2/eps has
 
     W_i(z) <= W_i(0) = 1/4 * i/(i+eps*N) * (i-1)/(i-2+eps*N) * (1+2/m)
                      <= (1+2/m) / (4*(1+eps)) <= 1/4,
@@ -39,9 +40,12 @@ eps*N >= 1, every level with m = N - i >= 2/eps has
 so with S >= 2/eps the full flow has G(R) in [1, 2].  Each step
 G -> 1/(1 - W*G) is increasing in G, in floating point too (each
 operation of the pivot step rounds monotonically), so the restarts with
-G = 1 and G = 2 at R (enclosure) bracket the full pass at every level
-above R, and if the upper one is valid so is the full pass.  Where the
-two agree bit for bit, the full pass equals them.
+G = 1 and G = 2 at R bracket the full pass at every level above R, and
+if the upper one is valid so is the full pass.  Where the two agree bit
+for bit, the full pass equals them.  One rule sizes S for every caller:
+it starts at 2*count + max(truncation_span, 2/eps + 2) levels for a
+caller that needs the top count levels, and doubles until the restarts
+agree bit for bit on at least those.
 
 The one-dimensional remainder after the last elimination,
 
@@ -80,6 +84,11 @@ FLOW_BLOCK = 1 << 14
 # block length and cutoff of the amplitude sum behind the slope of f
 SLOPE_BLOCK = 2048
 SLOPE_NEGLIGIBLE = 1e-250
+# decay constant of the truncation error (1/(1+c*sqrt(eps)))^(N^(1-beta)),
+# conservative lower end of the range measured by the truncation-decay
+# experiment (1.0 at eps=0.01 to 1.4 at eps=0.04).  It sizes the error
+# budget and the truncation span, but never certifies a result.
+FITTED_DECAY_C = 1.0
 
 
 class FlowDomainError(ValueError):
@@ -215,34 +224,56 @@ def flow_blocks(params: ModelParams, z: float):
         yield lo, g[lo - first :], bad
 
 
-def enclosure(params: ModelParams, z: float, span: int):
-    """The restarts with G = 1 and G = 2 at level R = N - span (even), as
-    (low, high): G at levels R, R+2, ..., N-2 of each, which bracket the
-    full pass there (module docstring).  None where the full pass must
-    run instead: z >= 0, eps*N < 1, span >= N, a restart invalid, or the
-    pole guard of either restart or of the full pass below R tripped.  A
-    span below 2/eps, which the bracket does not cover, gives two empty
-    chains.
+def truncation_span(params: ModelParams) -> int:
+    """Levels s of a flow restarted below the top: the smallest even s
+    with (1 + FITTED_DECAY_C * sqrt(eps))^-s <= 1e-16, about how far the
+    deeper shells then move its top."""
+    s = math.ceil(math.log(1e16) / math.log1p(FITTED_DECAY_C * math.sqrt(params.epsilon)))
+    return s + s % 2
+
+
+def _first_span(params: ModelParams, count: int) -> int:
+    """First restart span S of enclosure for count top levels: 2*count
+    plus the truncation span or the lemma's 2/eps + 2 levels, whichever
+    is larger; even."""
+    s = 2 * count + max(truncation_span(params), math.ceil(2.0 / params.epsilon) + 2)
+    return s + s % 2
+
+
+def enclosure(params: ModelParams, z: float, count: int):
+    """G on at least the top count levels without a full pass, as (g, S).
+
+    g holds G at levels N - 2*g.size, ..., N - 2 (level order): the
+    longest top run on which the restarts with G = 1 and G = 2 at level
+    N - S agree bit for bit, which pins the full pass there (module
+    docstring).  S starts at _first_span(params, count) and doubles until
+    that run holds count levels.  None where the full pass must run
+    instead: z >= 0, eps*N < 1, S >= N, a restart invalid, or the pole
+    guard of either restart or of the full pass below N - S tripped.
     """
     n = params.n_particles
-    if not (z < 0.0 and params.epsilon * n >= 1.0 and span < n):
+    if not (z < 0.0 and params.epsilon * n >= 1.0):
         return None
-    if span < 2.0 / params.epsilon:
-        return np.empty(0), np.empty(0)
-    restart = n - span
-    count = span // 2
-    try:
-        # below the restart d - z is positive and concave in the level, so
-        # the full pass's pole guard there is decided at levels 0 and R - 2
-        _w_product_arrays(params, z, 0, _coefficients_at(params, np.array([0.0, restart - 2.0])))
-        coefficients = level_coefficients(params, restart)
-        _, low, _, _, _, low_bad = _flow_span(params, z, restart, 0, count, coefficients, 1.0)
-        _, high, _, _, _, high_bad = _flow_span(params, z, restart, 0, count, coefficients, 0.5)
-    except FlowDomainError:
-        return None
-    if low_bad >= 0 or high_bad >= 0:
-        return None
-    return low, high
+    span = _first_span(params, count)
+    while span < n:
+        restart = n - span
+        try:
+            # below the restart d - z is positive and concave in the level, so
+            # the full pass's pole guard there is decided at levels 0 and R - 2
+            _w_product_arrays(params, z, 0, _coefficients_at(params, np.array([0.0, restart - 2.0])))
+            coefficients = level_coefficients(params, restart)
+            _, low, _, _, _, low_bad = _flow_span(params, z, restart, 0, span // 2, coefficients, 1.0)
+            _, high, _, _, _, high_bad = _flow_span(params, z, restart, 0, span // 2, coefficients, 0.5)
+        except FlowDomainError:
+            return None
+        if low_bad >= 0 or high_bad >= 0:
+            return None
+        apart = np.flatnonzero(low != high)
+        g = low[apart[-1] + 1 :] if apart.size else low
+        if g.size >= count:
+            return g, span
+        span *= 2
+    return None
 
 
 def g_check(

@@ -14,12 +14,12 @@ couplings.
 Above FULL_SECTOR_LIMIT the expansion stops after at most a few
 thousand pairs, so it reads G only on the top levels, and it takes them
 from flow.enclosure, the two restarts of the flow at level N - S that
-bracket the full pass, instead of a full pass.  G is read from the
-lower restart on the top levels where the two agree within 4 ulp.  S
-starts at max(steering span, 2/eps + 2) + 2*EXPAND_BLOCK and doubles
-while the expansion needs a level below that prefix.  The full pass
-runs instead, with its shifted fallback, where the enclosure does not
-apply (z >= 0, eps*N < 1, S >= N) or fails its checks.
+bracket the full pass, instead of a full pass.  It asks for the top
+EXPAND_BLOCK levels, on which the two restarts agree bit for bit (flow
+sizes S), and for twice as many while the expansion needs a level
+beyond those it got.  The full pass runs instead, with its shifted
+fallback, where the enclosure does not apply (z >= 0, eps*N < 1,
+S >= N) or fails its checks.
 
 Everything else here bounds what truncating the product chain throws
 away.
@@ -40,8 +40,7 @@ from .model import (
     majorant_coefficients,
     majorant_lower_bound,
 )
-from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian, sector_elements
-from .spectrum import _truncation_span
+from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian, lowest_eigenpair, sector_elements
 
 # stop extending the vector once coefficients fall below this relative size
 COEFF_FLOOR = 1e-18
@@ -115,15 +114,13 @@ def expand_ground_state(
     shifted = False
     span = n
     if n > FULL_SECTOR_LIMIT:
-        span = _expansion_span(params)
-        while (pair := flow.enclosure(params, z_star, span)) is not None:
-            low, high = pair[0][::-1], pair[1][::-1]
-            apart = np.abs(high - low) > 4.0 * np.spacing(low)
-            g_top = low[: int(np.argmax(apart)) if apart.any() else low.size]
-            coeffs = _adaptive_coefficients(params, z_star, g_top, k_max)
+        count = EXPAND_BLOCK
+        while (top := flow.enclosure(params, z_star, count)) is not None:
+            g, span = top
+            coeffs = _adaptive_coefficients(params, z_star, g[::-1], k_max, COEFF_FLOOR)
             if coeffs is not None:
                 break
-            span *= 2
+            count *= 2
     if coeffs is None:
         span = n
         z_eval = z_star
@@ -135,16 +132,8 @@ def expand_ground_state(
             z_eval = z_star - 10.0 * cfg.tol_root * params.phi
             shifted = True
             table = g_check(params, z_eval)
-        g_rev = table.g_values[::-1]
-        if n <= FULL_SECTOR_LIMIT:
-            # cumprod accumulates in index order, so every psi_k equals
-            # that of the term-by-term recursion to the bit
-            coeffs = np.empty(k_max + 1)
-            coeffs[0] = 1.0
-            coeffs[1:] = _ratios(params, z_eval, g_rev, 1, k_max + 1)
-            np.cumprod(coeffs, out=coeffs)
-        else:
-            coeffs = _adaptive_coefficients(params, z_eval, g_rev, k_max)
+        floor = COEFF_FLOOR if n > FULL_SECTOR_LIMIT else 0.0
+        coeffs = _adaptive_coefficients(params, z_eval, table.g_values[::-1], k_max, floor)
     last = coeffs.size - 1
 
     tail_bound = 0.0
@@ -153,8 +142,6 @@ def expand_ground_state(
 
     overlap = None
     if compare_oracle:
-        from .oracle import lowest_eigenpair
-
         pair = lowest_eigenpair(build_sector_hamiltonian(params))
         v = coeffs / np.linalg.norm(coeffs)
         overlap = float(abs(v @ pair.vector[: v.size]))
@@ -174,9 +161,10 @@ def _ratios(params, z, g_rev, k_lo, k_hi):
     return -g_rev[k_lo - 1 : k_hi - 1] * t / (d[1:] - z)
 
 
-def _adaptive_coefficients(params, z, g_rev, k_max):
+def _adaptive_coefficients(params, z, g_rev, k_max, floor):
     """psi_0..psi_last with the adaptive stop at the first psi_k below
-    COEFF_FLOOR * |psi_0..k|, or None if a block needs G beyond g_rev.
+    floor * |psi_0..k| (none at floor 0), or None if a block needs G
+    beyond g_rev.
 
     Block by block with the running product and norm carried over (a
     product or sum commutes, so the carry changes no bit, and cumprod
@@ -197,21 +185,13 @@ def _adaptive_coefficients(params, z, g_rev, k_max):
         sq = block * block
         sq[0] += norm_sq
         np.cumsum(sq, out=sq)
-        small = np.abs(block) < COEFF_FLOOR * np.sqrt(sq)
+        small = np.abs(block) < floor * np.sqrt(sq)
         if small.any():
             blocks.append(block[: int(np.argmax(small)) + 1])
             break
         blocks.append(block)
         prod, norm_sq = float(block[-1]), float(sq[-1])
     return np.concatenate(blocks)
-
-
-def _expansion_span(params: ModelParams) -> int:
-    """First span S of the truncated expansion: the root search's
-    steering span or the lemma's 2/eps + 2 levels, whichever is larger,
-    plus the levels of two expansion blocks; even."""
-    s = max(_truncation_span(params), math.ceil(2.0 / params.epsilon) + 2) + 2 * EXPAND_BLOCK
-    return s + s % 2
 
 
 def eigen_residual(tri: TridiagonalHamiltonian, psi: np.ndarray, z: float) -> float:

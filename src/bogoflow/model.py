@@ -209,10 +209,6 @@ class AssumptionReport:
     details: dict
 
     @property
-    def all_ok(self) -> bool:
-        return self.nu_ok and self.mu_ok and self.gamma_ok
-
-    @property
     def solver_regime_ok(self) -> bool:
         """Conditions needed by the flow and the last elimination step."""
         return self.nu_ok and self.mu_ok
@@ -275,22 +271,15 @@ class SpectralWindow:
         return self.z_max - self.z_min
 
 
-def spectral_window(
-    params: ModelParams,
-    cfg: FlowConfig,
-    z_star_hint: Optional[float] = None,
-) -> SpectralWindow:
+def spectral_window(params: ModelParams, cfg: FlowConfig) -> SpectralWindow:
     """Window [z_min, z_max] on which the flow is evaluated.
 
     z_max = E + (delta-1)*phi*sqrt(eps^2+2eps) with E the closed-form
-    ground-energy approximation; a known root location tightens the top
-    to min(hint + delta0/2, z_max).  z_min defaults to E - 10*phi, far
-    enough below the spectrum that the fixed-point function is positive.
+    ground-energy approximation.  z_min is E - 10*phi, far enough below
+    the spectrum that the fixed-point function is positive.
     """
     eps = params.epsilon
     e_bog = bogoliubov_energy(params)
     delta = cfg.resolved_delta(eps)
     z_max = e_bog + (delta - 1.0) * params.phi * math.sqrt(eps * (eps + 2.0))
-    if z_star_hint is not None:
-        z_max = min(z_star_hint + 0.5 * params.delta0, z_max)
     return SpectralWindow(z_min=e_bog - 10.0 * params.phi, z_max=z_max)

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .flow import FlowDomainError, g_check, level_coefficients
+from .flow import FITTED_DECAY_C, FlowDomainError, g_check, level_coefficients, truncation_span
 from .model import (
     AssumptionReport,
     FlowConfig,
@@ -40,11 +40,6 @@ UPPER_BOUND_COEF = (2.0 * math.sqrt(2.0) + 3.0) / 6.0
 # coefficient of the same scale in the sector-gap floor
 GAP_COEF = (3.0 - 2.0 * math.sqrt(2.0)) / 6.0
 
-# decay constant of the truncation error (1/(1+c*sqrt(eps)))^(N^(1-beta)),
-# conservative lower end of the range measured by the truncation-decay
-# experiment (1.0 at eps=0.01 to 1.4 at eps=0.04).  It sizes the budget and
-# the steering span (_truncation_span), but never certifies a root.
-FITTED_DECAY_C = 1.0
 # multiplier absorbing the unspecified constants of the three budget terms
 BUDGET_FACTOR = 10.0
 
@@ -94,13 +89,6 @@ def _f_or_right(point) -> float:
     return point[0] if point is not None else -math.inf
 
 
-def _truncation_span(params: ModelParams) -> int:
-    """Levels s of the steering flow: the smallest even s with
-    (1 + FITTED_DECAY_C * sqrt(eps))^-s <= 1e-16."""
-    s = math.ceil(math.log(1e16) / math.log1p(FITTED_DECAY_C * math.sqrt(params.epsilon)))
-    return s + s % 2
-
-
 def solve_fixed_point(
     params: ModelParams,
     cfg: Optional[FlowConfig] = None,
@@ -116,7 +104,7 @@ def solve_fixed_point(
     root and the next ones converge monotonically from there, in 2-4
     flow passes at in-regime points.
 
-    Inside the proven regime, and if N > s = _truncation_span(params),
+    Inside the proven regime, and if N > s = flow.truncation_span(params),
     the loop runs twice.  Stage 1 steers on the flow restarted with value
     1 at level N - s: O(s) passes, whose root the deeper shells move by
     about (1 + FITTED_DECAY_C*sqrt(eps))^-s <= 1e-16.  Stage 2 certifies
@@ -224,7 +212,7 @@ def solve_fixed_point(
 
     e_bog = bogoliubov_energy(params)
     z = min(e_bog, window.z_max)
-    restart = params.n_particles - _truncation_span(params)
+    restart = params.n_particles - truncation_span(params)
     if report.solver_regime_ok and restart > 0:
         try:
             z_steered, steered = search(z, restart)

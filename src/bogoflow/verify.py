@@ -171,11 +171,10 @@ def check_g_lower_bound_link(
     G_i >= 1/xtilde_i for levels from N - N^(1-gamma) on, at the window
     edge for the configured delta.
 
-    G on the chain's levels comes from flow.enclosure where its two
+    G on the chain's levels comes from flow.enclosure, whose two
     restarts agree bit for bit on every one of those levels, which pins
-    the full pass to that value; the span starts at _link_span and
-    doubles while they differ.  Where the enclosure does not apply, the
-    flow pass is streamed, keeping G on the chain's levels only.
+    the full pass to that value.  Where the enclosure does not apply,
+    the flow pass is streamed, keeping G on the chain's levels only.
     """
     cfg = cfg or FlowConfig()
     eps, phi = params.epsilon, params.phi
@@ -184,13 +183,9 @@ def check_g_lower_bound_link(
     seq = sequences.xtilde_sequence(params, cfg)
     first = int(seq.levels[0]) // 2  # the chain covers pass indices first..N/2-1
     count = seq.values.size
-    span = _link_span(eps, 2 * count)
     valid = True
-    while (pair := flow.enclosure(params, z, span)) is not None:
-        g_on_levels, high = pair[0][-count:], pair[1][-count:]
-        if g_on_levels.size == count and np.array_equal(g_on_levels, high):
-            break
-        span *= 2
+    if (top := flow.enclosure(params, z, count)) is not None:
+        g_on_levels = top[0][-count:]
     else:
         kept = []
         for start, g, bad in flow.flow_blocks(params, z):
@@ -210,13 +205,6 @@ def check_g_lower_bound_link(
         margin=worst,
         details=f"min G - 1/xtilde = {worst:.3e} on {int(ok_mask.sum())} levels",
     )
-
-
-def _link_span(eps: float, chain_span: int) -> int:
-    """First restart span of check_g_lower_bound_link: the minorant
-    chain's span plus max(2/eps + 2, 2*EXPAND_BLOCK) levels; even."""
-    s = chain_span + max(math.ceil(2.0 / eps) + 2, 2 * groundstate.EXPAND_BLOCK)
-    return s + s % 2
 
 
 def check_x_bounds(params: ModelParams, cfg: Optional[FlowConfig] = None) -> PropertyResult:

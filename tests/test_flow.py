@@ -8,11 +8,13 @@ from bogoflow import (
     ModelParams,
     bogoliubov_energy,
     build_sector_hamiltonian,
+    expand_ground_state,
     f_of_z,
     g_check,
     g_truncated,
     lowest_eigenpair,
     schur_complement,
+    solve_fixed_point,
     w_product,
     y_star_sequence,
 )
@@ -297,23 +299,84 @@ def test_lower_bound_link_reads_the_enclosure(monkeypatch, n, eps):
     assert verify.check_g_lower_bound_link(p).as_dict() == expected
 
 
+def _restart_spans(monkeypatch):
+    # the span N - R of every flow span run from a restart level R > 0,
+    # in call order; a restart pair appends its span twice
+    from bogoflow import flow
+
+    spans = []
+    span = flow._flow_span
+
+    def recorded(params, z, start_level, *args):
+        if start_level > 0:
+            spans.append(params.n_particles - start_level)
+        return span(params, z, start_level, *args)
+
+    monkeypatch.setattr(flow, "_flow_span", recorded)
+    return spans
+
+
 def test_lower_bound_link_short_span_doubles_to_same_row(monkeypatch):
-    # a 4-level first span covers none of the chain's 1709 levels; the
-    # span doubles until the restarts agree on all of them
+    # a 4-level first span covers none of the chain's 1709 levels; flow
+    # doubles the span until the restarts agree on all of them
     from bogoflow import flow, verify
 
     p = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
     expected = _streamed_link_row(monkeypatch, p)
-    spans = []
-    enclosure = flow.enclosure
-    monkeypatch.setattr(
-        flow, "enclosure", lambda params, z, span: spans.append(span) or enclosure(params, z, span)
-    )
-    monkeypatch.setattr(verify, "_link_span", lambda eps, chain_span: 4)
+    spans = _restart_spans(monkeypatch)
+    monkeypatch.setattr(flow, "_first_span", lambda params, count: 4)
     monkeypatch.setattr(flow, "flow_blocks", _no_full_pass)
     assert verify.check_g_lower_bound_link(p).as_dict() == expected
-    assert spans == [4 << j for j in range(len(spans))]
+    assert spans[::2] == spans[1::2] == [4 << j for j in range(len(spans) // 2)]
     assert 2 * 1709 < spans[-1] < p.n_particles
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.01, 1e-4])
+@pytest.mark.parametrize("n", [2 * 10**5, 10**6])
+def test_enclosure_is_the_top_of_the_full_pass(n, eps):
+    # g holds at least count levels, and equals the full pass's top
+    # g.size levels bit for bit
+    from bogoflow import flow
+    from bogoflow.groundstate import EXPAND_BLOCK
+
+    params = ModelParams(n_particles=n, epsilon=eps)
+    z = solve_fixed_point(params).z_star
+    full = g_check(params, z).g_values
+    for count in (1, EXPAND_BLOCK, 5000):
+        g, span = flow.enclosure(params, z, count)
+        assert count <= g.size <= span // 2 < n // 2
+        np.testing.assert_array_equal(g, full[-g.size :])
+
+
+@pytest.mark.parametrize("eps", [0.005, 0.05])
+@pytest.mark.parametrize("n", [2 * 10**5, 4 * 10**5])
+def test_expansion_runs_one_restart_pair(monkeypatch, n, eps):
+    # on the root benchmark's grid the expansion's one enclosure call
+    # accepts its first span: one restart pair, no doubling
+    from bogoflow import flow
+    from bogoflow.groundstate import EXPAND_BLOCK
+
+    params = ModelParams(n_particles=n, epsilon=eps)
+    z = solve_fixed_point(params).z_star
+    spans = _restart_spans(monkeypatch)
+    vec = expand_ground_state(params, z)
+    assert spans == [vec.flow_span] * 2
+    assert vec.flow_span == flow._first_span(params, EXPAND_BLOCK)
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.01])
+def test_lower_bound_link_runs_one_restart_pair_at_ten_million(monkeypatch, eps):
+    # the verify battery's N = 1e7 points: one enclosure call, whose first
+    # span covers the whole minorant chain
+    from bogoflow import flow, sequences, verify
+    from bogoflow.model import FlowConfig
+
+    p = ModelParams(n_particles=10**7, epsilon=eps)
+    count = sequences.xtilde_sequence(p, FlowConfig()).values.size
+    spans = _restart_spans(monkeypatch)
+    monkeypatch.setattr(flow, "flow_blocks", _no_full_pass)
+    assert verify.check_g_lower_bound_link(p).passed
+    assert spans == [flow._first_span(p, count)] * 2
 
 
 @pytest.mark.parametrize(

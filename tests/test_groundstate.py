@@ -266,18 +266,17 @@ def test_full_pass_where_enclosure_does_not_apply():
 
 
 def test_forced_short_span_doubles_to_same_vector(monkeypatch):
-    # a 4-level first span certifies too few levels; the span doubles
-    # until the restarts agree on every level read (with k_max = 20 that
-    # happens before the first span the lemma covers, 64 levels, has
-    # reached the top), and the vector is the one of the full pass
-    from bogoflow import groundstate
+    # a 4-level first span holds too few levels; flow doubles the span
+    # until the restarts agree bit for bit on the top EXPAND_BLOCK levels
+    # the expansion asks for, and the vector is the one of the full pass
+    from bogoflow import flow
 
     params = ModelParams(n_particles=3 * 10**5, epsilon=0.05)
     z = solve_fixed_point(params).z_star
     for k_max in (20, None):
         ref = _full_pass_expansion(monkeypatch, params, z, k_max=k_max)
         with monkeypatch.context() as m:
-            m.setattr(groundstate, "_expansion_span", lambda params: 4)
+            m.setattr(flow, "_first_span", lambda params, count: 4)
             vec = expand_ground_state(params, z, k_max=k_max)
         assert 4 < vec.flow_span < params.n_particles
         np.testing.assert_array_equal(vec.coeffs, ref.coeffs)

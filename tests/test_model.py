@@ -145,11 +145,3 @@ def test_spectral_window_delta_one():
     p = ModelParams(n_particles=1024, epsilon=0.01)
     win = spectral_window(p, FlowConfig(delta=1.0))
     assert win.z_max == bogoliubov_energy(p)
-
-
-def test_spectral_window_with_hint():
-    p = ModelParams(n_particles=1024, epsilon=0.01, delta0=1.0)
-    win = spectral_window(p, FlowConfig())
-    hint = win.z_max - 0.7  # hint + 0.5 below the cap
-    hinted = spectral_window(p, FlowConfig(), z_star_hint=hint)
-    assert hinted.z_max == hint + 0.5

@@ -325,7 +325,7 @@ def test_two_stage_root_agrees_with_the_full_flow_search(monkeypatch):
     from bogoflow import spectrum
 
     staged = {point: _counted_solve(monkeypatch, ModelParams(*point)) for point in TWO_STAGE_GRID}
-    monkeypatch.setattr(spectrum, "_truncation_span", lambda params: params.n_particles)
+    monkeypatch.setattr(spectrum, "truncation_span", lambda params: params.n_particles)
     tol = FlowConfig().tol_root
     for (n, eps), (result, calls) in staged.items():
         params = ModelParams(n_particles=n, epsilon=eps)
@@ -340,9 +340,9 @@ def test_two_stage_root_agrees_with_the_full_flow_search(monkeypatch):
 
 
 def test_steering_span_follows_epsilon():
-    from bogoflow.spectrum import _truncation_span
+    from bogoflow.flow import truncation_span
 
-    spans = [_truncation_span(ModelParams(4, eps)) for eps in (0.05, 0.01, 0.005, 1e-3, 1e-4)]
+    spans = [truncation_span(ModelParams(4, eps)) for eps in (0.05, 0.01, 0.005, 1e-3, 1e-4)]
     assert spans == [184, 388, 540, 1184, 3704]
 
 
@@ -357,9 +357,9 @@ def test_a_poor_steering_flow_changes_only_the_cost(monkeypatch, n, eps, falls_b
     from bogoflow import spectrum
 
     params = ModelParams(n_particles=n, epsilon=eps)
-    monkeypatch.setattr(spectrum, "_truncation_span", lambda params: params.n_particles)
+    monkeypatch.setattr(spectrum, "truncation_span", lambda params: params.n_particles)
     full_only = solve_fixed_point(params)
-    monkeypatch.setattr(spectrum, "_truncation_span", lambda params: 4)
+    monkeypatch.setattr(spectrum, "truncation_span", lambda params: 4)
     result, calls = _counted_solve(monkeypatch, params)
     assert any(start == n - 4 for _, start in calls)
     assert abs(result.z_star - _lapack_lambda0(params)) <= 1e-10
@@ -387,7 +387,7 @@ def test_steering_that_ends_invalid_falls_back_to_the_closed_form_start(monkeypa
     from bogoflow import spectrum
 
     params = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
-    monkeypatch.setattr(spectrum, "_truncation_span", lambda params: params.n_particles)
+    monkeypatch.setattr(spectrum, "truncation_span", lambda params: params.n_particles)
     full_only = solve_fixed_point(params)
     monkeypatch.undo()
     z0 = min(bogoliubov_energy(params), full_only.window.z_max)
