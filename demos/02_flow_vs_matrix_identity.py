@@ -20,7 +20,7 @@ pair = bf.lowest_eigenpair(tri)
 lam0 = pair.value
 print(f"N = 1024, eps = 0.01, lambda0 = {lam0:+.12f}")
 # below 1024 rows the oracle solves the whole sector: K = size, enclosure 0
-print(f"oracle block K = {pair.block_size} of {tri.size} rows, theta0 - mu0 = {pair.enclosure:.1e}\n")
+print(f"oracle block K = {pair.block_size} of {tri.size} rows, certified width {pair.enclosure:.1e}\n")
 
 print(" z - lambda0      f(flow)          f(matrix)        rel diff")
 for dz in np.geomspace(1e-2, 2.0, 6):

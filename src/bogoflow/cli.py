@@ -228,6 +228,11 @@ def _solve_point(config: RunConfig, n: int, eps: float) -> dict:
     }
 
 
+def _failed_point(n: int, eps: float, exc: BaseException) -> dict:
+    status = f"error:{type(exc).__name__}"
+    return {"n": n, "epsilon": eps, "status": status, "reason": str(exc), "wall_ms": 0.0}
+
+
 def _write_manifest(config: RunConfig, files: dict, points: list) -> None:
     manifest = {
         "tool": "bogoflow",
@@ -251,7 +256,12 @@ def run_solve(config: RunConfig) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
     n_values, eps_values = config.grid()
     n, eps = n_values[0], eps_values[0]
-    record = _solve_point(config, n, eps)
+    try:
+        record = _solve_point(config, n, eps)
+    except MemoryError as exc:  # an N whose arrays cannot be allocated
+        _write_manifest(config, {}, [_failed_point(n, eps, exc)])
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     files = {}
     if "json" in config.formats:
         path = config.out / "point-0.json"
@@ -292,8 +302,7 @@ def run_sweep(config: RunConfig) -> int:
         try:
             rows.append(_solve_point(config, n, eps))
         except Exception as exc:  # per-row failure, recorded not raised
-            status = f"error:{type(exc).__name__}"
-            rows.append({"n": n, "epsilon": eps, "status": status, "reason": str(exc), "wall_ms": 0.0})
+            rows.append(_failed_point(n, eps, exc))
 
     lines = [",".join(SWEEP_COLUMNS)]
     for row in rows:

@@ -11,15 +11,15 @@ where d, t are the sector matrix elements and G the flow factors.  The
 signs alternate, matching the sign structure forced by the positive
 couplings.
 
-Above FULL_SECTOR_LIMIT the expansion stops after at most a few
-thousand pairs, so it reads G only on the top levels, and it takes them
-from flow.enclosure, the two restarts of the flow at level N - S that
-bracket the full pass, instead of a full pass.  It asks for the top
-EXPAND_BLOCK levels, on which the two restarts agree bit for bit (flow
-sizes S), and for twice as many while the expansion needs a level
-beyond those it got.  The full pass runs instead, with its shifted
-fallback, where the enclosure does not apply (z >= 0, eps*N < 1,
-S >= N) or fails its checks.
+The expansion stops once the amplitudes fall below COEFF_FLOOR of the
+norm so far, after at most a few thousand pairs, so it reads G only on
+the top levels, and it takes them from flow.enclosure, the two restarts
+of the flow at level N - S that bracket the full pass, instead of a
+full pass.  It asks for the top EXPAND_BLOCK levels, on which the two
+restarts agree bit for bit (flow sizes S), and for twice as many while
+the expansion needs a level beyond those it got.  The full pass runs
+instead, with its shifted fallback, where the enclosure does not apply
+(z >= 0, eps*N < 1, S >= N) or fails its checks.
 
 Everything else here bounds what truncating the product chain throws
 away.
@@ -44,9 +44,7 @@ from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian, lowest_eig
 
 # stop extending the vector once coefficients fall below this relative size
 COEFF_FLOOR = 1e-18
-# full-sector expansion cap; beyond it the tail is bounded analytically
-FULL_SECTOR_LIMIT = 10**5
-# block length of the adaptive expansion beyond FULL_SECTOR_LIMIT
+# block length of the adaptive expansion
 EXPAND_BLOCK = 2048
 
 
@@ -96,11 +94,11 @@ def expand_ground_state(
 
     The flow is evaluated at z_star itself; the shared denominators are
     finite there because each eliminated block sits strictly above the
-    ground energy.  Above FULL_SECTOR_LIMIT, G comes from the two
-    restarts at level N - S where their enclosure applies (module
-    docstring), else from a full pass.  If the pole guard of the full
-    pass trips, the evaluation falls back to z_star - 10*tol_root*phi,
-    which changes the coefficients by O(tol) only.
+    ground energy.  G comes from the two restarts at level N - S where
+    their enclosure applies (module docstring), else from a full pass.
+    If the pole guard of the full pass trips, the evaluation falls back
+    to z_star - 10*tol_root*phi, which changes the coefficients by
+    O(tol) only.
     """
     cfg = cfg or FlowConfig()
     n = params.n_particles
@@ -112,15 +110,13 @@ def expand_ground_state(
 
     coeffs = None
     shifted = False
-    span = n
-    if n > FULL_SECTOR_LIMIT:
-        count = EXPAND_BLOCK
-        while (top := flow.enclosure(params, z_star, count)) is not None:
-            g, span = top
-            coeffs = _adaptive_coefficients(params, z_star, g[::-1], k_max, COEFF_FLOOR)
-            if coeffs is not None:
-                break
-            count *= 2
+    count = EXPAND_BLOCK
+    while (top := flow.enclosure(params, z_star, count)) is not None:
+        g, span = top
+        coeffs = _adaptive_coefficients(params, z_star, g[::-1], k_max)
+        if coeffs is not None:
+            break
+        count *= 2
     if coeffs is None:
         span = n
         z_eval = z_star
@@ -132,8 +128,7 @@ def expand_ground_state(
             z_eval = z_star - 10.0 * cfg.tol_root * params.phi
             shifted = True
             table = g_check(params, z_eval)
-        floor = COEFF_FLOOR if n > FULL_SECTOR_LIMIT else 0.0
-        coeffs = _adaptive_coefficients(params, z_eval, table.g_values[::-1], k_max, floor)
+        coeffs = _adaptive_coefficients(params, z_eval, table.g_values[::-1], k_max)
     last = coeffs.size - 1
 
     tail_bound = 0.0
@@ -161,10 +156,9 @@ def _ratios(params, z, g_rev, k_lo, k_hi):
     return -g_rev[k_lo - 1 : k_hi - 1] * t / (d[1:] - z)
 
 
-def _adaptive_coefficients(params, z, g_rev, k_max, floor):
+def _adaptive_coefficients(params, z, g_rev, k_max):
     """psi_0..psi_last with the adaptive stop at the first psi_k below
-    floor * |psi_0..k| (none at floor 0), or None if a block needs G
-    beyond g_rev.
+    COEFF_FLOOR * |psi_0..k|, or None if a block needs G beyond g_rev.
 
     Block by block with the running product and norm carried over (a
     product or sum commutes, so the carry changes no bit, and cumprod
@@ -185,7 +179,7 @@ def _adaptive_coefficients(params, z, g_rev, k_max, floor):
         sq = block * block
         sq[0] += norm_sq
         np.cumsum(sq, out=sq)
-        small = np.abs(block) < floor * np.sqrt(sq)
+        small = np.abs(block) < COEFF_FLOOR * np.sqrt(sq)
         if small.any():
             blocks.append(block[: int(np.argmax(small)) + 1])
             break

@@ -24,12 +24,14 @@ x = theta_{m-1}, are strictly diagonally dominant and q = d_K - x - t_K > 0,
 every bottom-up pivot of the tail is at least t_{k-1}, so the tail is
 positive definite and folds onto row K-1 as at most t_{K-1}^2/q; Sylvester
 inertia then bounds lambda_j from below by the eigenvalues mu_j of the block
-with that entry lowered by t_{K-1}^2/q.  The block is used when
-theta_j - mu_j <= ORACLE_TOL and the zero-padded vector's residual
-|t_{K-1} v_{K-1}| is below ORACLE_TOL * (1 + |theta_0|).  schur_complement
-evaluates the nested fraction of (T - z) straight from the matrix elements.
-No part of this module looks at the flow; it is the independent side of
-every equivalence check.
+with that entry lowered by t_{K-1}^2/q.  The block is used when the
+zero-padded vector's residual |t_{K-1} v_{K-1}| is below
+ORACLE_TOL * (1 + |theta_0|), tested first, and theta_j - mu_j <= ORACLE_TOL.
+For m = 1 one LDL^T factorization (LAPACK dpttrf) decides that by inertia
+again: the lowered block minus theta_0 - ORACLE_TOL has only positive pivots
+exactly when mu_0 > theta_0 - ORACLE_TOL; m >= 2 bisects the lowered block.
+schur_complement evaluates the nested fraction of (T - z) directly.  No
+part of this module looks at the flow; it is the independent reference.
 """
 
 import math
@@ -37,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 
 from . import _kernels
 from .model import ModelParams
@@ -155,7 +158,7 @@ class EigenPair:
     vector: np.ndarray
     residual: float
     block_size: int  # K of the leading block solved; tri.size on the full path
-    enclosure: float  # theta_0 - mu_0 of the block certificate; 0.0 on the full path
+    enclosure: float  # certified width of the block's lower bound: ORACLE_TOL; 0.0 on the full path
 
 
 class ConvergenceError(RuntimeError):
@@ -179,8 +182,8 @@ def _stebz(diag, offdiag, m: int, vectors: bool):
 
 def _leading_block(tri: TridiagonalHamiltonian, m: int, vectors: bool):
     """(the m lowest Ritz values of the smallest certified leading block
-    T[:K, :K], its first Ritz vector zero-padded to tri.size or None, K,
-    theta_0 - mu_0); K = tri.size is the plain full solve."""
+    T[:K, :K], its first Ritz vector or None, K); K = tri.size is the
+    plain full solve."""
     d, e, n = tri.diag, tri.offdiag, tri.size
     k = max(256, m)
     if 4 * k <= n:
@@ -191,17 +194,21 @@ def _leading_block(tri: TridiagonalHamiltonian, m: int, vectors: bool):
         out = _stebz(d[:k], e[: k - 1], m, vectors)
         theta, v = out if vectors else (out, None)
         q = d[k] - theta[-1] - t[k]
-        if q > 0.0 and slack[k:].min() > theta[-1]:
+        padding_ok = v is None or abs(t[k - 1] * v[-1, 0]) <= ORACLE_TOL * (1.0 + abs(theta[0]))
+        if padding_ok and q > 0.0 and slack[k:].min() > theta[-1]:
             lowered = d[:k].copy()
             lowered[-1] -= t[k - 1] ** 2 / q
-            mu = _stebz(lowered, e[: k - 1], m, False)
-            padding_ok = v is None or abs(t[k - 1] * v[-1, 0]) <= ORACLE_TOL * (1.0 + abs(theta[0]))
-            if np.max(theta - mu) <= ORACLE_TOL and padding_ok:
-                v = None if v is None else np.concatenate([v[:, 0], np.zeros(n - k)])
-                return theta, v, k, float(theta[0] - mu[0])
+            if m == 1:
+                # inertia: positive pivots of lowered - (theta_0 - tol) mean mu_0 > theta_0 - tol
+                lowered -= theta[0] - ORACLE_TOL
+                certified = dpttrf(lowered, e[: k - 1], overwrite_d=1)[2] == 0
+            else:
+                certified = np.max(theta - _stebz(lowered, e[: k - 1], m, False)) <= ORACLE_TOL
+            if certified:
+                return theta, None if v is None else v[:, 0], k
         k *= 2
     out = _stebz(d, e, m, vectors)
-    return (out[0], out[1][:, 0], n, 0.0) if vectors else (out, None, n, 0.0)
+    return (out[0], out[1][:, 0], n) if vectors else (out, None, n)
 
 
 def lowest_eigenpair(tri: TridiagonalHamiltonian) -> EigenPair:
@@ -209,17 +216,22 @@ def lowest_eigenpair(tri: TridiagonalHamiltonian) -> EigenPair:
     leading block.
 
     The vector is unit norm with its first nonzero component positive;
-    a residual on the full matrix above 1e-10 * norm_inf raises
-    ConvergenceError.
+    a residual above 1e-10 * norm_inf raises ConvergenceError.  Both are
+    taken on rows 0..K, every row where T v can be nonzero (v is zero
+    below row K), which makes the norm no larger than the whole matrix's.
     """
-    vals, v, k, enclosure = _leading_block(tri, 1, True)
+    vals, v, k = _leading_block(tri, 1, True)
     lam = float(vals[0])
-    nz = np.nonzero(v[:k])[0]  # v is zero below the block
+    nz = np.nonzero(v)[0]
     if nz.size and v[nz[0]] < 0.0:
         v = -v
-    residual = float(np.linalg.norm(tri.matvec(v) - lam * v))
-    if residual > 1e-10 * (tri.norm_inf() or 1.0):
+    v = np.concatenate([v, np.zeros(tri.size - k)])
+    rows = min(k + 1, tri.size)
+    head = TridiagonalHamiltonian(diag=tri.diag[:rows], offdiag=tri.offdiag[: rows - 1])
+    residual = float(np.linalg.norm(head.matvec(v[:rows]) - lam * v[:rows]))
+    if residual > 1e-10 * (head.norm_inf() or 1.0):
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds 1e-10*norm")
+    enclosure = ORACLE_TOL if k < tri.size else 0.0
     return EigenPair(value=lam, vector=v, residual=residual, block_size=k, enclosure=enclosure)
 
 

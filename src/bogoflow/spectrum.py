@@ -63,7 +63,7 @@ class GroundEnergyResult:
     oracle_delta: Optional[float] = None
 
 
-def _flow_side(params, z):
+def flow_side(params, z):
     """+1 if f(z) > 0 (left of the root), -1 otherwise.
 
     An invalid flow table means z is above the ground energy, i.e. on

@@ -491,7 +491,7 @@ def check_fixed_point_uniqueness(
     hi = min(result.window.z_max, result.z_star + 0.49 * params.delta0)
     bad = 0
     for z in rng.uniform(lo, hi, n_probe):
-        side = spectrum._flow_side(params, float(z))
+        side = spectrum.flow_side(params, float(z))
         expect = 1 if z < result.z_star else -1
         if abs(z - result.z_star) < 10 * FlowConfig().tol_root * params.phi:
             continue

@@ -40,8 +40,8 @@ def test_solve_flags_regime_violation(tmp_path):
 
 @pytest.mark.parametrize("eps", (1.0, 2.0))
 def test_solve_at_epsilon_one_and_above(tmp_path, eps):
-    # above FULL_SECTOR_LIMIT the expansion bounds its tail with the
-    # majorant series, which needs eps < 1; at eps >= 1 the bound is inf
+    # the expansion stops at the coefficient floor and bounds its tail with
+    # the majorant series, which needs eps < 1; at eps >= 1 the bound is inf
     # and the point still solves.  Only the gamma condition fails there,
     # so the exit code is 0.
     out = tmp_path / "run"
@@ -296,6 +296,19 @@ def test_every_flag_parses_to_the_same_configs(tmp_path, monkeypatch, capsys):
     assert "--n N" in usage and "particle numbers: comma list or start:stop:factor" in usage
     assert "epsilon grid: comma list or start:stop:factor" in usage
     assert "--perturb-tk PERTURB_TK" in usage
+
+
+def test_solve_at_an_n_it_cannot_allocate_fails_with_a_reason(tmp_path, capsys):
+    # N = 2**52 needs petabyte arrays, so the allocation fails at once;
+    # the point is recorded as a failed row instead of a traceback
+    out = tmp_path / "run"
+    code = run_cli(["--mode", "solve", "--n", str(2**52), "--epsilon", "0.01", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    (point,) = json.loads((out / "manifest.json").read_text())["points"]
+    assert point["status"] == "error:MemoryError" and point["reason"] == err[0][len("error: ") :]
+    assert not (out / "point-0.json").exists()
 
 
 def test_sweep_row_beyond_exact_level_arithmetic_carries_its_reason(tmp_path):

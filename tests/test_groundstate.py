@@ -173,7 +173,7 @@ def test_vector_csv_export(tmp_path):
 def _expand_by_loop(params, z, k_max=None):
     # the element loop the vectorized expansion replaced, kept as reference
     from bogoflow.flow import g_check
-    from bogoflow.groundstate import COEFF_FLOOR, FULL_SECTOR_LIMIT
+    from bogoflow.groundstate import COEFF_FLOOR
 
     n = params.n_particles
     if k_max is None:
@@ -190,7 +190,7 @@ def _expand_by_loop(params, z, k_max=None):
         coeffs[k] = psi
         norm_sq += psi * psi
         last = k
-        if n > FULL_SECTOR_LIMIT and abs(psi) < COEFF_FLOOR * np.sqrt(norm_sq):
+        if abs(psi) < COEFF_FLOOR * np.sqrt(norm_sq):
             break
     return coeffs[: last + 1]
 
@@ -207,9 +207,9 @@ def _expand_by_loop(params, z, k_max=None):
     ],
 )
 def test_vectorized_expansion_matches_loop_bitwise(n, eps, k_max):
-    # cumprod/cumsum accumulate in order, and beyond FULL_SECTOR_LIMIT the
-    # blocks carry the running product and norm, so coefficients and the
-    # adaptive stop index are unchanged to the bit
+    # cumprod/cumsum accumulate in order, and the blocks carry the running
+    # product and norm, so coefficients and the adaptive stop index are
+    # unchanged to the bit
     params = ModelParams(n_particles=n, epsilon=eps)
     z = solve_fixed_point(params).z_star
     vec = expand_ground_state(params, z, k_max=k_max)
@@ -253,10 +253,14 @@ def test_truncated_expansion_k_max_cuts(monkeypatch):
 
 
 def test_full_pass_where_enclosure_does_not_apply():
-    # eps*N < 1, N at the full-sector limit, and z >= 0 take the full pass
+    # eps*N < 1, a first restart span S >= N, and z >= 0 take the full pass
+    from bogoflow import flow
+    from bogoflow.groundstate import EXPAND_BLOCK
+
+    assert flow._first_span(ModelParams(n_particles=4000, epsilon=0.01), EXPAND_BLOCK) >= 4000
     for n, eps, z in [
         (2 * 10**5, 1e-6, None),
-        (10**5, 0.01, None),
+        (4000, 0.01, None),
         (2 * 10**5, 0.01, 0.0),
     ]:
         params = ModelParams(n_particles=n, epsilon=eps)
@@ -298,6 +302,33 @@ def test_solve_and_expand_run_one_full_flow_pass(monkeypatch):
     vec = expand_ground_state(params, solve_fixed_point(params).z_star)
     assert vec.flow_span < params.n_particles
     assert starts.count(0) == 1
+
+
+@pytest.mark.parametrize("eps", [0.005, 0.01, 0.05])
+@pytest.mark.parametrize("n", [10**4, 2 * 10**4, 4 * 10**4])
+def test_solve_and_expand_read_the_top_of_the_flow_at_small_n(monkeypatch, n, eps):
+    # at the certify workload's sizes too the expansion reads the enclosure:
+    # the one level-0 pass is the solve's own, and the vector is the full pass's
+    from bogoflow import flow
+
+    starts = []
+    span = flow._flow_span
+
+    def counted(params, z, start_level, *args):
+        starts.append(start_level)
+        return span(params, z, start_level, *args)
+
+    params = ModelParams(n_particles=n, epsilon=eps)
+    with monkeypatch.context() as m:
+        m.setattr(flow, "_flow_span", counted)
+        z = solve_fixed_point(params).z_star
+        vec = expand_ground_state(params, z)
+    ref = _full_pass_expansion(monkeypatch, params, z)
+    assert starts.count(0) == 1
+    assert vec.flow_span < n and ref.flow_span == n
+    assert not vec.shifted_evaluation and not ref.shifted_evaluation
+    np.testing.assert_array_equal(vec.coeffs, ref.coeffs)
+    assert vec.tail_bound == ref.tail_bound
 
 
 _LEMMA_GRID = [

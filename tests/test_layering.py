@@ -10,7 +10,7 @@ MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
 def _from_imports(module: str):
-    """(source, names) of every from-import in module whose source is a
+    """(source, aliases) of every from-import in module whose source is a
     bogoflow module; the package itself is the source "__init__"."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     for node in ast.walk(tree):
@@ -20,16 +20,16 @@ def _from_imports(module: str):
                 if dotted != "bogoflow" and not dotted.startswith("bogoflow."):
                     continue
                 dotted = dotted[len("bogoflow") :].lstrip(".")
-            yield dotted or "__init__", [alias.name for alias in node.names]
+            yield dotted or "__init__", node.names
 
 
 def _imported_modules(module: str) -> set:
     """The bogoflow modules that module imports, by any import form."""
     found = set()
-    for source, names in _from_imports(module):
+    for source, aliases in _from_imports(module):
         found.add(source)
         if source == "__init__":
-            found.update(name for name in names if name in MODULES)
+            found.update(alias.name for alias in aliases if alias.name in MODULES)
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -45,14 +45,44 @@ def test_oracle_imports_no_flow_side_module():
     assert _imported_modules("oracle") & flow_side == set()
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_no_private_name_imported_from_another_module(module):
+def _private(name: str) -> bool:
     # a module's underscore names are its own; submodules such as
     # _kernels and dunder names such as __version__ are not such names
+    return name.startswith("_") and not name.endswith("__") and name not in MODULES
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_imported_from_another_module(module):
     private = [
-        (source, name)
-        for source, names in _from_imports(module)
-        for name in names
-        if name.startswith("_") and not name.endswith("__") and name not in MODULES
+        (source, alias.name)
+        for source, aliases in _from_imports(module)
+        for alias in aliases
+        if _private(alias.name)
+    ]
+    assert private == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_name_read_from_another_module(module):
+    # the same rule for attribute reads such as spectrum._name, through
+    # every name module binds to a bogoflow module
+    bound = {
+        alias.asname or alias.name
+        for source, aliases in _from_imports(module)
+        if source == "__init__"
+        for alias in aliases
+        if alias.name in MODULES
+    }
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(
+                alias.asname for alias in node.names if alias.asname and alias.name.startswith("bogoflow.")
+            )
+    private = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in bound and _private(node.attr)
     ]
     assert private == []

@@ -205,6 +205,52 @@ def test_deep_well_in_the_tail_takes_the_full_matrix():
     np.testing.assert_allclose(low_spectrum(tri, 2), w, rtol=0.0, atol=1e-12)
 
 
+def test_block_whose_lowered_matrix_dips_below_theta_is_rejected():
+    # negative control for the inertia test: a strong coupling across the
+    # K = 256 boundary leaves the block's Ritz pair, its padding residual and
+    # the tail's diagonal dominance as they are, but folds the tail onto row
+    # K - 1 as a deep lowered entry; the ground state sits on that boundary
+    tri = build_sector_hamiltonian(ModelParams(n_particles=8190, epsilon=0.5))
+    offdiag = tri.offdiag.copy()
+    offdiag[255] = 650.0
+    tri = TridiagonalHamiltonian(diag=tri.diag, offdiag=offdiag)
+    d, t, k = tri.diag, tri.offdiag, 256
+    theta, v = _full_stebz(TridiagonalHamiltonian(diag=d[:k], offdiag=t[: k - 1]), 1)
+    assert abs(t[k - 1] * v[-1, 0]) <= ORACLE_TOL * (1.0 + abs(theta[0]))
+    q = d[k] - theta[0] - t[k]
+    slack = d[k + 1 :] - t[k:]  # rows K+1.. of T - theta_0, strictly dominant
+    slack[:-1] -= t[k + 1 :]
+    assert q > 0.0 and slack.min() > theta[0]
+    lowered = d[:k].copy()
+    lowered[-1] -= t[k - 1] ** 2 / q
+    mu = _full_stebz(TridiagonalHamiltonian(diag=lowered, offdiag=t[: k - 1]), 1, vectors=False)
+    assert mu[0] < theta[0] - ORACLE_TOL
+    w, v = _full_stebz(tri, 2)
+    assert w[0] < theta[0] - 1.0  # accepting K = 256 would be wrong by more than 1
+    pair = lowest_eigenpair(tri)
+    assert 256 < pair.block_size < tri.size
+    assert abs(pair.value - w[0]) <= 1e-14
+    assert abs(pair.vector @ v[:, 0]) >= 1.0 - 1e-12
+    np.testing.assert_allclose(low_spectrum(tri, 2), w, rtol=0.0, atol=1e-14)
+
+
+def test_cli_point_makes_five_stebz_calls_on_small_blocks(monkeypatch):
+    # 3 lowest_eigenpair calls run one block solve each, with the inertia
+    # test in place of a second bisection; low_spectrum's m = 2 block still
+    # bisects its lowered block
+    sizes = []
+    stebz = oracle._stebz
+
+    def spy(diag, offdiag, m, vectors):
+        sizes.append(diag.size)
+        return stebz(diag, offdiag, m, vectors)
+
+    monkeypatch.setattr(oracle, "_stebz", spy)
+    config = cli.parse_args(["--mode", "solve", "--n", "80000", "--epsilon", "0.01"])
+    cli._solve_point(config, 80_000, 0.01)
+    assert len(sizes) == 5 and max(sizes) <= 1024
+
+
 def test_cli_point_solves_every_oracle_call_on_a_small_block(monkeypatch):
     sizes = []
     stebz = oracle._stebz

@@ -15,7 +15,7 @@ from bogoflow import (
     solve_fixed_point,
 )
 from bogoflow.model import FlowConfig, check_assumptions
-from bogoflow.spectrum import GAP_COEF, UPPER_BOUND_COEF, BracketError, _flow_side
+from bogoflow.spectrum import GAP_COEF, UPPER_BOUND_COEF, BracketError, flow_side
 
 
 def _lapack_lambda0(params):
@@ -103,7 +103,7 @@ def test_single_crossing_property():
     for z in zs:
         if abs(z - result.z_star) < 1e-10:
             continue
-        assert _flow_side(params, float(z)) == (1 if z < result.z_star else -1)
+        assert flow_side(params, float(z)) == (1 if z < result.z_star else -1)
 
 
 def test_zstar_decreasing_in_phi_at_fixed_kinetic():
@@ -259,9 +259,9 @@ def test_newton_solve_flow_evaluations_and_accuracy(monkeypatch):
             lo, hi = result.bracket
             evaluated = set(full)
             if lo in evaluated:
-                assert _flow_side(params, lo) == 1, (n, eps)
+                assert flow_side(params, lo) == 1, (n, eps)
             if hi in evaluated:
-                assert _flow_side(params, hi) == -1, (n, eps)
+                assert flow_side(params, hi) == -1, (n, eps)
 
 
 @pytest.mark.parametrize("n, max_passes", ((2 * 10**5, 8), (10**6, 10)))
