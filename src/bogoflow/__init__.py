@@ -12,11 +12,9 @@ __version__ = "0.1.0"
 from .flow import FlowDomainError, FlowTable, f_of_z, g_check, g_truncated, w_product
 from .groundstate import (
     GroundStateVector,
-    TruncationBounds,
     eigen_residual,
     expand_ground_state,
     gamma_truncation_experiment,
-    kz_truncation_bounds,
     tail_series,
 )
 from .model import (
@@ -40,10 +38,8 @@ from .oracle import (
     schur_complement,
 )
 from .sequences import (
-    BoundSequences,
     StreamedSequenceSummary,
     accessori_identity_check,
-    bound_sequences,
     x_sequence,
     x_sequence_terminal,
     xtilde_sequence,
@@ -62,7 +58,6 @@ from .spectrum import (
 
 __all__ = [
     "AssumptionReport",
-    "BoundSequences",
     "BracketError",
     "CoefficientSet",
     "EigenPair",
@@ -77,10 +72,8 @@ __all__ = [
     "SpectralWindow",
     "StreamedSequenceSummary",
     "TridiagonalHamiltonian",
-    "TruncationBounds",
     "accessori_identity_check",
     "bogoliubov_energy",
-    "bound_sequences",
     "build_sector_hamiltonian",
     "check_assumptions",
     "coefficient_set",
@@ -93,7 +86,6 @@ __all__ = [
     "g_truncated",
     "gamma_truncation_experiment",
     "gap_bound_check",
-    "kz_truncation_bounds",
     "low_spectrum",
     "lowest_eigenpair",
     "schur_complement",

@@ -7,7 +7,7 @@ ordering, so repeated runs produce byte-identical bodies at any worker
 count; timing lives in the manifest only.
 
 Exit codes: 0 success, 2 solved-but-outside-regime (1/N <= eps^nu or the
-window condition failed), 1 hard error.
+window condition failed), 1 hard error, a rejected argument included.
 """
 
 import argparse
@@ -26,7 +26,6 @@ import numpy as np
 from . import __version__, groundstate, sequences, spectrum, verify
 from .model import FlowConfig, ModelParams, bogoliubov_energy
 from .oracle import build_sector_hamiltonian, low_spectrum, lowest_eigenpair
-from .sequences import y_star_sequence
 
 MODES = ("solve", "sweep", "verify", "sequences")
 # grid of solve, sweep and sequences when --n / --epsilon are not given
@@ -72,7 +71,6 @@ class RunConfig:
     delta: Optional[float] = None
     tol: float = 1e-12
     out: Path = field(default_factory=lambda: Path("bogoflow-out"))
-    formats: List[str] = field(default_factory=lambda: ["csv", "json"])
     # verify's process count; None means one per usable CPU.  Other modes
     # run serially
     workers: Optional[int] = None
@@ -114,7 +112,6 @@ _CONFIG_KEYS = {
     "delta": float,
     "tol": float,
     "out": Path,
-    "format": str,
     "workers": int,
     "only": str,
     "perturb_tk": float,
@@ -137,14 +134,19 @@ def _apply_key(config: RunConfig, key: str, value: str) -> None:
         if value not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         config.mode = value
-    elif key == "format":
-        config.formats = [f.strip() for f in value.split(",") if f.strip()]
     else:
         setattr(config, key, kind(value))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a rejected argument is a hard error (exit 1); argparse's own exit
+        # code 2 means "outside the regime" here
+        raise ValueError(message)
+
+
 def parse_args(argv=None) -> RunConfig:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="bogoflow",
         description="Ground-state solver and verification battery for the "
         "three-modes pair-interaction Hamiltonian.",
@@ -262,15 +264,13 @@ def run_solve(config: RunConfig) -> int:
         _write_manifest(config, {}, [_failed_point(n, eps, exc)])
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    files = {}
-    if "json" in config.formats:
-        path = config.out / "point-0.json"
-        payload = dict(record)
-        payload["config"] = config.as_dict()
-        path.write_text(json.dumps(payload, indent=2) + "\n")
-        files["point-0.json"] = _sha256(path)
+    path = config.out / "point-0.json"
+    payload = dict(record)
+    payload["config"] = config.as_dict()
+    path.write_text(json.dumps(payload, indent=2) + "\n")
     wall = record.pop("wall_ms")
-    _write_manifest(config, files, [{"n": n, "epsilon": eps, "status": "ok", "wall_ms": wall}])
+    points = [{"n": n, "epsilon": eps, "status": "ok", "wall_ms": wall}]
+    _write_manifest(config, {path.name: _sha256(path)}, points)
     print(
         f"n={n} eps={eps} z_star={record['z_star']!r} e_bog={record['e_bog']!r} "
         f"abs_err={record['abs_err']:.6e} gap={record['sector_gap']:.6e} "
@@ -371,17 +371,10 @@ def run_sequences(config: RunConfig) -> int:
                 files[xt_path.name] = _sha256(xt_path)
             except ValueError:
                 pass  # N^(1-gamma) < 4: no minorant chain at this size
-            ys = y_star_sequence(params, cfg.beta) if n ** (1 - cfg.beta) >= 4 else None
-            if ys is not None:
-                path = config.out / f"ystar-{tag}.csv"
-                lines = ["index,value,bound,margin"]
-                for two_l, val in zip(ys.two_l, ys.values):
-                    closed = sequences.y_closed_form(two_l / 2.0, eps)
-                    lines.append(
-                        f"{int(two_l)},{float(val)!r},{float(closed)!r},{float(val - closed)!r}"
-                    )
-                path.write_text("\n".join(lines) + "\n")
-                files[path.name] = _sha256(path)
+            if n ** (1 - cfg.beta) >= 4:
+                ys_path = config.out / f"ystar-{tag}.csv"
+                sequences.y_star_sequence(params, cfg.beta).to_csv(ys_path)
+                files[ys_path.name] = _sha256(ys_path)
     _write_manifest(config, files, [])
     print(f"sequences: wrote {len(files)} files to {config.out}")
     return 0

@@ -1,5 +1,5 @@
 """Ground-state vector from the flow, its tail control, and the
-truncation-bound machinery.
+truncation-decay experiment.
 
 The eliminated shells are reconstructed one pair at a time: with the
 level <-> pair-index dictionary i = N - 2k,
@@ -21,8 +21,7 @@ the expansion needs a level beyond those it got.  The full pass runs
 instead, with its shifted fallback, where the enclosure does not apply
 (z >= 0, eps*N < 1, S >= N) or fails its checks.
 
-Everything else here bounds what truncating the product chain throws
-away.
+The tail series bounds what truncating the product chain throws away.
 """
 
 import math
@@ -40,7 +39,7 @@ from .model import (
     majorant_coefficients,
     majorant_lower_bound,
 )
-from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian, lowest_eigenpair, sector_elements
+from .oracle import TridiagonalHamiltonian, sector_elements
 
 # stop extending the vector once coefficients fall below this relative size
 COEFF_FLOOR = 1e-18
@@ -55,7 +54,6 @@ class GroundStateVector:
     tail_bound: float
     shifted_evaluation: bool
     flow_span: int  # N - level the flow read started from: S if truncated, N if full
-    overlap_oracle: Optional[float] = None
 
     @property
     def norm(self) -> float:
@@ -88,7 +86,6 @@ def expand_ground_state(
     z_star: float,
     k_max: Optional[int] = None,
     cfg: Optional[FlowConfig] = None,
-    compare_oracle: bool = False,
 ) -> GroundStateVector:
     """Sector amplitudes of the eigenvector at the fixed point z_star.
 
@@ -135,18 +132,12 @@ def expand_ground_state(
     if last < half:
         tail_bound = _tail_norm_bound(params, cfg, abs(coeffs[-1]), last)
 
-    overlap = None
-    if compare_oracle:
-        pair = lowest_eigenpair(build_sector_hamiltonian(params))
-        v = coeffs / np.linalg.norm(coeffs)
-        overlap = float(abs(v @ pair.vector[: v.size]))
     return GroundStateVector(
         coeffs=coeffs,
         z_star=z_star,
         tail_bound=tail_bound,
         shifted_evaluation=shifted,
         flow_span=span,
-        overlap_oracle=overlap,
     )
 
 
@@ -249,49 +240,6 @@ def _tail_norm_bound(params, cfg, last_coeff, last_index) -> float:
     if not (0.0 < r < 1.0):
         return math.inf
     return last_coeff * r / (1.0 - r)
-
-
-@dataclass(frozen=True)
-class TruncationBounds:
-    f_levels: np.ndarray  # even levels r+2..i carrying the K factors
-    K: np.ndarray
-    Z: np.ndarray  # Z_f for f = r..i-2
-    leading: float  # prod K_f / (1 - Z_{f-2})^2
-    remainder: float  # Z_r^h * leading
-    h: int
-
-
-def kz_truncation_bounds(
-    params: ModelParams,
-    r: int,
-    i: int,
-    h: int,
-    cfg: Optional[FlowConfig] = None,
-) -> TruncationBounds:
-    """Leading/remainder norm bounds for re-expanding the flow between
-    levels r and i to interaction depth h.
-
-    K_f = 1/(4 D(N-f+1)) and Z_f = K_f / L(N-f+2), with D and L as in
-    tail_series.  The bounds are uniform in z over the admissible window.
-    """
-    cfg = cfg or FlowConfig()
-    n = params.n_particles
-    if h < 2:
-        raise ValueError("h must be >= 2")
-    if r % 2 or i % 2 or not 2 <= r <= i - 2 or i > n - 2:
-        raise ValueError("need even 2 <= r <= i-2 <= N-4")
-    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params, cfg)
-
-    levels = np.arange(r, i + 1, 2, dtype=np.float64)  # r .. i
-    k = 1.0 / (4.0 * chain_denominator(n - levels + 1.0, a, b, c))
-    kvals = k[1:]
-    zvals = k[:-1] / majorant_lower_bound(n - levels[:-1] + 2.0, b, sqrt_eta_a, xi)
-    leading = float(np.prod(kvals / (1.0 - zvals) ** 2))
-    remainder = float(float(zvals[0]) ** h * leading)
-    f_levels = levels[1:].astype(np.int64)
-    return TruncationBounds(
-        f_levels=f_levels, K=kvals, Z=zvals, leading=leading, remainder=remainder, h=h
-    )
 
 
 @dataclass(frozen=True)

@@ -55,15 +55,20 @@ class ModelParams:
         return self.epsilon * self.phi
 
 
+# The "sufficiently small/large" constants of the regime conditions and
+# the minorant chain: documented choices, not ground truth
+THETA = 0.1
+C_GAMMA = 10.0
+K_GAMMA = 0.05
+
+
 @dataclass(frozen=True)
 class FlowConfig:
-    """Exponents, empirical constants, and tolerances of the flow machinery.
+    """Exponents and tolerances of the flow machinery.
 
     nu, mu, gamma, beta are the exponents of the four regime conditions;
     delta controls the top of the spectral window (None means the
     standard choice 1 + sqrt(epsilon), resolved per parameter point).
-    theta, c_gamma, k_gamma are "sufficiently small/large" constants with
-    documented defaults; they are configuration, not ground truth.
     """
 
     nu: float = 1.5
@@ -71,9 +76,6 @@ class FlowConfig:
     gamma: float = 1.0 / 3.0
     beta: float = 2.0 / 3.0
     delta: Optional[float] = None
-    theta: float = 0.1
-    c_gamma: float = 10.0
-    k_gamma: float = 0.05
     tol_root: float = 1e-12
 
     def __post_init__(self):
@@ -165,7 +167,7 @@ def coefficient_set(params: ModelParams, cfg: FlowConfig) -> CoefficientSet:
     n = params.n_particles
     delta = cfg.resolved_delta(eps)
     theta_exp = cfg.theta_exponent
-    a_gamma = 2.0 * eps + cfg.c_gamma * (eps / n**cfg.gamma + 1.0 / n + eps * eps)
+    a_gamma = 2.0 * eps + C_GAMMA * (eps / n**cfg.gamma + 1.0 / n + eps * eps)
     return CoefficientSet(
         a_prime=eps * eps + 2.0 * eps,
         a_gamma=a_gamma,
@@ -218,9 +220,9 @@ def check_assumptions(params: ModelParams, cfg: FlowConfig) -> AssumptionReport:
     """Evaluate the three regime conditions.
 
     (i)   1/N <= epsilon**nu
-    (ii)  phi*N^mu / (delta0*N*(N - N^mu)) < 1/2  and  N^-mu <= eps^((1+theta)/2)
-    (iii) eps^2 + eps/N^gamma + 1/N <= k_gamma*eps^1.5  and
-          N^-(1-gamma) <= k_gamma*eps
+    (ii)  phi*N^mu / (delta0*N*(N - N^mu)) < 1/2  and  N^-mu <= eps^((1+THETA)/2)
+    (iii) eps^2 + eps/N^gamma + 1/N <= K_GAMMA*eps^1.5  and
+          N^-(1-gamma) <= K_GAMMA*eps
     """
     eps, n, phi = params.epsilon, params.n_particles, params.phi
     details = {}
@@ -231,19 +233,19 @@ def check_assumptions(params: ModelParams, cfg: FlowConfig) -> AssumptionReport:
 
     n_mu = n**cfg.mu
     gap_ok = n > n_mu and phi * n_mu / (params.delta0 * n * (n - n_mu)) < 0.5
-    occ_ok = 1.0 / n_mu <= eps ** ((1.0 + cfg.theta) / 2.0)
+    occ_ok = 1.0 / n_mu <= eps ** ((1.0 + THETA) / 2.0)
     mu_ok = gap_ok and occ_ok
     details["mu_gap"] = (
         phi * n_mu / (params.delta0 * n * (n - n_mu)) if n > n_mu else math.inf,
         0.5,
         gap_ok,
     )
-    details["mu_occupation"] = (1.0 / n_mu, eps ** ((1.0 + cfg.theta) / 2.0), occ_ok)
+    details["mu_occupation"] = (1.0 / n_mu, eps ** ((1.0 + THETA) / 2.0), occ_ok)
 
     g_lhs = eps * eps + eps / n**cfg.gamma + 1.0 / n
-    g_rhs = cfg.k_gamma * eps * math.sqrt(eps)
+    g_rhs = K_GAMMA * eps * math.sqrt(eps)
     s_lhs = 1.0 / n ** (1.0 - cfg.gamma)
-    s_rhs = cfg.k_gamma * eps
+    s_rhs = K_GAMMA * eps
     gamma_ok = g_lhs <= g_rhs and s_lhs <= s_rhs
     # N-dependent part only: drop the eps^2 term from the first inequality
     gamma_size_ok = (eps / n**cfg.gamma + 1.0 / n <= g_rhs) and s_lhs <= s_rhs

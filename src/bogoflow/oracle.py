@@ -26,10 +26,12 @@ positive definite and folds onto row K-1 as at most t_{K-1}^2/q; Sylvester
 inertia then bounds lambda_j from below by the eigenvalues mu_j of the block
 with that entry lowered by t_{K-1}^2/q.  The block is used when the
 zero-padded vector's residual |t_{K-1} v_{K-1}| is below
-ORACLE_TOL * (1 + |theta_0|), tested first, and theta_j - mu_j <= ORACLE_TOL.
-For m = 1 one LDL^T factorization (LAPACK dpttrf) decides that by inertia
-again: the lowered block minus theta_0 - ORACLE_TOL has only positive pivots
-exactly when mu_0 > theta_0 - ORACLE_TOL; m >= 2 bisects the lowered block.
+ORACLE_TOL * (1 + |theta_0|), tested first, and theta_j - mu_j <= w, with
+w = ORACLE_TOL * max(1, |t_0|) scaling with phi as the matrix does
+(t_0 = phi * sqrt(1 - 1/N)).  For m = 1 one LDL^T factorization (LAPACK
+dpttrf) decides that by inertia again: the lowered block minus theta_0 - w
+has only positive pivots exactly when mu_0 > theta_0 - w; m >= 2 bisects the
+lowered block.
 schur_complement evaluates the nested fraction of (T - z) directly.  No
 part of this module looks at the flow; it is the independent reference.
 """
@@ -158,7 +160,7 @@ class EigenPair:
     vector: np.ndarray
     residual: float
     block_size: int  # K of the leading block solved; tri.size on the full path
-    enclosure: float  # certified width of the block's lower bound: ORACLE_TOL; 0.0 on the full path
+    enclosure: float  # certified width w of the block's lower bound; 0.0 on the full path
 
 
 class ConvergenceError(RuntimeError):
@@ -166,7 +168,8 @@ class ConvergenceError(RuntimeError):
 
 
 # Absolute bisection tolerance passed to stebz, and the widest certified
-# enclosure [mu_j, theta_j] a leading block may leave; it gives errors in
+# enclosure [mu_j, theta_j] a leading block may leave at phi <= 1 (above,
+# _block_width scales it with the matrix); it gives errors in
 # lambda_0 of at most 4e-15 up to N = 1e6.  A norm-relative one
 # (1e-13 * norm_inf) leaves 3e-10 at N = 4e4 and 4e-9 at N = 1e6, above the
 # 1e-10 agreement the flow is checked to; the stebz default leaves 1.3e-11.
@@ -180,6 +183,13 @@ def _stebz(diag, offdiag, m: int, vectors: bool):
     )
 
 
+def _block_width(tri: TridiagonalHamiltonian) -> float:
+    """The widest certified enclosure w a leading block may leave: an
+    absolute shift of ORACLE_TOL rounds away in the diagonal once phi is
+    large, so it scales with |t_0| = phi * sqrt(1 - 1/N) from 1 on."""
+    return ORACLE_TOL * max(1.0, abs(float(tri.offdiag[0])))
+
+
 def _leading_block(tri: TridiagonalHamiltonian, m: int, vectors: bool):
     """(the m lowest Ritz values of the smallest certified leading block
     T[:K, :K], its first Ritz vector or None, K); K = tri.size is the
@@ -190,6 +200,7 @@ def _leading_block(tri: TridiagonalHamiltonian, m: int, vectors: bool):
         t = np.abs(e)
         slack = d[1:] - t  # slack[j] = d - |t_j| - |t_{j+1}| on row j + 1, t_{n-1} := 0
         slack[:-1] -= t[1:]
+        width = _block_width(tri)
     while 4 * k <= n:
         out = _stebz(d[:k], e[: k - 1], m, vectors)
         theta, v = out if vectors else (out, None)
@@ -199,11 +210,11 @@ def _leading_block(tri: TridiagonalHamiltonian, m: int, vectors: bool):
             lowered = d[:k].copy()
             lowered[-1] -= t[k - 1] ** 2 / q
             if m == 1:
-                # inertia: positive pivots of lowered - (theta_0 - tol) mean mu_0 > theta_0 - tol
-                lowered -= theta[0] - ORACLE_TOL
+                # inertia: positive pivots of lowered - (theta_0 - w) mean mu_0 > theta_0 - w
+                lowered -= theta[0] - width
                 certified = dpttrf(lowered, e[: k - 1], overwrite_d=1)[2] == 0
             else:
-                certified = np.max(theta - _stebz(lowered, e[: k - 1], m, False)) <= ORACLE_TOL
+                certified = np.max(theta - _stebz(lowered, e[: k - 1], m, False)) <= width
             if certified:
                 return theta, None if v is None else v[:, 0], k
         k *= 2
@@ -231,7 +242,7 @@ def lowest_eigenpair(tri: TridiagonalHamiltonian) -> EigenPair:
     residual = float(np.linalg.norm(head.matvec(v[:rows]) - lam * v[:rows]))
     if residual > 1e-10 * (head.norm_inf() or 1.0):
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds 1e-10*norm")
-    enclosure = ORACLE_TOL if k < tri.size else 0.0
+    enclosure = _block_width(tri) if k < tri.size else 0.0
     return EigenPair(value=lam, vector=v, residual=residual, block_size=k, enclosure=enclosure)
 
 

@@ -213,7 +213,7 @@ def xtilde_sequence(
     """Minorant chain over even levels N - N^(1-gamma) .. N-2, started at 1.
 
     Step to level 2j+2 divides by 4*D(N-2j), D = model.chain_denominator
-    with a = a_g, which carries the c_gamma-inflated corrections, and b, c
+    with a = a_g, which carries the C_GAMMA-inflated corrections, and b, c
     at the configured delta (default 1 + sqrt(eps)).  The companion upper bound
     (1 + sqrt(a_g) - 1/(N - 2j + 1 - b)) / 2 is asserted on the tail
     2 <= N - 2j <= N^(1-gamma)/2 and NaN elsewhere.
@@ -250,24 +250,14 @@ def xtilde_sequence(
     )
 
 
-@dataclass(frozen=True)
-class YStarSequence:
-    """Downward comparison sequence matched to the truncated flow.
-
-    values[j] is the entry at pair index two_l[j]; two_l descends from
-    floor(N^(1-beta))+2 to 2.  positive is False past the first
-    nonpositive entry (a regime violation, reported not raised).
-    """
-
-    two_l: np.ndarray
-    values: np.ndarray
-    positive: bool
-    first_nonpositive: int
-
-
-def y_star_sequence(params: ModelParams, beta: float) -> YStarSequence:
-    """Recursion Y_{2l-2} = 1 - 1/(4*(1 + a' - 2b/(2l) - (1-c)/(4l^2))*Y_{2l})
+def y_star_sequence(params: ModelParams, beta: float) -> SequenceWithBound:
+    """Downward comparison chain matched to the truncated flow: the
+    recursion Y_{2l-2} = 1 - 1/(4*(1 + a' - 2b/(2l) - (1-c)/(4l^2))*Y_{2l})
     started at 1, with a' = eps^2 + 2eps and b, c evaluated at delta = 1.
+
+    levels are the pair indices 2l, descending from floor(N^(1-beta))+2
+    to 2; the companion lower bound is y_closed_form(l, eps).  A
+    nonpositive entry is a regime violation, reported not raised.
     """
     n, eps = params.n_particles, params.epsilon
     if not 0.0 < beta < 1.0:
@@ -289,10 +279,11 @@ def y_star_sequence(params: ModelParams, beta: float) -> YStarSequence:
     y = np.empty_like(two_l)
     y[0] = 1.0
     first_bad = int(_kernels.rational_chain(dfac, y))
-    return YStarSequence(
-        two_l=two_l.astype(np.int64),
+    return SequenceWithBound(
+        levels=two_l.astype(np.int64),
         values=y,
-        positive=first_bad < 0,
+        bound=y_closed_form(two_l / 2.0, eps),
+        bound_is_lower=True,
         first_nonpositive=first_bad,
     )
 
@@ -366,30 +357,3 @@ def accessori_identity_check(epsilon: float, delta: float, m_values) -> float:
     lhs = (1.0 + eps - (eps + 1.0 + ds) / m) * (1.0 + eps + (eps + 1.0 - ds) / m)
     rhs = 1.0 + a - 2.0 * b / m - one_minus_c / (m * m)
     return float(np.max(np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1.0)))
-
-
-@dataclass(frozen=True)
-class BoundSequences:
-    """Bundle of every auxiliary sequence at one parameter point."""
-
-    x: SequenceWithBound
-    xtilde: SequenceWithBound
-    y_closed: np.ndarray
-    y_closed_l: np.ndarray
-
-
-def bound_sequences(
-    params: ModelParams,
-    cfg: Optional[FlowConfig] = None,
-    l_grid=None,
-) -> BoundSequences:
-    cfg = cfg or FlowConfig()
-    if l_grid is None:
-        l_grid = np.unique(np.geomspace(1, 1e4, 25).astype(np.int64))
-    l_grid = np.asarray(l_grid)
-    return BoundSequences(
-        x=x_sequence(params, cfg),
-        xtilde=xtilde_sequence(params, cfg),
-        y_closed=y_closed_form(l_grid.astype(np.float64), params.epsilon),
-        y_closed_l=l_grid,
-    )

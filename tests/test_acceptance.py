@@ -66,7 +66,7 @@ def test_criterion_05_convergence_to_closed_form():
 def test_criterion_06_sequence_bounds():
     # N = 10^7: even, N^(1-gamma) even at gamma = 1/3, and every
     # N-dependent inequality of the gamma condition holds at the
-    # documented c_gamma = 10, k_gamma = 0.05
+    # documented C_GAMMA = 10, K_GAMMA = 0.05
     outcomes = []
     for eps in (0.04, 0.01):
         params = ModelParams(n_particles=10**7, epsilon=eps)

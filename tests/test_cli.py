@@ -77,6 +77,30 @@ def test_python_m_bogoflow(tmp_path):
     assert "z_star=" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--phi", "abc"], "error: argument --phi: invalid float value: 'abc'"),
+        (["--format", "csv"], "error: unrecognized arguments: --format csv"),
+    ],
+)
+def test_python_m_bogoflow_rejects_an_argument_with_exit_1(tmp_path, args, message):
+    # exit 2 means "solved but outside the regime"; a rejected argument is a
+    # hard error like any other bad input, reported on one line
+    src = str(Path(bogoflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bogoflow", "--mode", "solve", *args, "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [message]
+    assert proc.stdout == ""
+
+
 def test_sweep_grid_rows_and_manifest(tmp_path):
     out = tmp_path / "sweep"
     code = run_cli(
@@ -267,14 +291,14 @@ def test_every_flag_parses_to_the_same_configs(tmp_path, monkeypatch, capsys):
     argv = [
         "--mode", "verify", "--n", "16:64:2", "--epsilon", "0.1,0.02", "--phi", "1.5",
         "--delta0", "2", "--nu", "1.6", "--mu", "0.6", "--gamma", "0.3", "--beta", "0.7",
-        "--delta", "1.2", "--tol", "1e-11", "--out", str(out), "--format", "csv",
+        "--delta", "1.2", "--tol", "1e-11", "--out", str(out),
         "--workers", "3", "--only", "cf", "--perturb-tk", "0.25",
     ]
     config = cli.parse_args(argv)
     assert config.as_dict() == {
         "mode": "verify", "n_values": [16, 32, 64], "eps_values": [0.1, 0.02], "phi": 1.5,
         "delta0": 2.0, "nu": 1.6, "mu": 0.6, "gamma": 0.3, "beta": 0.7, "delta": 1.2,
-        "tol": 1e-11, "out": str(out), "formats": ["csv"], "workers": 3, "only": "cf",
+        "tol": 1e-11, "out": str(out), "workers": 3, "only": "cf",
         "perturb_tk": 0.25,
     }
     assert config.flow_config() == FlowConfig(
@@ -287,10 +311,11 @@ def test_every_flag_parses_to_the_same_configs(tmp_path, monkeypatch, capsys):
             workers=3,
         )
     ]
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="invalid choice: 'fit'"):
         cli.parse_args(["--mode", "fit"])  # choices still enforced
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as help_exit:
         cli.parse_args(["--help"])
+    assert help_exit.value.code == 0
     usage = capsys.readouterr().out
     assert "--mode {solve,sweep,verify,sequences}" in usage
     assert "--n N" in usage and "particle numbers: comma list or start:stop:factor" in usage

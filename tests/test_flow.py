@@ -440,9 +440,9 @@ def test_y_star_initial_value_and_range():
     p = ModelParams(n_particles=10**4, epsilon=0.01)
     seq = y_star_sequence(p, 0.5)
     assert seq.values[0] == 1.0
-    assert seq.two_l[0] == 102  # floor(N^{1/2}) = 100, start at 102
-    assert seq.two_l[-1] == 2
-    assert seq.positive
+    assert seq.levels[0] == 102  # floor(N^{1/2}) = 100, start at 102
+    assert seq.levels[-1] == 2
+    assert seq.first_nonpositive < 0
 
 
 def test_y_star_exact_chain_at_eps_zero():

@@ -8,11 +8,16 @@ from bogoflow import (
     eigen_residual,
     expand_ground_state,
     gamma_truncation_experiment,
-    kz_truncation_bounds,
     lowest_eigenpair,
     solve_fixed_point,
     tail_series,
 )
+
+
+def _oracle_overlap(params, vec):
+    # |<psi, v0>| with the oracle's ground vector, as verify.check_overlap takes it
+    psi = vec.normalized()
+    return float(abs(psi @ lowest_eigenpair(build_sector_hamiltonian(params)).vector[: psi.size]))
 
 
 def test_first_component_is_one():
@@ -25,8 +30,8 @@ def test_first_component_is_one():
 def test_overlap_with_oracle_vector():
     params = ModelParams(n_particles=128, epsilon=0.01)
     result = solve_fixed_point(params)
-    vec = expand_ground_state(params, result.z_star, compare_oracle=True)
-    assert vec.overlap_oracle >= 1.0 - 1e-9
+    vec = expand_ground_state(params, result.z_star)
+    assert _oracle_overlap(params, vec) >= 1.0 - 1e-9
 
 
 def test_componentwise_match_with_alternating_signs():
@@ -65,11 +70,11 @@ def test_adaptive_stop_beyond_full_sector_limit():
     # fall below the floor, and the analytic tail bound covers the rest
     params = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
     result = solve_fixed_point(params)
-    vec = expand_ground_state(params, result.z_star, compare_oracle=True)
+    vec = expand_ground_state(params, result.z_star)
     assert vec.flow_span < params.n_particles  # from the top of the flow only
     assert vec.coeffs.size < 10**4  # stopped long before N/2 pairs
     assert 0.0 <= vec.tail_bound < 1e-12
-    assert vec.overlap_oracle >= 1.0 - 1e-9
+    assert _oracle_overlap(params, vec) >= 1.0 - 1e-9
 
 
 def test_truncated_vector_tail_bound_dominates():
@@ -110,35 +115,6 @@ def test_tail_series_dominates_measured_decay():
         measured = psi[j] / psi[j - 1]
         allowed = series.c[j - 2] / series.c[j - 3]
         assert measured <= allowed * (1.0 + 1e-6)
-
-
-def test_kz_bounds_contract():
-    params = ModelParams(n_particles=2000, epsilon=0.04)
-    bounds = kz_truncation_bounds(params, r=2, i=600, h=4)
-    assert np.all(bounds.Z < 1.0)
-    assert bounds.remainder < bounds.leading
-    # per-factor envelope 1/(1 + c sqrt(eps)) for a measurable c > 0
-    factors = bounds.K / (1.0 - bounds.Z) ** 2
-    assert np.all(factors <= 1.0 / (1.0 + 0.5 * np.sqrt(0.04)))
-
-
-def test_kz_remainder_vanishes_with_depth():
-    params = ModelParams(n_particles=2000, epsilon=0.04)
-    remainders = [
-        kz_truncation_bounds(params, r=2, i=600, h=h).remainder for h in (2, 8, 32)
-    ]
-    assert remainders[0] > remainders[1] > remainders[2]
-    assert remainders[2] < 1e-40
-
-
-def test_kz_validates_arguments():
-    params = ModelParams(n_particles=100, epsilon=0.04)
-    with pytest.raises(ValueError):
-        kz_truncation_bounds(params, r=3, i=10, h=4)
-    with pytest.raises(ValueError):
-        kz_truncation_bounds(params, r=2, i=10, h=1)
-    with pytest.raises(ValueError):
-        kz_truncation_bounds(params, r=10, i=10, h=4)
 
 
 def test_truncation_experiment_slope_negative():

@@ -45,6 +45,16 @@ def test_oracle_imports_no_flow_side_module():
     assert _imported_modules("oracle") & flow_side == set()
 
 
+def test_groundstate_runs_no_eigensolve():
+    # the expansion reads the sector's matrix elements only; the oracle's
+    # solvers and its whole-sector build belong to the callers that compare
+    solvers = {"lowest_eigenpair", "low_spectrum", "build_sector_hamiltonian"}
+    names = {alias.name for source, aliases in _from_imports("groundstate") for alias in aliases}
+    tree = ast.parse((PACKAGE / "groundstate.py").read_text())
+    names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    assert names & solvers == set()
+
+
 def _private(name: str) -> bool:
     # a module's underscore names are its own; submodules such as
     # _kernels and dunder names such as __version__ are not such names

@@ -189,6 +189,17 @@ def test_leading_block_matches_the_full_matrix(n):
             assert k < tri.size
 
 
+@pytest.mark.parametrize("phi, n, eps, k", [(100.0, 20_000, 0.005, 512), (1e4, 200_000, 0.05, 256)])
+def test_block_width_scales_with_phi(phi, n, eps, k):
+    # an absolute width of ORACLE_TOL rounds away in the shifted diagonal at
+    # large phi; these two points then fell back to the full matrix
+    tri = build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=eps, phi=phi))
+    pair = lowest_eigenpair(tri)
+    assert pair.block_size == k
+    assert pair.enclosure == ORACLE_TOL * tri.offdiag[0]
+    assert abs(pair.value - _full_stebz(tri, 1, vectors=False)[0]) <= pair.enclosure
+
+
 def test_deep_well_in_the_tail_takes_the_full_matrix():
     # negative control: one diagonal entry far below every other near the
     # bottom puts the ground state in the tail, where no leading block sees it

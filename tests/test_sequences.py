@@ -7,10 +7,10 @@ from bogoflow import (
     FlowConfig,
     ModelParams,
     accessori_identity_check,
-    bound_sequences,
     x_sequence,
     xtilde_sequence,
     y_closed_form,
+    y_star_sequence,
 )
 from bogoflow import sequences, verify
 from bogoflow.sequences import (
@@ -246,12 +246,23 @@ def test_accessori_rejects_small_m():
         accessori_identity_check(0.01, 1.0, np.array([2.0]))
 
 
-def test_bound_sequences_bundle():
-    p = ModelParams(n_particles=10**4, epsilon=0.04)
-    bundle = bound_sequences(p)
-    assert bundle.x.values[0] == 1.0
-    assert bundle.xtilde.values[0] == 1.0
-    assert bundle.y_closed.shape == bundle.y_closed_l.shape
+def _inline_ystar_rows(seq, eps):
+    # the rows the sequences mode wrote with its own loop before y* was a
+    # SequenceWithBound: the closed form per entry, as scalars
+    lines = ["index,value,bound,margin"]
+    for two_l, val in zip(seq.levels, seq.values):
+        closed = y_closed_form(two_l / 2.0, eps)
+        lines.append(f"{int(two_l)},{float(val)!r},{float(closed)!r},{float(val - closed)!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", (64, 4096, 10**5, 10**6))
+@pytest.mark.parametrize("eps", (0.5, 0.04, 0.01, 1e-4))
+def test_y_star_csv_equals_the_inline_rows(tmp_path, n, eps):
+    seq = y_star_sequence(ModelParams(n_particles=n, epsilon=eps), 2.0 / 3.0)
+    path = tmp_path / "ystar.csv"
+    seq.to_csv(path)
+    assert path.read_text() == _inline_ystar_rows(seq, eps)
 
 
 def test_sequence_csv_export(tmp_path):
