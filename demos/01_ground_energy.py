@@ -15,7 +15,7 @@ import bogoflow as bf
 
 for n in (128, 4096, 131072):
     params = bf.ModelParams(n_particles=n, epsilon=0.01, phi=1.0)
-    result = bf.solve_fixed_point(params, compare_oracle=True)
+    result = bf.solve_fixed_point(params, reference=bf.build_sector_hamiltonian(params))
     e_bog = bf.bogoliubov_energy(params)
     regime = "in regime" if result.assumptions.nu_ok else "outside regime"
     print(f"N = {n:>7}  ({regime})")

@@ -196,10 +196,10 @@ def _solve_point(config: RunConfig, n: int, eps: float) -> dict:
         n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0
     )
     cfg = config.flow_config()
-    result = spectrum.solve_fixed_point(params, cfg, compare_oracle=True)
+    tri = build_sector_hamiltonian(params)
+    result = spectrum.solve_fixed_point(params, cfg, reference=tri)
     report = result.assumptions
     e_bog = bogoliubov_energy(params)
-    tri = build_sector_hamiltonian(params)
     lam = low_spectrum(tri, min(2, tri.size))
     gap = float(lam[1] - lam[0]) if lam.size > 1 else float("nan")
     vec = groundstate.expand_ground_state(params, result.z_star, cfg=cfg)
@@ -216,6 +216,8 @@ def _solve_point(config: RunConfig, n: int, eps: float) -> dict:
         "sector_gap": gap,
         "overlap": overlap,
         "oracle_delta": result.oracle_delta,
+        "oracle_block_size": pair.block_size,
+        "oracle_enclosure": pair.enclosure,
         "assumptions_ok": report.solver_regime_ok,
         "checks": {
             "nu_ok": report.nu_ok,
@@ -228,6 +230,11 @@ def _solve_point(config: RunConfig, n: int, eps: float) -> dict:
         "wall_ms": wall_ms,
         "status": "ok",
     }
+
+
+# a point's manifest record: the oracle's block and enclosure stay out of
+# results.csv
+_MANIFEST_KEYS = ("n", "epsilon", "status", "reason", "oracle_block_size", "oracle_enclosure", "wall_ms")
 
 
 def _failed_point(n: int, eps: float, exc: BaseException) -> dict:
@@ -268,8 +275,7 @@ def run_solve(config: RunConfig) -> int:
     payload = dict(record)
     payload["config"] = config.as_dict()
     path.write_text(json.dumps(payload, indent=2) + "\n")
-    wall = record.pop("wall_ms")
-    points = [{"n": n, "epsilon": eps, "status": "ok", "wall_ms": wall}]
+    points = [{key: record[key] for key in _MANIFEST_KEYS if key in record}]
     _write_manifest(config, {path.name: _sha256(path)}, points)
     print(
         f"n={n} eps={eps} z_star={record['z_star']!r} e_bog={record['e_bog']!r} "
@@ -316,8 +322,7 @@ def run_sweep(config: RunConfig) -> int:
     csv_path.write_text("\n".join(lines) + "\n")
 
     files = {"results.csv": _sha256(csv_path)}
-    keys = ("n", "epsilon", "status", "reason", "wall_ms")
-    points = [{key: row[key] for key in keys if key in row} for row in rows]
+    points = [{key: row[key] for key in _MANIFEST_KEYS if key in row} for row in rows]
     _write_manifest(config, files, points)
     solved = [row for row in rows if row["status"] == "ok"]
     print(f"sweep: {len(solved)}/{len(rows)} points ok -> {csv_path}")

@@ -28,20 +28,24 @@ with that entry lowered by t_{K-1}^2/q.  The block is used when the
 zero-padded vector's residual |t_{K-1} v_{K-1}| is below
 ORACLE_TOL * (1 + |theta_0|), tested first, and theta_j - mu_j <= w, with
 w = ORACLE_TOL * max(1, |t_0|) scaling with phi as the matrix does
-(t_0 = phi * sqrt(1 - 1/N)).  For m = 1 one LDL^T factorization (LAPACK
-dpttrf) decides that by inertia again: the lowered block minus theta_0 - w
-has only positive pivots exactly when mu_0 > theta_0 - w; m >= 2 bisects the
-lowered block.
+(t_0 = phi * sqrt(1 - 1/N)); for j >= 1 the width is no narrower than the
+2 ulp |theta_j| to which stebz bisects theta_j.  Inertia decides that
+without solving the lowered block: one LDL^T factorization (LAPACK dpttrf)
+for j = 0, and one Sturm count (LAPACK dstebz, which does not bisect on
+an interval as wide as its tolerance) for each j >= 1.
+lowest_eigenpair keeps its certified pair on the matrix object, so a
+matrix is solved once however often it is asked; build_sector_hamiltonian
+makes its arrays read-only to keep that pair valid.
 schur_complement evaluates the nested fraction of (T - z) directly.  No
 part of this module looks at the flow; it is the independent reference.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf
+from scipy.linalg.lapack import dpttrf, dstebz
 
 from . import _kernels
 from .model import ModelParams
@@ -51,6 +55,9 @@ from .model import ModelParams
 class TridiagonalHamiltonian:
     diag: np.ndarray
     offdiag: np.ndarray
+    # lowest_eigenpair's certified pair, kept for later calls on this object;
+    # a matrix with other elements is another object and is solved again
+    _lowest: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.diag.ndim != 1 or self.offdiag.ndim != 1:
@@ -101,7 +108,9 @@ def sector_elements(params: ModelParams, k_lo: int, k_hi: int):
 
 
 def build_sector_hamiltonian(params: ModelParams) -> TridiagonalHamiltonian:
+    """The whole sector matrix, with read-only arrays."""
     diag, offdiag = sector_elements(params, 0, params.n_particles // 2 + 1)
+    diag.flags.writeable = offdiag.flags.writeable = False
     return TridiagonalHamiltonian(diag=diag, offdiag=offdiag)
 
 
@@ -190,6 +199,25 @@ def _block_width(tri: TridiagonalHamiltonian) -> float:
     return ORACLE_TOL * max(1.0, abs(float(tri.offdiag[0])))
 
 
+def _lowered_bounds_hold(lowered, e, theta, width) -> bool:
+    """mu_j > theta_j - w_j for every j, mu_j the eigenvalues of the lowered
+    block, by Sylvester inertia: positive pivots of lowered - (theta_0 - w)
+    for j = 0, and for j >= 1 at most j eigenvalues at or below
+    theta_j - w_j in LAPACK's Sturm count (dstebz on one interval, with its
+    width as tolerance, so it does not bisect).  stebz leaves theta_j within
+    2 ulp |theta_j| (LAPACK's RELFAC), so w_j = max(w, that): a count any
+    nearer theta_j would test where that bisection stopped, not the tail."""
+    if dpttrf(lowered - (theta[0] - width), e, overwrite_d=1)[2] != 0:
+        return False
+    floor = -2.0 * (1.0 + np.abs(lowered).max() + 2.0 * np.abs(e).max())  # below every Gershgorin disc
+    for j in range(1, theta.size):
+        top = theta[j] - max(width, 2.0 * np.finfo(float).eps * abs(theta[j]))
+        count, *_, info = dstebz(lowered, e, 1, floor, top, 0, 0, top - floor, "E")
+        if info != 0 or count > j:
+            return False
+    return True
+
+
 def _leading_block(tri: TridiagonalHamiltonian, m: int, vectors: bool):
     """(the m lowest Ritz values of the smallest certified leading block
     T[:K, :K], its first Ritz vector or None, K); K = tri.size is the
@@ -209,13 +237,7 @@ def _leading_block(tri: TridiagonalHamiltonian, m: int, vectors: bool):
         if padding_ok and q > 0.0 and slack[k:].min() > theta[-1]:
             lowered = d[:k].copy()
             lowered[-1] -= t[k - 1] ** 2 / q
-            if m == 1:
-                # inertia: positive pivots of lowered - (theta_0 - w) mean mu_0 > theta_0 - w
-                lowered -= theta[0] - width
-                certified = dpttrf(lowered, e[: k - 1], overwrite_d=1)[2] == 0
-            else:
-                certified = np.max(theta - _stebz(lowered, e[: k - 1], m, False)) <= width
-            if certified:
+            if _lowered_bounds_hold(lowered, e[: k - 1], theta, width):
                 return theta, None if v is None else v[:, 0], k
         k *= 2
     out = _stebz(d, e, m, vectors)
@@ -230,7 +252,11 @@ def lowest_eigenpair(tri: TridiagonalHamiltonian) -> EigenPair:
     a residual above 1e-10 * norm_inf raises ConvergenceError.  Both are
     taken on rows 0..K, every row where T v can be nonzero (v is zero
     below row K), which makes the norm no larger than the whole matrix's.
+    The first call's pair is kept on tri and returned by every later call;
+    its vector is read-only.
     """
+    if tri._lowest:
+        return tri._lowest["pair"]
     vals, v, k = _leading_block(tri, 1, True)
     lam = float(vals[0])
     nz = np.nonzero(v)[0]
@@ -243,7 +269,10 @@ def lowest_eigenpair(tri: TridiagonalHamiltonian) -> EigenPair:
     if residual > 1e-10 * (head.norm_inf() or 1.0):
         raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds 1e-10*norm")
     enclosure = _block_width(tri) if k < tri.size else 0.0
-    return EigenPair(value=lam, vector=v, residual=residual, block_size=k, enclosure=enclosure)
+    v.flags.writeable = False
+    pair = EigenPair(value=lam, vector=v, residual=residual, block_size=k, enclosure=enclosure)
+    tri._lowest["pair"] = pair
+    return pair
 
 
 def low_spectrum(tri: TridiagonalHamiltonian, m: int) -> np.ndarray:

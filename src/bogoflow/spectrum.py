@@ -33,7 +33,7 @@ from .model import (
     check_assumptions,
     spectral_window,
 )
-from .oracle import build_sector_hamiltonian, low_spectrum, lowest_eigenpair
+from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian, low_spectrum, lowest_eigenpair
 
 # coefficient of sqrt(eps)*phi*sqrt(eps^2+2eps) in the root's upper bound
 UPPER_BOUND_COEF = (2.0 * math.sqrt(2.0) + 3.0) / 6.0
@@ -92,7 +92,7 @@ def _f_or_right(point) -> float:
 def solve_fixed_point(
     params: ModelParams,
     cfg: Optional[FlowConfig] = None,
-    compare_oracle: bool = False,
+    reference: Optional[TridiagonalHamiltonian] = None,
 ) -> GroundEnergyResult:
     """Locate the unique root of the fixed-point function.
 
@@ -134,6 +134,10 @@ def solve_fixed_point(
     the Newton and bisection steps after each stage's first evaluation,
     result.evaluations every flow pass, bracket probes included, and
     result.full_evaluations the O(N) passes among them.
+
+    reference: the sector matrix of params, or None.  Given, the result's
+    oracle_delta is |z* - lowest_eigenpair(reference).value|, and the
+    caller's later oracle calls on the same matrix reuse that solve.
     """
     cfg = cfg or FlowConfig()
     if params.phi <= 0.0:
@@ -223,10 +227,7 @@ def solve_fixed_point(
 
     eps = params.epsilon
     cap = e_bog + UPPER_BOUND_COEF * math.sqrt(eps) * phi * math.sqrt(eps * (eps + 2.0))
-    oracle_delta = None
-    if compare_oracle:
-        pair = lowest_eigenpair(build_sector_hamiltonian(params))
-        oracle_delta = abs(z_star - pair.value)
+    oracle_delta = None if reference is None else abs(z_star - lowest_eigenpair(reference).value)
     return GroundEnergyResult(
         z_star=z_star,
         iterations=iterations,

@@ -312,7 +312,7 @@ def check_flow_oracle(
     for n in n_values:
         for eps in eps_values:
             params = ModelParams(n_particles=n, epsilon=eps, phi=phi)
-            result = spectrum.solve_fixed_point(params, compare_oracle=True)
+            result = spectrum.solve_fixed_point(params, reference=oracle.build_sector_hamiltonian(params))
             if result.oracle_delta > worst:
                 worst, where = result.oracle_delta, f"n={n} eps={eps}"
     return PropertyResult(

@@ -96,3 +96,20 @@ def test_no_private_name_read_from_another_module(module):
         and node.value.id in bound and _private(node.attr)
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("module", ["oracle", "spectrum"])
+def test_no_module_level_eigensolve_cache(module):
+    # the oracle keeps a solve on the matrix object it solved; a cache keyed
+    # on parameters would hand a perturbed copy the unperturbed answer
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+            names.add(getattr(node, "module", None))
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert names & {"functools", "cache", "lru_cache", "cached_property"} == set()

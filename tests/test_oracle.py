@@ -166,16 +166,26 @@ def _full_stebz(tri, m, vectors=True):
 
 
 @pytest.mark.parametrize("n", [2048, 16384, 200_000, 1_000_000])
-def test_leading_block_matches_the_full_matrix(n):
+def test_leading_block_matches_the_full_matrix(n, monkeypatch):
     # the reference is LAPACK on the whole sector, not lowest_eigenpair;
     # the tolerances sit about 2x above the worst value measured on this grid
     for eps in (1e-6, 1e-4, 1e-3, 0.01, 0.5, 50.0):
         tri = build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=eps))
-        w, v = _full_stebz(tri, 2)
+        w, v = _full_stebz(tri, 3)
         pair = lowest_eigenpair(tri)
         lam = low_spectrum(tri, 2)
         assert abs(pair.value - w[0]) <= 1e-14
         assert abs(lam[1] - w[1]) <= 3e-14
+        # m = 2 and 3 decide their lowered blocks by Sturm counts: within
+        # 1e-14, or 4 ulp of the value where that is wider (at eps = 50,
+        # lambda_2 is near 200, where one ulp is 2.8e-14)
+        for m in (2, 3):
+            calls = _spy_stebz(monkeypatch)
+            diff = np.abs(low_spectrum(tri, m) - w[:m])
+            assert np.all(diff <= np.maximum(1e-14, 4 * np.spacing(np.abs(w[:m])))), (m, eps)
+            if eps >= 0.01:
+                assert calls[-1][0] <= 512
+            monkeypatch.undo()
         assert abs(pair.vector @ v[:, 0]) >= 1.0 - 1e-12
         assert pair.value - pair.enclosure - 2 * ORACLE_TOL <= w[0] <= pair.value + 2 * ORACLE_TOL
         k = pair.block_size
@@ -216,7 +226,7 @@ def test_deep_well_in_the_tail_takes_the_full_matrix():
     np.testing.assert_allclose(low_spectrum(tri, 2), w, rtol=0.0, atol=1e-12)
 
 
-def test_block_whose_lowered_matrix_dips_below_theta_is_rejected():
+def test_block_whose_lowered_matrix_dips_below_theta_is_rejected(monkeypatch):
     # negative control for the inertia test: a strong coupling across the
     # K = 256 boundary leaves the block's Ritz pair, its padding residual and
     # the tail's diagonal dominance as they are, but folds the tail onto row
@@ -242,39 +252,103 @@ def test_block_whose_lowered_matrix_dips_below_theta_is_rejected():
     assert 256 < pair.block_size < tri.size
     assert abs(pair.value - w[0]) <= 1e-14
     assert abs(pair.vector @ v[:, 0]) >= 1.0 - 1e-12
+    # m = 2 folds the tail at theta_1, and its tail test passes too, so the
+    # inertia test alone refuses K = 256
+    theta = _full_stebz(TridiagonalHamiltonian(diag=d[:k], offdiag=t[: k - 1]), 2, vectors=False)
+    assert d[k] - theta[1] - t[k] > 0.0 and slack.min() > theta[1]
+    calls = _spy_stebz(monkeypatch)
     np.testing.assert_allclose(low_spectrum(tri, 2), w, rtol=0.0, atol=1e-14)
+    assert calls[0][0] == 256 < calls[-1][0] < tri.size
 
 
-def test_cli_point_makes_five_stebz_calls_on_small_blocks(monkeypatch):
-    # 3 lowest_eigenpair calls run one block solve each, with the inertia
-    # test in place of a second bisection; low_spectrum's m = 2 block still
-    # bisects its lowered block
-    sizes = []
+def test_block_whose_lowered_matrix_gains_a_second_low_eigenvalue_is_rejected(monkeypatch):
+    # negative control for the j >= 1 Sturm count: a coupling across the
+    # K = 256 boundary that folds one eigenvalue of the lowered block between
+    # theta_0 and theta_1 but leaves mu_0 where it was, so m = 1 keeps K = 256
+    # and m = 2 may not; the folded eigenvalue moves by about 2 per unit of
+    # this coupling, so it sits in that window only near 563.3
+    tri = build_sector_hamiltonian(ModelParams(n_particles=8190, epsilon=0.5))
+    offdiag = tri.offdiag.copy()
+    offdiag[255] = 563.3
+    tri = TridiagonalHamiltonian(diag=tri.diag, offdiag=offdiag)
+    d, t, k = tri.diag, tri.offdiag, 256
+    theta = _full_stebz(TridiagonalHamiltonian(diag=d[:k], offdiag=t[: k - 1]), 2, vectors=False)
+    q = d[k] - theta[1] - t[k]
+    slack = d[k + 1 :] - t[k:]
+    slack[:-1] -= t[k + 1 :]
+    assert q > 0.0 and slack.min() > theta[1]
+    lowered = d[:k].copy()
+    lowered[-1] -= t[k - 1] ** 2 / q
+    mu = _full_stebz(TridiagonalHamiltonian(diag=lowered, offdiag=t[: k - 1]), 2, vectors=False)
+    assert mu[0] > theta[0] - ORACLE_TOL and theta[0] + 0.5 < mu[1] < theta[1] - 0.5
+    assert lowest_eigenpair(tri).block_size == 256
+    calls = _spy_stebz(monkeypatch)
+    np.testing.assert_allclose(low_spectrum(tri, 2), _full_stebz(tri, 2, vectors=False), rtol=0.0, atol=1e-14)
+    assert calls[0][0] == 256 < calls[-1][0] < tri.size
+
+
+def _spy_stebz(monkeypatch):
+    """(rows, m, vectors) of every oracle stebz call from here on."""
+    calls = []
     stebz = oracle._stebz
 
     def spy(diag, offdiag, m, vectors):
-        sizes.append(diag.size)
+        calls.append((diag.size, m, vectors))
         return stebz(diag, offdiag, m, vectors)
 
     monkeypatch.setattr(oracle, "_stebz", spy)
+    return calls
+
+
+def test_cli_point_makes_two_stebz_calls_on_small_blocks(monkeypatch):
+    # one block solve for the lowest pair, which the solve's reference, the
+    # gap and the overlap all read, and one values-only block for the gap's
+    # second value; inertia tests stand in for bisecting the lowered blocks
+    calls = _spy_stebz(monkeypatch)
     config = cli.parse_args(["--mode", "solve", "--n", "80000", "--epsilon", "0.01"])
     cli._solve_point(config, 80_000, 0.01)
-    assert len(sizes) == 5 and max(sizes) <= 1024
+    assert [(m, vectors) for _, m, vectors in calls] == [(1, True), (2, False)]
+    assert max(rows for rows, _, _ in calls) <= 1024
 
 
-def test_cli_point_solves_every_oracle_call_on_a_small_block(monkeypatch):
-    sizes = []
-    stebz = oracle._stebz
-
-    def spy(diag, offdiag, m, vectors):
-        sizes.append(diag.size)
-        return stebz(diag, offdiag, m, vectors)
-
-    monkeypatch.setattr(oracle, "_stebz", spy)
+def test_cli_point_reuses_one_oracle_solve_on_a_small_block(monkeypatch):
+    calls = _spy_stebz(monkeypatch)
     config = cli.parse_args(["--mode", "solve", "--n", "80000", "--epsilon", "0.01"])
     row = cli._solve_point(config, 80_000, 0.01)
     assert row["overlap"] >= 1.0 - 1e-9 and row["oracle_delta"] <= 1e-10
-    assert len(sizes) >= 4 and max(sizes) <= 1024
+    assert len(calls) == 2 and max(rows for rows, _, _ in calls) <= 1024
+    assert row["oracle_block_size"] == calls[0][0] and row["oracle_enclosure"] == ORACLE_TOL
+
+
+def test_second_lowest_eigenpair_call_returns_the_kept_pair(monkeypatch):
+    tri = build_sector_hamiltonian(ModelParams(n_particles=8190, epsilon=0.01))
+    pair = lowest_eigenpair(tri)
+    calls = _spy_stebz(monkeypatch)
+    assert lowest_eigenpair(tri) is pair and calls == []
+    # low_spectrum reads lambda_0 from the kept pair: one values-only block
+    assert low_spectrum(tri, 2)[0] == pair.value and [m for _, m, _ in calls] == [2]
+
+
+def test_a_perturbed_copy_is_solved_again(monkeypatch):
+    # the pair is kept on the object, not keyed on the parameters: a copy
+    # with one coupling moved, as verify's perturb_tk control builds, is a
+    # new matrix, and so is a copy with the same elements
+    tri = build_sector_hamiltonian(ModelParams(n_particles=8190, epsilon=0.01))
+    pair = lowest_eigenpair(tri)
+    calls = _spy_stebz(monkeypatch)
+    offdiag = tri.offdiag.copy()
+    offdiag[1] *= 1.0 + 1e-3
+    moved = lowest_eigenpair(TridiagonalHamiltonian(diag=tri.diag, offdiag=offdiag))
+    assert len(calls) == 1 and moved.value != pair.value
+    same = lowest_eigenpair(TridiagonalHamiltonian(diag=tri.diag, offdiag=tri.offdiag))
+    assert len(calls) == 2 and same is not pair and same.value == pair.value
+
+
+def test_shared_arrays_reject_writes():
+    tri = build_sector_hamiltonian(ModelParams(n_particles=8190, epsilon=0.01))
+    for array in (tri.diag, tri.offdiag, lowest_eigenpair(tri).vector):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 @pytest.mark.parametrize("n", [2, 64, 1000, 2044])

@@ -48,9 +48,8 @@ def test_solve_n2_analytic():
 
 
 def test_solve_matches_oracle_midsize():
-    result = solve_fixed_point(
-        ModelParams(n_particles=1024, epsilon=0.01), compare_oracle=True
-    )
+    params = ModelParams(n_particles=1024, epsilon=0.01)
+    result = solve_fixed_point(params, reference=build_sector_hamiltonian(params))
     assert result.oracle_delta <= 1e-10
 
 
@@ -80,9 +79,8 @@ def test_upper_bound_on_regime_grid():
 def test_extended_bracket_outside_regime():
     # window top below the root: only reachable outside the regime
     for n in (2, 4):
-        result = solve_fixed_point(
-            ModelParams(n_particles=n, epsilon=0.001), compare_oracle=True
-        )
+        params = ModelParams(n_particles=n, epsilon=0.001)
+        result = solve_fixed_point(params, reference=build_sector_hamiltonian(params))
         assert result.extended_bracket, n
         assert result.oracle_delta <= 1e-10, n
 
@@ -198,10 +196,11 @@ def test_random_parameter_points_end_to_end():
         phi = float(10.0 ** rng.uniform(-1, 1))
         delta0 = float(10.0 ** rng.uniform(-1, 1))
         params = ModelParams(n_particles=n, epsilon=eps, phi=phi, delta0=delta0)
-        result = solve_fixed_point(params, compare_oracle=True)
+        tri = build_sector_hamiltonian(params)
+        result = solve_fixed_point(params, reference=tri)
         assert result.oracle_delta <= 1e-10 * max(1.0, phi), (n, eps, phi)
         psi = expand_ground_state(params, result.z_star).normalized()
-        v0 = lowest_eigenpair(build_sector_hamiltonian(params)).vector
+        v0 = lowest_eigenpair(tri).vector
         assert abs(psi @ v0[: psi.size]) >= 1.0 - 1e-9, (n, eps, phi)
 
 
