@@ -9,7 +9,7 @@ sector certifies every number the flow produces.
 
 __version__ = "0.1.0"
 
-from .flow import FlowDomainError, FlowTable, f_of_z, g_check, g_truncated, w_product
+from .flow import FlowDomainError, FlowTable, f_of_z, g_check, g_truncated
 from .groundstate import (
     GroundStateVector,
     eigen_residual,
@@ -92,7 +92,6 @@ __all__ = [
     "solve_fixed_point",
     "spectral_window",
     "tail_series",
-    "w_product",
     "x_sequence",
     "x_sequence_terminal",
     "xtilde_sequence",

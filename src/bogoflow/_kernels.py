@@ -86,37 +86,29 @@ def _flow_loop(w, g):
     return first_bad
 
 
-def flow_recursion(w, g, d=None):
-    """Fill g[j] = 1/(1 - w[j]*g[j-1]) for j >= 1; g[0] is the start value.
+def flow_recursion(w, d):
+    """Fill the pivots d[j] = 1 - w[j]/d[j-1] for j >= 1; d[0] is preset.
 
-    Runs the pivots d = 1/g through _pivots with c = w.  d, if given,
-    receives them (C-contiguous float64), and its preset d[0] is the
-    start pivot in place of 1/g[0]: a pass continued from the last pivot
-    of the pass before equals one pass bit for bit.  With g None only d
-    is filled, which a caller may invert in place after reading its last
-    pivot.  Returns the first index where the condition 0 <= w*g < 1
-    fails (w < 0 or a pivot <= 0), or -1 if it holds everywhere.  Values
-    past a failure are still produced (with a guarded denominator) so
-    callers can inspect the table, but they carry no meaning.
+    d, C-contiguous float64, holds the pivots 1/G of the flow
+    G_j = 1/(1 - w[j]*G_{j-1}) (_flow_loop), run through _pivots with
+    c = w; a caller inverts it in place once it has read the last pivot.
+    A pass continued from the last pivot of the pass before equals one
+    pass bit for bit.  Returns the first index where the condition
+    0 <= w*G < 1 fails (w < 0 or a pivot <= 0), or -1 if it holds
+    everywhere.  Values past a failure are still produced (a zero pivot
+    is the guarded denominator -_TINY) so callers can inspect the table,
+    but they carry no meaning.
     """
-    if d is None:
-        d = np.empty(g.shape[0])
-        d[0] = 1.0 / g[0]
 
     def step(j):
-        # the formula of _flow_loop on the pivots; a zero pivot is the
-        # guarded denominator -_TINY
+        # the formula of _flow_loop on the pivots
         d[j] = 1.0 - w[j] * (1.0 / (d[j - 1] or -_TINY))
 
-    first_bad = -1
-    if not _pivots(w, d, step):
-        bad = (d[1:] <= 0.0) | (w[1:] < 0.0)
-        if bad.any():
-            first_bad = 1 + int(np.argmax(bad))
-        d[d == 0.0] = -_TINY
-    if g is not None:
-        np.divide(1.0, d[1:], out=g[1:])
-    return first_bad
+    if _pivots(w, d, step):
+        return -1
+    d[d == 0.0] = -_TINY
+    bad = (d[1:] <= 0.0) | (w[1:] < 0.0)
+    return 1 + int(np.argmax(bad)) if bad.any() else -1
 
 
 def _chain_loop(dfac, x):
@@ -176,9 +168,7 @@ def warmup():
     """Run every kernel once on tiny inputs."""
     d = np.array([0.0, 1.0, 2.0])
     e2 = np.array([0.1, 0.1])
-    w = np.array([0.0, 0.1])
-    g = np.ones(2)
-    flow_recursion(w, g)
+    flow_recursion(np.array([0.0, 0.1]), np.ones(2))
     schur_eta(d, e2, -1.0)
     x = np.ones(3)
     rational_chain(np.ones(3), x)

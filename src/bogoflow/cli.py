@@ -7,7 +7,8 @@ ordering, so repeated runs produce byte-identical bodies at any worker
 count; timing lives in the manifest only.
 
 Exit codes: 0 success, 2 solved-but-outside-regime (1/N <= eps^nu or the
-window condition failed), 1 hard error, a rejected argument included.
+window condition failed), 1 hard error, a rejected argument and a failed
+solve point included.
 """
 
 import argparse
@@ -267,7 +268,7 @@ def run_solve(config: RunConfig) -> int:
     n, eps = n_values[0], eps_values[0]
     try:
         record = _solve_point(config, n, eps)
-    except MemoryError as exc:  # an N whose arrays cannot be allocated
+    except Exception as exc:  # recorded as a sweep row is, then exit 1
         _write_manifest(config, {}, [_failed_point(n, eps, exc)])
         print(f"error: {exc}", file=sys.stderr)
         return 1

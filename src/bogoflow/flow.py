@@ -23,7 +23,9 @@ that fails instead of raising.
 
 The recursion runs on the pivots 1/G, which are those of the LDL^T
 factorization of the sector matrix minus z, through LAPACK dpttrf
-(_kernels.flow_recursion).  g_check runs the pass in one span;
+(_kernels.flow_recursion, which fills the pivots only); a span reads
+its last pivot and then inverts the pivots in place.  g_check runs the
+pass in one span;
 flow_blocks yields the same pass in blocks of FLOW_BLOCK levels, each
 continued from the last pivot of the block before, so a caller that
 keeps only part of the levels needs O(FLOW_BLOCK) memory.
@@ -120,13 +122,6 @@ class FlowTable:
     def levels(self) -> np.ndarray:
         return self.start_level + 2 * np.arange(self.g_values.shape[0])
 
-    def to_csv(self, path) -> None:
-        lines = ["i,w_product,g_value"]
-        for i, w, g in zip(self.levels, self.w_products, self.g_values):
-            lines.append(f"{int(i)},{float(w)!r},{float(g)!r}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def level_coefficients(params: ModelParams, start_level: int = 0):
     """The z-independent parts of W at levels start_level..N-2.
@@ -177,16 +172,6 @@ def _w_product_arrays(params: ModelParams, z: float, start_level: int, coefficie
     return w, num, den1
 
 
-def w_product(params: ModelParams, i: int, z: float) -> float:
-    """Scalar coupling product at a single even level i, 2 <= i <= N-2."""
-    n = params.n_particles
-    if i % 2 != 0 or not 2 <= i <= n - 2:
-        raise ValueError("level must be even with 2 <= i <= N-2")
-    # levels i - 2 and i only: the pole floor looks at their resolvents alone
-    w = _w_product_arrays(params, z, i - 2, _coefficients_at(params, np.array([i - 2.0, i])))[0]
-    return float(w[1])
-
-
 def _flow_span(params, z, start_level, first, stop, coefficients, pivot):
     """Entries first..stop-1 of the pass from start_level by one kernel
     call, entry first preset to the pivot 1/G given.  Returns w, g, num,
@@ -199,7 +184,7 @@ def _flow_span(params, z, start_level, first, stop, coefficients, pivot):
     w, num, den1 = _w_product_arrays(params, z, start_level + 2 * first, coefficients)
     g = np.empty_like(w)  # the pivots 1/G, inverted in place once the last is read
     g[0] = pivot
-    bad = int(_kernels.flow_recursion(w, None, g))
+    bad = int(_kernels.flow_recursion(w, g))
     last = float(g[-1])
     np.divide(1.0, g, out=g)
     return w, g, num, den1, last, first + bad if bad >= 0 else -1

@@ -45,6 +45,8 @@ from .oracle import TridiagonalHamiltonian, sector_elements
 COEFF_FLOOR = 1e-18
 # block length of the adaptive expansion
 EXPAND_BLOCK = 2048
+# rounding floor of |G - G_T|: differences at or below it carry no decay
+DECAY_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -65,20 +67,6 @@ class GroundStateVector:
         if nz.size and v[nz[0]] < 0.0:
             v = -v
         return v
-
-    def to_csv(self, path, oracle_vector=None) -> None:
-        """Columns k, psi_k, oracle_v_k, abs_diff (oracle columns blank
-        when no reference vector is supplied)."""
-        v = self.normalized()
-        lines = ["k,psi_k,oracle_v_k,abs_diff"]
-        for k, val in enumerate(v):
-            if oracle_vector is not None and k < len(oracle_vector):
-                ref = float(oracle_vector[k])
-                lines.append(f"{k},{val!r},{ref!r},{abs(val - ref)!r}")
-            else:
-                lines.append(f"{k},{val!r},,")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
 
 
 def expand_ground_state(
@@ -230,13 +218,16 @@ def tail_series(
 
 
 def _tail_norm_bound(params, cfg, last_coeff, last_index) -> float:
-    """Geometric bound on the norm omitted beyond pair index last_index;
-    inf where the majorant series has no ratio in (0, 1) or does not
-    exist (epsilon >= 1)."""
+    """Geometric bound on the norm omitted beyond pair index last_index,
+    from the ratio c_J / c_{J-1} of tail_series at J = max(last_index + 2,
+    3), computed alone; inf where that ratio is not in (0, 1) or the
+    series does not exist (epsilon >= 1)."""
     if not params.epsilon < 1.0:
         return math.inf
-    series = tail_series(params, max(last_index + 2, 3), cfg)
-    r = float(series.ratios[-1])
+    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params, cfg)
+    j = float(max(last_index + 2, 3))
+    lower = majorant_lower_bound(2.0 * j, b, sqrt_eta_a, xi)
+    r = float(1.0 / (2.0 * lower * np.sqrt(chain_denominator(2.0 * j - 1.0, a, b, c))))
     if not (0.0 < r < 1.0):
         return math.inf
     return last_coeff * r / (1.0 - r)
@@ -253,16 +244,16 @@ class TruncationDecayReport:
     points_used: int
 
 
-def fit_truncation_decay(x, diffs, floor: float = 1e-13) -> TruncationDecayReport:
+def fit_truncation_decay(x, diffs) -> TruncationDecayReport:
     """Least-squares line through log|difference| vs truncation span.
 
-    Points where the difference has hit the rounding floor (or vanished
-    exactly) carry no decay information and are dropped before fitting.
+    Points where the difference has hit DECAY_FLOOR (or vanished exactly)
+    carry no decay information and are dropped before fitting.
     fitted_c is left NaN; it needs the eps scale, which the caller has.
     """
     x = np.asarray(x, dtype=np.float64)
     diffs = np.asarray(diffs, dtype=np.float64)
-    keep = np.isfinite(diffs) & (diffs > floor)
+    keep = np.isfinite(diffs) & (diffs > DECAY_FLOOR)
     x, diffs = x[keep], diffs[keep]
     if x.size < 3:
         raise ValueError("not enough usable decay points to fit")

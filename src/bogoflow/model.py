@@ -159,14 +159,12 @@ class CoefficientSet:
     c_delta: float
     eta: float
     xi: float
-    theta_exponent: float
 
 
 def coefficient_set(params: ModelParams, cfg: FlowConfig) -> CoefficientSet:
     eps = params.epsilon
     n = params.n_particles
     delta = cfg.resolved_delta(eps)
-    theta_exp = cfg.theta_exponent
     a_gamma = 2.0 * eps + C_GAMMA * (eps / n**cfg.gamma + 1.0 / n + eps * eps)
     return CoefficientSet(
         a_prime=eps * eps + 2.0 * eps,
@@ -174,8 +172,7 @@ def coefficient_set(params: ModelParams, cfg: FlowConfig) -> CoefficientSet:
         b_delta=b_coefficient(eps, delta),
         c_delta=c_coefficient(eps, delta),
         eta=1.0 - math.sqrt(eps),
-        xi=eps**theta_exp,
-        theta_exponent=theta_exp,
+        xi=eps**cfg.theta_exponent,
     )
 
 
@@ -267,10 +264,6 @@ class SpectralWindow:
 
     z_min: float
     z_max: float
-
-    @property
-    def width(self) -> float:
-        return self.z_max - self.z_min
 
 
 def spectral_window(params: ModelParams, cfg: FlowConfig) -> SpectralWindow:

@@ -84,15 +84,6 @@ class TridiagonalHamiltonian:
             out[1:] += self.offdiag * v[:-1]
         return out
 
-    def to_csv(self, path) -> None:
-        """Write columns k,d_k,t_k (empty t on the last row)."""
-        lines = ["k,d_k,t_k"]
-        for k in range(self.size):
-            t = repr(float(self.offdiag[k])) if k < self.size - 1 else ""
-            lines.append(f"{k},{float(self.diag[k])!r},{t}")
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-
 
 def sector_elements(params: ModelParams, k_lo: int, k_hi: int):
     """The block of rows k_lo..k_hi-1: (d_k for k_lo <= k < k_hi,
@@ -249,7 +240,8 @@ def lowest_eigenpair(tri: TridiagonalHamiltonian) -> EigenPair:
     leading block.
 
     The vector is unit norm with its first nonzero component positive;
-    a residual above 1e-10 * norm_inf raises ConvergenceError.  Both are
+    a residual that is not at most 1e-10 * norm_inf (a NaN from stein, as
+    at eps = 1e150, included) raises ConvergenceError.  Both are
     taken on rows 0..K, every row where T v can be nonzero (v is zero
     below row K), which makes the norm no larger than the whole matrix's.
     The first call's pair is kept on tri and returned by every later call;
@@ -266,8 +258,8 @@ def lowest_eigenpair(tri: TridiagonalHamiltonian) -> EigenPair:
     rows = min(k + 1, tri.size)
     head = TridiagonalHamiltonian(diag=tri.diag[:rows], offdiag=tri.offdiag[: rows - 1])
     residual = float(np.linalg.norm(head.matvec(v[:rows]) - lam * v[:rows]))
-    if residual > 1e-10 * (head.norm_inf() or 1.0):
-        raise ConvergenceError(f"eigenpair residual {residual:.3e} exceeds 1e-10*norm")
+    if not residual <= 1e-10 * (head.norm_inf() or 1.0):
+        raise ConvergenceError(f"eigenpair residual {residual:.3e} is not within 1e-10*norm")
     enclosure = _block_width(tri) if k < tri.size else 0.0
     v.flags.writeable = False
     pair = EigenPair(value=lam, vector=v, residual=residual, block_size=k, enclosure=enclosure)

@@ -58,8 +58,8 @@ class SequenceWithBound:
             return self.values - self.bound
         return self.bound - self.values
 
-    def holds(self, slack: float = BOUND_SLACK) -> bool:
-        return bound_holds(self.margin, slack * (1.0 + np.abs(self.values)), self.bound)
+    def holds(self) -> bool:
+        return bound_holds(self.margin, BOUND_SLACK * (1.0 + np.abs(self.values)), self.bound)
 
     def to_csv(self, path) -> None:
         lines = ["index,value,bound,margin"]

@@ -294,7 +294,6 @@ def energy_error_diagnostic(
     params: ModelParams,
     cfg: Optional[FlowConfig] = None,
     result: Optional[GroundEnergyResult] = None,
-    fitted_c: float = FITTED_DECAY_C,
 ) -> ErrorBudget:
     """Compare the measured |z* - E| with the three-term budget.
 
@@ -313,7 +312,7 @@ def energy_error_diagnostic(
     measured = abs(result.z_star - bogoliubov_energy(params))
 
     t1 = phi / (eps * n**beta)
-    t2 = phi / math.sqrt(eps) * (1.0 / (1.0 + fitted_c * math.sqrt(eps))) ** (
+    t2 = phi / math.sqrt(eps) * (1.0 / (1.0 + FITTED_DECAY_C * math.sqrt(eps))) ** (
         n ** (1.0 - beta)
     )
     t3 = phi / n
@@ -323,7 +322,7 @@ def energy_error_diagnostic(
         term_geometric=t2,
         term_inverse_n=t3,
         measured=measured,
-        fitted_c=fitted_c,
+        fitted_c=FITTED_DECAY_C,
         budget=budget,
         in_budget=(measured <= budget) if regime_ok else False,
         regime_ok=regime_ok,

@@ -36,6 +36,24 @@ from .model import (
 DEFAULT_GRID_N = (2, 4, 16, 128, 1024)
 DEFAULT_GRID_EPS = (0.5, 0.1, 0.01)
 
+# The checks' fixed settings, one name per gate.  The equivalence
+# tolerances never move: 1e-10 on energies, 1 - 1e-9 on overlaps, 1e-12
+# on the continued-fraction identity.
+CF_TOL = 1e-12  # relative, flow f(z) against the matrix Schur complement
+CF_POINTS = 20  # sub-spectral z per grid point
+ENERGY_TOL = 1e-10  # |z* - lambda0|
+OVERLAP_TOL = 1e-9  # overlap >= 1 - OVERLAP_TOL
+RESIDUAL_FACTOR = 1e-8  # eigen-residual of the expanded vector / norm_inf
+MONOTONICITY_POINTS = 8
+LEVEL_TOL = 1e-12  # least increment of G between neighbouring z
+Y_RESIDUAL_TOL = 1e-12  # closed form in its own recursion, relative
+ACCESSORI_TOL = 1e-13  # product identity, relative
+EBOG_SLOPE_RANGE = (-1.5, -0.4)  # log-log slope of |z* - E_bog| against N
+TRUNCATION_N_CAP = 10**5  # largest N of the truncation-decay fits
+R2_FLOOR = 0.95  # least R^2 of those fits
+UNIQUENESS_PROBES = 100
+UNIQUENESS_SEED = 7
+
 
 @dataclass
 class PropertyResult:
@@ -66,8 +84,6 @@ def check_cf_equivalence(
     n_values: Sequence[int] = DEFAULT_GRID_N,
     eps_values: Sequence[float] = DEFAULT_GRID_EPS,
     phi: float = 1.0,
-    n_z: int = 20,
-    rel_tol: float = 1e-12,
     perturb_tk: float = 0.0,
 ) -> PropertyResult:
     """Flow fixed-point function against the directly evaluated matrix
@@ -87,7 +103,7 @@ def check_cf_equivalence(
                 off[min(1, len(off) - 1)] *= 1.0 + perturb_tk
                 tri = oracle.TridiagonalHamiltonian(diag=tri.diag, offdiag=off)
             lam0 = oracle.lowest_eigenpair(tri).value
-            for z in _subspectral_grid(lam0, phi, n_z):
+            for z in _subspectral_grid(lam0, phi, CF_POINTS):
                 f_flow = flow.f_of_z(params, z)
                 f_direct = oracle.schur_complement(tri, z)
                 rel = abs(f_flow - f_direct) / abs(f_direct)
@@ -95,21 +111,17 @@ def check_cf_equivalence(
                     worst, where = rel, f"n={n} eps={eps} z={z:.6g}"
     return PropertyResult(
         name="cf_equivalence",
-        passed=worst <= rel_tol,
-        margin=rel_tol - worst,
-        details=f"worst rel diff {worst:.3e} at {where}; tol {rel_tol:g}",
+        passed=worst <= CF_TOL,
+        margin=CF_TOL - worst,
+        details=f"worst rel diff {worst:.3e} at {where}; tol {CF_TOL:g}",
     )
 
 
-def check_flow_monotonicity(
-    params: ModelParams,
-    n_z: int = 8,
-    level_tol: float = 1e-12,
-) -> PropertyResult:
+def check_flow_monotonicity(params: ModelParams) -> PropertyResult:
     """G nondecreasing in z at every level, and f slope <= -1."""
     cfg = FlowConfig()
     lam0 = oracle.lowest_eigenpair(oracle.build_sector_hamiltonian(params)).value
-    zs = _subspectral_grid(lam0, params.phi, n_z)
+    zs = _subspectral_grid(lam0, params.phi, MONOTONICITY_POINTS)
     zs.sort()
     worst = math.inf
     f_slope_worst = -math.inf
@@ -122,24 +134,22 @@ def check_flow_monotonicity(
             slope = (table.f_value - prev_table.f_value) / (z - prev_table.z)
             f_slope_worst = max(f_slope_worst, slope)
         prev_table = table
-    ok = worst >= -level_tol and f_slope_worst <= -1.0 + 1e-9
+    ok = worst >= -LEVEL_TOL and f_slope_worst <= -1.0 + 1e-9
     return PropertyResult(
         name="flow_monotonicity",
         passed=ok,
-        margin=min(worst + level_tol, -1.0 - f_slope_worst + 1e-9),
+        margin=min(worst + LEVEL_TOL, -1.0 - f_slope_worst + 1e-9),
         details=f"min level increment {worst:.3e}, max f slope {f_slope_worst:.6f}",
     )
 
 
-def check_w_bound(
-    params: ModelParams, deltas: Optional[Sequence[float]] = None
-) -> PropertyResult:
+def check_w_bound(params: ModelParams) -> PropertyResult:
     """Each coupling product at the window edge for slope delta stays below
-    1/(4 D(N-i+1)), D = model.chain_denominator with b, c at delta."""
+    1/(4 D(N-i+1)), D = model.chain_denominator with b, c at delta, for
+    delta = 1, 1 + sqrt(eps)/2 and 1 + sqrt(eps)."""
     eps, phi, n = params.epsilon, params.phi, params.n_particles
-    if deltas is None:
-        root = math.sqrt(eps)
-        deltas = (1.0, 1.0 + 0.5 * root, 1.0 + root)
+    root = math.sqrt(eps)
+    deltas = (1.0, 1.0 + 0.5 * root, 1.0 + root)
     e_bog = bogoliubov_energy(params)
     s = math.sqrt(eps * (eps + 2.0))
     a = 2.0 * eps + eps * eps
@@ -160,7 +170,7 @@ def check_w_bound(
         name="w_bound",
         passed=worst >= 0.0,
         margin=worst,
-        details=f"min slack {worst:.3e} over deltas {tuple(deltas)}",
+        details=f"min slack {worst:.3e} over deltas {deltas}",
     )
 
 
@@ -238,7 +248,6 @@ def check_xtilde_bounds(
 def check_y_closed_residual(
     eps_values: Optional[np.ndarray] = None,
     l_values: Optional[np.ndarray] = None,
-    rel_tol: float = 1e-12,
 ) -> PropertyResult:
     if eps_values is None:
         eps_values = np.geomspace(1e-6, 0.5, 13)
@@ -250,9 +259,9 @@ def check_y_closed_residual(
         worst = max(worst, float(np.max(res)))
     return PropertyResult(
         name="y_closed_residual",
-        passed=worst <= rel_tol,
-        margin=rel_tol - worst,
-        details=f"max recursion residual {worst:.3e}; tol {rel_tol:g}",
+        passed=worst <= Y_RESIDUAL_TOL,
+        margin=Y_RESIDUAL_TOL - worst,
+        details=f"max recursion residual {worst:.3e}; tol {Y_RESIDUAL_TOL:g}",
     )
 
 
@@ -260,7 +269,6 @@ def check_accessori(
     eps_values: Sequence[float] = (0.0, 0.01, 0.1),
     delta_values: Sequence[float] = (0.0, 1.0, 1.3, 1.99),
     m_values: Optional[np.ndarray] = None,
-    rel_tol: float = 1e-13,
 ) -> PropertyResult:
     if m_values is None:
         m_values = np.unique(np.geomspace(3, 1e6, 40).astype(np.int64))
@@ -272,9 +280,9 @@ def check_accessori(
             )
     return PropertyResult(
         name="accessori_identity",
-        passed=worst <= rel_tol,
-        margin=rel_tol - worst,
-        details=f"max relative residual {worst:.3e}; tol {rel_tol:g}",
+        passed=worst <= ACCESSORI_TOL,
+        margin=ACCESSORI_TOL - worst,
+        details=f"max relative residual {worst:.3e}; tol {ACCESSORI_TOL:g}",
     )
 
 
@@ -305,7 +313,6 @@ def check_flow_oracle(
     n_values: Sequence[int] = DEFAULT_GRID_N,
     eps_values: Sequence[float] = DEFAULT_GRID_EPS,
     phi: float = 1.0,
-    abs_tol: float = 1e-10,
 ) -> PropertyResult:
     worst = 0.0
     where = ""
@@ -317,9 +324,9 @@ def check_flow_oracle(
                 worst, where = result.oracle_delta, f"n={n} eps={eps}"
     return PropertyResult(
         name="flow_oracle_equivalence",
-        passed=worst <= abs_tol,
-        margin=abs_tol - worst,
-        details=f"worst |z* - lambda0| = {worst:.3e} at {where}; tol {abs_tol:g}",
+        passed=worst <= ENERGY_TOL,
+        margin=ENERGY_TOL - worst,
+        details=f"worst |z* - lambda0| = {worst:.3e} at {where}; tol {ENERGY_TOL:g}",
     )
 
 
@@ -386,8 +393,6 @@ def check_overlap(
     n_values: Sequence[int] = DEFAULT_GRID_N,
     eps_values: Sequence[float] = DEFAULT_GRID_EPS,
     phi: float = 1.0,
-    overlap_tol: float = 1e-9,
-    residual_factor: float = 1e-8,
 ) -> PropertyResult:
     worst_overlap = 1.0
     worst_residual = 0.0
@@ -402,11 +407,11 @@ def check_overlap(
             overlap = float(abs(psi @ oracle.lowest_eigenpair(tri).vector[: psi.size]))
             worst_overlap = min(worst_overlap, overlap)
             worst_residual = max(worst_residual, res / tri.norm_inf())
-    ok = worst_overlap >= 1.0 - overlap_tol and worst_residual <= residual_factor
+    ok = worst_overlap >= 1.0 - OVERLAP_TOL and worst_residual <= RESIDUAL_FACTOR
     return PropertyResult(
         name="ground_state_overlap",
         passed=ok,
-        margin=min(worst_overlap - (1.0 - overlap_tol), residual_factor - worst_residual),
+        margin=min(worst_overlap - (1.0 - OVERLAP_TOL), RESIDUAL_FACTOR - worst_residual),
         details=(
             f"min overlap {worst_overlap:.12f}, "
             f"max residual/norm_inf {worst_residual:.3e}"
@@ -417,7 +422,6 @@ def check_overlap(
 def check_ebog_convergence(
     eps: float = 0.01,
     n_values: Sequence[int] = (10**3, 10**4, 10**5, 10**6),
-    slope_range=(-1.5, -0.4),
 ) -> PropertyResult:
     errs = []
     for n in n_values:
@@ -427,11 +431,12 @@ def check_ebog_convergence(
     errs = np.array(errs)
     decreasing = bool(np.all(np.diff(errs) < 0.0))
     slope = float(np.polyfit(np.log(np.array(n_values, float)), np.log(errs), 1)[0])
-    ok = decreasing and slope_range[0] <= slope <= slope_range[1]
+    low, high = EBOG_SLOPE_RANGE
+    ok = decreasing and low <= slope <= high
     return PropertyResult(
         name="ebog_convergence",
         passed=ok,
-        margin=min(slope - slope_range[0], slope_range[1] - slope),
+        margin=min(slope - low, high - slope),
         details=f"errors {['%.3e' % e for e in errs]}, log-log slope {slope:.3f}",
     )
 
@@ -439,8 +444,6 @@ def check_ebog_convergence(
 def check_truncation_decay(
     eps_values: Sequence[float] = (0.04, 0.01),
     beta_values: Sequence[float] = (0.3, 0.5, 0.7),
-    n_cap: int = 10**5,
-    r2_floor: float = 0.95,
 ) -> PropertyResult:
     """Per (eps, beta): fit log|G - G_T| against N^(1-beta) over an N grid
     chosen so the difference stays above the rounding floor."""
@@ -457,7 +460,7 @@ def check_truncation_decay(
                 n += n % 2
                 if n < span + 4:
                     n = span + 4 + (span % 2)
-                if n > n_cap:
+                if n > TRUNCATION_N_CAP:
                     continue
                 params = ModelParams(n_particles=n, epsilon=eps)
                 z = bogoliubov_energy(params)
@@ -471,26 +474,24 @@ def check_truncation_decay(
             details.append(
                 f"eps={eps} beta={beta}: slope={report.slope:.4f} R2={report.r_squared:.4f}"
             )
-    ok = worst_slope < 0.0 and worst_r2 >= r2_floor
+    ok = worst_slope < 0.0 and worst_r2 >= R2_FLOOR
     return PropertyResult(
         name="truncation_decay",
         passed=ok,
-        margin=min(-worst_slope, worst_r2 - r2_floor),
+        margin=min(-worst_slope, worst_r2 - R2_FLOOR),
         details="; ".join(details),
     )
 
 
-def check_fixed_point_uniqueness(
-    params: ModelParams, n_probe: int = 100, seed: int = 7
-) -> PropertyResult:
+def check_fixed_point_uniqueness(params: ModelParams) -> PropertyResult:
     """sign(f(z)) == sign(z* - z) at random window points below the root
     region: a single crossing."""
     result = spectrum.solve_fixed_point(params)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(UNIQUENESS_SEED)
     lo = result.window.z_min
     hi = min(result.window.z_max, result.z_star + 0.49 * params.delta0)
     bad = 0
-    for z in rng.uniform(lo, hi, n_probe):
+    for z in rng.uniform(lo, hi, UNIQUENESS_PROBES):
         side = spectrum.flow_side(params, float(z))
         expect = 1 if z < result.z_star else -1
         if abs(z - result.z_star) < 10 * FlowConfig().tol_root * params.phi:
@@ -501,7 +502,7 @@ def check_fixed_point_uniqueness(
         name="fixed_point_uniqueness",
         passed=bad == 0,
         margin=float(-bad),
-        details=f"{bad} sign mismatches out of {n_probe} probes",
+        details=f"{bad} sign mismatches out of {UNIQUENESS_PROBES} probes",
     )
 
 

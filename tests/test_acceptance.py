@@ -31,21 +31,22 @@ def _report(criterion, passed, detail):
 
 
 def test_criterion_01_fixed_point_oracle_equivalence():
+    assert verify.ENERGY_TOL == 1e-10
     start = time.perf_counter()
-    result = verify.check_flow_oracle(GRID_N, GRID_EPS, phi=1.0, abs_tol=1e-10)
+    result = verify.check_flow_oracle(GRID_N, GRID_EPS, phi=1.0)
     elapsed = time.perf_counter() - start
     _report(1, result.passed and elapsed < 5.0, f"{result.details}; runtime {elapsed:.2f}s (< 5s)")
 
 
 def test_criterion_02_continued_fraction_identity():
-    result = verify.check_cf_equivalence(GRID_N, GRID_EPS, phi=1.0, n_z=20, rel_tol=1e-12)
+    assert verify.CF_POINTS == 20 and verify.CF_TOL == 1e-12
+    result = verify.check_cf_equivalence(GRID_N, GRID_EPS, phi=1.0)
     _report(2, result.passed, result.details)
 
 
 def test_criterion_03_ground_state_overlap():
-    result = verify.check_overlap(
-        GRID_N, GRID_EPS, phi=1.0, overlap_tol=1e-9, residual_factor=1e-8
-    )
+    assert verify.OVERLAP_TOL == 1e-9 and verify.RESIDUAL_FACTOR == 1e-8
+    result = verify.check_overlap(GRID_N, GRID_EPS, phi=1.0)
     _report(3, result.passed, result.details)
 
 
@@ -55,10 +56,9 @@ def test_criterion_04_zstar_upper_bound():
 
 
 def test_criterion_05_convergence_to_closed_form():
+    assert verify.EBOG_SLOPE_RANGE == (-1.5, -0.4)
     start = time.perf_counter()
-    result = verify.check_ebog_convergence(
-        eps=0.01, n_values=(10**3, 10**4, 10**5, 10**6), slope_range=(-1.5, -0.4)
-    )
+    result = verify.check_ebog_convergence(eps=0.01, n_values=(10**3, 10**4, 10**5, 10**6))
     elapsed = time.perf_counter() - start
     _report(5, result.passed and elapsed < 30.0, f"{result.details}; runtime {elapsed:.2f}s (< 30s)")
 
@@ -80,7 +80,8 @@ def test_criterion_06_sequence_bounds():
 def test_criterion_07_closed_form_solution():
     eps_grid = np.geomspace(1e-6, 0.5, 13)
     l_grid = np.unique(np.geomspace(2, 1e6, 30).astype(np.int64)).astype(float)
-    result = verify.check_y_closed_residual(eps_grid, l_grid, rel_tol=1e-12)
+    assert verify.Y_RESIDUAL_TOL == 1e-12
+    result = verify.check_y_closed_residual(eps_grid, l_grid)
     # eps = 0 branch: l/(2l+1) to one ulp
     ulp_ok = True
     from bogoflow import y_closed_form
@@ -94,11 +95,9 @@ def test_criterion_07_closed_form_solution():
 
 def test_criterion_08_product_identity():
     m_grid = np.unique(np.geomspace(3, 1e6, 50).astype(np.int64))
+    assert verify.ACCESSORI_TOL == 1e-13
     result = verify.check_accessori(
-        eps_values=(0.0, 0.01, 0.1),
-        delta_values=(0.0, 1.0, 1.3, 1.99),
-        m_values=m_grid,
-        rel_tol=1e-13,
+        eps_values=(0.0, 0.01, 0.1), delta_values=(0.0, 1.0, 1.3, 1.99), m_values=m_grid
     )
     _report(8, result.passed, result.details)
 
@@ -109,9 +108,8 @@ def test_criterion_09_sector_gap():
 
 
 def test_criterion_10_truncation_decay():
-    result = verify.check_truncation_decay(
-        eps_values=(0.04, 0.01), beta_values=(0.3, 0.5, 0.7), n_cap=10**5, r2_floor=0.95
-    )
+    assert verify.TRUNCATION_N_CAP == 10**5 and verify.R2_FLOOR == 0.95
+    result = verify.check_truncation_decay(eps_values=(0.04, 0.01), beta_values=(0.3, 0.5, 0.7))
     _report(10, result.passed, result.details)
 
 

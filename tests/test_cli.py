@@ -336,6 +336,34 @@ def test_solve_at_an_n_it_cannot_allocate_fails_with_a_reason(tmp_path, capsys):
     assert not (out / "point-0.json").exists()
 
 
+@pytest.mark.parametrize(
+    "n, eps, status",
+    [
+        ("4", "1e300", "error:OverflowError"),  # eps**nu overflows in the regime check
+        ("1025", "0.01", "error:ValueError"),
+        ("4", "1e150", "error:ConvergenceError"),  # the oracle's vector is NaN
+    ],
+)
+def test_a_failed_solve_point_is_recorded_as_a_sweep_row_is(tmp_path, capsys, n, eps, status):
+    out = tmp_path / "run"
+    code = run_cli(["--mode", "solve", "--n", n, "--epsilon", eps, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    (point,) = json.loads((out / "manifest.json").read_text())["points"]
+    assert len(err) == 1 and point["status"] == status and err[0] == f"error: {point['reason']}"
+    assert not (out / "point-0.json").exists()
+
+
+def test_sweep_row_with_a_nan_oracle_vector_fails_with_its_reason(tmp_path):
+    out = tmp_path / "sweep"
+    code = run_cli(["--mode", "sweep", "--n", "4,16", "--epsilon", "1e150", "--out", str(out)])
+    assert code == 1
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["error:ConvergenceError"] * 2
+    points = json.loads((out / "manifest.json").read_text())["points"]
+    assert all(point["reason"].startswith("eigenpair residual nan") for point in points)
+
+
 def test_sweep_row_beyond_exact_level_arithmetic_carries_its_reason(tmp_path):
     out = tmp_path / "sweep"
     code = run_cli(["--mode", "sweep", "--n", f"1024,{2**52 + 2}", "--epsilon", "0.01", "--out", str(out)])

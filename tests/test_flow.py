@@ -15,14 +15,13 @@ from bogoflow import (
     lowest_eigenpair,
     schur_complement,
     solve_fixed_point,
-    w_product,
     y_star_sequence,
 )
 
 
 def test_w_product_decays_far_below_spectrum():
     p = ModelParams(n_particles=64, epsilon=0.1)
-    vals = [w_product(p, 10, z) for z in (-1e2, -1e4, -1e6)]
+    vals = [g_check(p, z).w_products[5] for z in (-1e2, -1e4, -1e6)]  # level 10
     assert vals[0] > vals[1] > vals[2] > 0.0
     assert vals[2] < 1e-10
 
@@ -34,7 +33,7 @@ def test_w_product_matches_matrix_elements():
     tri = build_sector_hamiltonian(p)
     z = bogoliubov_energy(p)
     d, t = tri.diag, tri.offdiag
-    w = w_product(p, 2, z)  # i=2 -> k=1
+    w = g_check(p, z).w_products[1]  # i=2 -> k=1
     expect = t[1] ** 2 / ((d[1] - z) * (d[2] - z))
     assert w == pytest.approx(expect, rel=1e-13)
 
@@ -44,10 +43,11 @@ def test_w_product_matrix_identity_on_z_grid():
     tri = build_sector_hamiltonian(p)
     d, t = tri.diag, tri.offdiag
     for z in np.linspace(-3.0, -0.7, 7):
+        w = g_check(p, float(z)).w_products
         for i in (2, 10, 32, 62):
             k = (64 - i) // 2
             expect = t[k] ** 2 / ((d[k] - z) * (d[k + 1] - z))
-            assert w_product(p, i, float(z)) == pytest.approx(expect, rel=1e-13)
+            assert w[i // 2] == pytest.approx(expect, rel=1e-13)
 
 
 def test_final_prefactor_equals_first_coupling():
@@ -58,32 +58,6 @@ def test_final_prefactor_equals_first_coupling():
         lhs = (1 - 1 / 32) * 1.3**2 / (1.3 * (2 * 0.07 + 2 - 4 / 32) - z)
         rhs = tri.offdiag[0] ** 2 / (tri.diag[1] - z)
         assert lhs == pytest.approx(rhs, rel=1e-14)
-
-
-def test_w_product_level_validation():
-    p = ModelParams(n_particles=8, epsilon=0.1)
-    with pytest.raises(ValueError):
-        w_product(p, 3, -1.0)
-    with pytest.raises(ValueError):
-        w_product(p, 0, -1.0)
-    with pytest.raises(ValueError):
-        w_product(p, 8, -1.0)
-
-
-def test_w_product_reads_only_its_own_levels():
-    # levels i - 2 and i alone, bit for bit the entry of the full array
-    from bogoflow import flow
-
-    p = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
-    z = bogoliubov_energy(p)
-    for i in (2, 4, 1000, 123456, p.n_particles - 2):
-        assert w_product(p, i, z) == flow._w_product_arrays(p, z, i - 2)[0][1]
-    # z on the pole of level i + 2: levels up to i are fine, i + 2 is not
-    i = 1000
-    pole = float(flow._coefficients_at(p, np.array([i + 2.0]))[1][0])
-    assert 0.0 < w_product(p, i, pole) < math.inf
-    with pytest.raises(FlowDomainError):
-        w_product(p, i + 2, pole)
 
 
 def test_pole_floor_raises():
@@ -472,13 +446,3 @@ def test_y_star_terminal_tracks_reciprocal_flow():
     g_full = g_check(p, z).g_values[-1]
     scale = (10**6) ** (-2.0 / 3.0) / math.sqrt(0.01)
     assert abs(seq.values[-1] - 1.0 / g_full) <= 2e-2 * scale
-
-
-def test_flow_table_csv_roundtrip(tmp_path):
-    p = ModelParams(n_particles=8, epsilon=0.1)
-    table = g_check(p, -2.0)
-    path = tmp_path / "flow.csv"
-    table.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,w_product,g_value"
-    assert len(lines) == 1 + table.g_values.size

@@ -134,18 +134,6 @@ def test_truncation_fitted_c_consistent_scale():
     assert 0.1 <= report.fitted_c <= 10.0
 
 
-def test_vector_csv_export(tmp_path):
-    params = ModelParams(n_particles=16, epsilon=0.1)
-    result = solve_fixed_point(params)
-    vec = expand_ground_state(params, result.z_star)
-    pair = lowest_eigenpair(build_sector_hamiltonian(params))
-    path = tmp_path / "vec.csv"
-    vec.to_csv(path, oracle_vector=pair.vector)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,psi_k,oracle_v_k,abs_diff"
-    assert len(lines) == 1 + vec.coeffs.size
-
-
 def _expand_by_loop(params, z, k_max=None):
     # the element loop the vectorized expansion replaced, kept as reference
     from bogoflow.flow import g_check

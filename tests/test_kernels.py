@@ -38,13 +38,24 @@ def _compare(kernel, loop, coef, start=1.0):
     return got, bad
 
 
+def _flow_table(w, g):
+    # the kernel fills the pivots 1/G; inverted they are the table that
+    # the element loop fills in g
+    d = np.empty_like(g)
+    d[0] = 1.0 / g[0]
+    bad = _kernels.flow_recursion(w, d)
+    np.divide(1.0, d[1:], out=g[1:])
+    return bad
+
+
 def _flow_resumed(w, g, h):
     # the flow chain in two calls, the second started from the first's
     # last pivot
     d = np.empty_like(g)
     d[0] = 1.0 / g[0]
-    _kernels.flow_recursion(w[:h], g[:h], d[:h])
-    _kernels.flow_recursion(w[h - 1 :], g[h - 1 :], d[h - 1 :])
+    _kernels.flow_recursion(w[:h], d[:h])
+    _kernels.flow_recursion(w[h - 1 :], d[h - 1 :])
+    np.divide(1.0, d[1:], out=g[1:])
 
 
 def _chain_resumed(dfac, x, h):
@@ -64,7 +75,7 @@ def scan_mode(request):
 def test_scan_matches_loop(n, scan_mode):
     rng = np.random.default_rng(n)
     for kernel, loop, resumed, coef in (
-        (_kernels.flow_recursion, _kernels._flow_loop, _flow_resumed, _flow_inputs(n, rng)),
+        (_flow_table, _kernels._flow_loop, _flow_resumed, _flow_inputs(n, rng)),
         (_kernels.rational_chain, _kernels._chain_loop, _chain_resumed, _chain_inputs(n, rng)),
     ):
         got, bad = _compare(kernel, loop, coef)
@@ -83,10 +94,10 @@ def test_scan_first_bad(n, j):
     w = _flow_inputs(n, rng)
     w[j] = 3.0  # q >= 1
     w[j + 1 :] *= -1.0  # later failures must not move first_bad
-    assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w)[1] == j
+    assert _compare(_flow_table, _kernels._flow_loop, w)[1] == j
     w = _flow_inputs(n, rng)
     w[j] = -0.1  # q < 0
-    assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w)[1] == j
+    assert _compare(_flow_table, _kernels._flow_loop, w)[1] == j
     dfac = _chain_inputs(n, rng)
     dfac[j] = 0.1  # 4 * dfac * x < 1, so x <= 0
     assert _compare(_kernels.rational_chain, _kernels._chain_loop, dfac)[1] == j
@@ -98,7 +109,7 @@ def test_scan_exact_zero_denominator(n, positions):
     for j in positions:
         w = _flow_inputs(n, rng)
         w[j - 1], w[j] = 0.0, 1.0  # g[j-1] = 1 exactly, then q = 1
-        assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w)[1] == j
+        assert _compare(_flow_table, _kernels._flow_loop, w)[1] == j
         dfac = _chain_inputs(n, rng)
         dfac[j] = 0.0  # 4 * dfac * x = 0
         assert _compare(_kernels.rational_chain, _kernels._chain_loop, dfac)[1] == j
@@ -114,7 +125,7 @@ def test_negative_coefficient():
     assert bad == -1 and got.min() > 0.0
     w = _flow_inputs(4097, rng)
     w[[5, 6, 3000]] = -0.05
-    assert _compare(_kernels.flow_recursion, _kernels._flow_loop, w)[1] == 5
+    assert _compare(_flow_table, _kernels._flow_loop, w)[1] == 5
 
 
 def test_exact_zero_pivot():
@@ -131,7 +142,7 @@ def test_exact_zero_pivot():
             assert got[j + 1] == 1.0 - 1.0 / _kernels._TINY
         w = _flow_inputs(4097, rng)
         w[j - 1], w[j] = 0.0, 1.0  # pivot 1 - 1/1 = 0: G = 1/(-_TINY)
-        got, bad = _compare(_kernels.flow_recursion, _kernels._flow_loop, w)
+        got, bad = _compare(_flow_table, _kernels._flow_loop, w)
         assert bad == j and got[j] == -1.0 / _kernels._TINY
 
 
@@ -151,14 +162,14 @@ def test_resume_after_failure():
 
     w = _flow_inputs(n, rng)
     w[j] = 3.0  # pivot < 0
-    g, bad = _compare(_kernels.flow_recursion, _kernels._flow_loop, w)
+    g, bad = _compare(_flow_table, _kernels._flow_loop, w)
     assert bad == j and g[j] < 0.0
     d = np.empty(n)
     d[0] = 1.0
-    _kernels.flow_recursion(w, np.empty(n), d)  # the same chain, keeping its pivots
-    fresh = np.empty(n - j - 1)
-    _kernels.flow_recursion(w[j + 1 :], fresh, d[j + 1 :].copy())
-    np.testing.assert_array_equal(fresh[1:], g[j + 2 :])
+    _kernels.flow_recursion(w, d)  # the same chain's pivots
+    fresh = d[j + 1 :].copy()
+    _kernels.flow_recursion(w[j + 1 :], fresh)
+    np.testing.assert_array_equal(1.0 / fresh[1:], g[j + 2 :])
 
 
 def test_pivot_buffer_must_be_contiguous_float64():
@@ -170,25 +181,23 @@ def test_pivot_buffer_must_be_contiguous_float64():
         with pytest.raises(ValueError, match="C-contiguous float64"):
             _kernels.rational_chain(dfac, x)
     w = _flow_inputs(257, rng)
-    with pytest.raises(ValueError, match="C-contiguous float64"):
-        _kernels.flow_recursion(w, np.ones(257), np.ones(2 * 257)[::2])
-    # without a pivot buffer, g may be any float64 view
-    ref = np.ones(257)
-    _kernels._flow_loop(w, ref)
-    g = np.ones(2 * 257)[::2]
-    assert _kernels.flow_recursion(w, g) == -1
-    np.testing.assert_allclose(g, ref, rtol=1e-14, atol=0.0)
+    for d in (np.ones(2 * 257)[::2], np.ones(257, dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            _kernels.flow_recursion(w, d)
 
 
 def test_flow_pivots_alone_invert_to_the_table():
-    # with g None the kernel leaves the pivots; inverting them in place
-    # gives g of the full call bit for bit, and the last pivot is exact
+    # the kernel leaves the pivots in the caller's buffer, a contiguous
+    # slice here, and nothing outside it; inverted in place they are the
+    # element loop's table
     rng = np.random.default_rng(7)
     w = _flow_inputs(4097, rng)
-    g = np.ones(w.size)
-    d = np.ones(w.size)
-    keep = np.ones(w.size)
-    assert _kernels.flow_recursion(w, g, keep) == _kernels.flow_recursion(w, None, d) == -1
-    np.testing.assert_array_equal(d, keep)
+    ref = np.ones(w.size)
+    assert _kernels._flow_loop(w, ref) == -1
+    buffer = np.full(w.size + 2, 7.0)
+    d = buffer[1:-1]
+    d[0] = 1.0
+    assert _kernels.flow_recursion(w, d) == -1
+    assert buffer[0] == buffer[-1] == 7.0
     np.divide(1.0, d, out=d)
-    np.testing.assert_array_equal(d, g)
+    _assert_close(d, ref)

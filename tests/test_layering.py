@@ -1,12 +1,17 @@
 """Import rules between the package's modules, read from their source."""
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bogoflow"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bogoflow"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+# exported functions that only the tests call, each with its reason
+TEST_REFERENCES = {"dense_crosscheck": "re-derives the sector matrix by brute force for small N"}
 
 
 def _from_imports(module: str):
@@ -113,3 +118,23 @@ def test_no_module_level_eigensolve_cache(module):
         elif isinstance(node, ast.Name):
             names.add(node.id)
     assert names & {"functools", "cache", "lru_cache", "cached_property"} == set()
+
+
+def _called_names(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            names.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    return names
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    # callers: the package, the demos, the benchmark harness and the README
+    import bogoflow
+
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    called = set().union(*(_called_names(path) for path in sources if not path.name.startswith("test_")))
+    called.update(re.findall(r"(\w+)\(", (ROOT / "README.md").read_text()))
+    functions = {name for name in bogoflow.__all__ if inspect.isfunction(getattr(bogoflow, name))}
+    assert functions - called - set(TEST_REFERENCES) == set()

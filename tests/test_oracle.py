@@ -14,7 +14,7 @@ from bogoflow import (
     oracle,
     schur_complement,
 )
-from bogoflow.oracle import ORACLE_TOL, TridiagonalHamiltonian
+from bogoflow.oracle import ORACLE_TOL, ConvergenceError, TridiagonalHamiltonian
 
 
 def test_matrix_elements_n2():
@@ -92,6 +92,15 @@ def test_eigenvector_sign_and_residual():
     assert pair.residual <= 1e-10 * tri.norm_inf()
 
 
+@pytest.mark.parametrize("n", (4, 16))
+def test_a_nan_eigenvector_is_refused(n):
+    # at eps = 1e150 stein returns NaN entries, so the residual is NaN,
+    # which no "residual > tol" test rejects
+    tri = build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=1e150))
+    with pytest.raises(ConvergenceError, match="residual nan"):
+        lowest_eigenpair(tri)
+
+
 def test_low_spectrum_consistency():
     tri = build_sector_hamiltonian(ModelParams(n_particles=64, epsilon=0.1))
     lam = low_spectrum(tri, 5)
@@ -146,16 +155,6 @@ def test_schur_complement_root_is_lambda0():
     tri = build_sector_hamiltonian(p)
     lam0 = lowest_eigenpair(tri).value
     assert abs(schur_complement(tri, lam0)) <= 1e-10
-
-
-def test_csv_export(tmp_path):
-    tri = build_sector_hamiltonian(ModelParams(n_particles=4, epsilon=0.1))
-    path = tmp_path / "tri.csv"
-    tri.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,d_k,t_k"
-    assert len(lines) == 4
-    assert lines[-1].endswith(",")  # no coupling on the last row
 
 
 def _full_stebz(tri, m, vectors=True):

@@ -50,6 +50,13 @@ FROZEN_BATTERY = [
 ]
 
 
+def test_equivalence_tolerances_are_the_roadmap_values():
+    # each gate's tolerance is one module constant; these three never move
+    assert verify.ENERGY_TOL == 1e-10  # |z* - lambda0|
+    assert 1.0 - verify.OVERLAP_TOL == 1.0 - 1e-9  # overlap with the oracle vector
+    assert verify.CF_TOL == 1e-12  # the continued-fraction identity
+
+
 @pytest.mark.parametrize("workers", [1, None, 3])
 def test_default_battery_is_frozen_to_the_bit(workers):
     results = verify.run_all(verify.VerifyConfig(workers=workers))
