@@ -20,7 +20,6 @@ from .groundstate import (
 from .model import (
     AssumptionReport,
     CoefficientSet,
-    FlowConfig,
     ModelParams,
     SpectralWindow,
     bogoliubov_energy,
@@ -62,7 +61,6 @@ __all__ = [
     "CoefficientSet",
     "EigenPair",
     "ErrorBudget",
-    "FlowConfig",
     "FlowDomainError",
     "FlowTable",
     "GapReport",

@@ -6,7 +6,7 @@ numeric CSV output uses shortest round-trip formatting and fixed grid
 ordering, so repeated runs produce byte-identical bodies at any worker
 count; timing lives in the manifest only.
 
-Exit codes: 0 success, 2 solved-but-outside-regime (1/N <= eps^nu or the
+Exit codes: 0 success, 2 solved-but-outside-regime (1/N <= eps^NU or the
 window condition failed), 1 hard error, a rejected argument and a failed
 solve point included.
 """
@@ -22,10 +22,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from . import __version__, groundstate, sequences, spectrum, verify
-from .model import FlowConfig, ModelParams, bogoliubov_energy
+from .model import BETA, ModelParams, bogoliubov_energy
 from .oracle import build_sector_hamiltonian, low_spectrum, lowest_eigenpair
 
 MODES = ("solve", "sweep", "verify", "sequences")
@@ -65,12 +63,6 @@ class RunConfig:
     eps_values: Optional[List[float]] = None
     phi: float = 1.0
     delta0: float = 1.0
-    nu: float = 1.5
-    mu: float = 2.0 / 3.0
-    gamma: float = 1.0 / 3.0
-    beta: float = 2.0 / 3.0
-    delta: Optional[float] = None
-    tol: float = 1e-12
     out: Path = field(default_factory=lambda: Path("bogoflow-out"))
     # verify's process count; None means one per usable CPU.  Other modes
     # run serially
@@ -81,16 +73,6 @@ class RunConfig:
     def grid(self) -> Tuple[List[int], List[float]]:
         """Particle numbers and epsilons, defaulted for solve and sweep."""
         return self.n_values or DEFAULT_N, self.eps_values or DEFAULT_EPS
-
-    def flow_config(self) -> FlowConfig:
-        return FlowConfig(
-            nu=self.nu,
-            mu=self.mu,
-            gamma=self.gamma,
-            beta=self.beta,
-            delta=self.delta,
-            tol_root=self.tol,
-        )
 
     def as_dict(self) -> dict:
         d = dict(self.__dict__)
@@ -106,12 +88,6 @@ _CONFIG_KEYS = {
     "epsilon": "egrid",
     "phi": float,
     "delta0": float,
-    "nu": float,
-    "mu": float,
-    "gamma": float,
-    "beta": float,
-    "delta": float,
-    "tol": float,
     "out": Path,
     "workers": int,
     "only": str,
@@ -151,6 +127,7 @@ def parse_args(argv=None) -> RunConfig:
         prog="bogoflow",
         description="Ground-state solver and verification battery for the "
         "three-modes pair-interaction Hamiltonian.",
+        allow_abbrev=False,  # else an unknown --delta would set --delta0
     )
     parser.add_argument("--config", type=Path, help="key=value configuration file")
     for key, kind in _CONFIG_KEYS.items():
@@ -196,16 +173,14 @@ def _solve_point(config: RunConfig, n: int, eps: float) -> dict:
     params = ModelParams(
         n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0
     )
-    cfg = config.flow_config()
     tri = build_sector_hamiltonian(params)
-    result = spectrum.solve_fixed_point(params, cfg, reference=tri)
+    result = spectrum.solve_fixed_point(params, reference=tri)
     report = result.assumptions
     e_bog = bogoliubov_energy(params)
     lam = low_spectrum(tri, min(2, tri.size))
     gap = float(lam[1] - lam[0]) if lam.size > 1 else float("nan")
-    vec = groundstate.expand_ground_state(params, result.z_star, cfg=cfg)
+    psi = groundstate.expand_ground_state(params, result.z_star).normalized()
     pair = lowest_eigenpair(tri)
-    psi = vec.coeffs / np.linalg.norm(vec.coeffs)
     overlap = float(abs(psi @ pair.vector[: psi.size]))
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return {
@@ -357,7 +332,6 @@ def run_verify(config: RunConfig) -> int:
 
 def run_sequences(config: RunConfig) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
-    cfg = config.flow_config()
     files = {}
     n_values, eps_values = config.grid()
     for n in n_values:
@@ -366,20 +340,20 @@ def run_sequences(config: RunConfig) -> int:
                 n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0
             )
             tag = f"n{n}-eps{eps}"
-            x = sequences.x_sequence(params, cfg)
+            x = sequences.x_sequence(params)
             x_path = config.out / f"x-{tag}.csv"
             x.to_csv(x_path)
             files[x_path.name] = _sha256(x_path)
             try:
-                xt = sequences.xtilde_sequence(params, cfg)
+                xt = sequences.xtilde_sequence(params)
                 xt_path = config.out / f"xtilde-{tag}.csv"
                 xt.to_csv(xt_path)
                 files[xt_path.name] = _sha256(xt_path)
             except ValueError:
                 pass  # N^(1-gamma) < 4: no minorant chain at this size
-            if n ** (1 - cfg.beta) >= 4:
+            if n ** (1 - BETA) >= 4:
                 ys_path = config.out / f"ystar-{tag}.csv"
-                sequences.y_star_sequence(params, cfg.beta).to_csv(ys_path)
+                sequences.y_star_sequence(params, BETA).to_csv(ys_path)
                 files[ys_path.name] = _sha256(ys_path)
     _write_manifest(config, files, [])
     print(f"sequences: wrote {len(files)} files to {config.out}")

@@ -143,19 +143,15 @@ def _coefficients_at(params: ModelParams, i: np.ndarray):
     return num, diag
 
 
-def _w_product_arrays(params: ModelParams, z: float, start_level: int, coefficients=None):
-    """Coupling products for consecutive levels from start_level on;
-    index 0 is 0.0.
+def _w_product_arrays(params: ModelParams, z: float, coefficients):
+    """Coupling products for the consecutive levels whose level
+    coefficients are given; index 0 is 0.0.
 
-    coefficients holds the level coefficients of those levels; when not
-    given, level_coefficients(params, start_level) up to level N-2.
     Also returns the numerator t_k^2 and first resolvent d_k - z of each
     level, which the slope of f reuses.  The second resolvent of level i
     is the first of level i-2: i-2 and m+2 are exact, so both are the
     same float.
     """
-    if coefficients is None:
-        coefficients = level_coefficients(params, start_level)
     num, diag = coefficients
     den1 = diag - z
     w = np.zeros(den1.shape[0])
@@ -181,7 +177,7 @@ def _flow_span(params, z, start_level, first, stop, coefficients, pivot):
         coefficients = _coefficients_at(params, start_level + 2.0 * np.arange(first, stop))
     else:
         coefficients = (coefficients[0][first:stop], coefficients[1][first:stop])
-    w, num, den1 = _w_product_arrays(params, z, start_level + 2 * first, coefficients)
+    w, num, den1 = _w_product_arrays(params, z, coefficients)
     g = np.empty_like(w)  # the pivots 1/G, inverted in place once the last is read
     g[0] = pivot
     bad = int(_kernels.flow_recursion(w, g))
@@ -245,7 +241,7 @@ def enclosure(params: ModelParams, z: float, count: int):
         try:
             # below the restart d - z is positive and concave in the level, so
             # the full pass's pole guard there is decided at levels 0 and R - 2
-            _w_product_arrays(params, z, 0, _coefficients_at(params, np.array([0.0, restart - 2.0])))
+            _w_product_arrays(params, z, _coefficients_at(params, np.array([0.0, restart - 2.0])))
             coefficients = level_coefficients(params, restart)
             _, low, _, _, _, low_bad = _flow_span(params, z, restart, 0, span // 2, coefficients, 1.0)
             _, high, _, _, _, high_bad = _flow_span(params, z, restart, 0, span // 2, coefficients, 0.5)

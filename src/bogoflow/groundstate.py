@@ -32,14 +32,9 @@ import numpy as np
 
 from . import flow
 from .flow import FlowDomainError, g_check, g_truncated
-from .model import (
-    FlowConfig,
-    ModelParams,
-    chain_denominator,
-    majorant_coefficients,
-    majorant_lower_bound,
-)
+from .model import ModelParams, chain_denominator, majorant_coefficients, majorant_lower_bound
 from .oracle import TridiagonalHamiltonian, sector_elements
+from .spectrum import TOL_ROOT
 
 # stop extending the vector once coefficients fall below this relative size
 COEFF_FLOOR = 1e-18
@@ -70,10 +65,7 @@ class GroundStateVector:
 
 
 def expand_ground_state(
-    params: ModelParams,
-    z_star: float,
-    k_max: Optional[int] = None,
-    cfg: Optional[FlowConfig] = None,
+    params: ModelParams, z_star: float, k_max: Optional[int] = None
 ) -> GroundStateVector:
     """Sector amplitudes of the eigenvector at the fixed point z_star.
 
@@ -82,10 +74,9 @@ def expand_ground_state(
     ground energy.  G comes from the two restarts at level N - S where
     their enclosure applies (module docstring), else from a full pass.
     If the pole guard of the full pass trips, the evaluation falls back
-    to z_star - 10*tol_root*phi, which changes the coefficients by
-    O(tol) only.
+    to z_star - 10*spectrum.TOL_ROOT*phi, which changes the coefficients
+    by O(TOL_ROOT) only.
     """
-    cfg = cfg or FlowConfig()
     n = params.n_particles
     half = n // 2
     if k_max is None:
@@ -110,7 +101,7 @@ def expand_ground_state(
             if not table.valid:
                 raise FlowDomainError("flow invalid at z_star")
         except FlowDomainError:
-            z_eval = z_star - 10.0 * cfg.tol_root * params.phi
+            z_eval = z_star - 10.0 * TOL_ROOT * params.phi
             shifted = True
             table = g_check(params, z_eval)
         coeffs = _adaptive_coefficients(params, z_eval, table.g_values[::-1], k_max)
@@ -118,7 +109,7 @@ def expand_ground_state(
 
     tail_bound = 0.0
     if last < half:
-        tail_bound = _tail_norm_bound(params, cfg, abs(coeffs[-1]), last)
+        tail_bound = _tail_norm_bound(params, abs(coeffs[-1]), last)
 
     return GroundStateVector(
         coeffs=coeffs,
@@ -182,9 +173,7 @@ class TailSeries:
     threshold_index: int  # smallest j with ratio < 1 from there on
 
 
-def tail_series(
-    params: ModelParams, j_max: int, cfg: Optional[FlowConfig] = None
-) -> TailSeries:
+def tail_series(params: ModelParams, j_max: int) -> TailSeries:
     """Majorant series for the omitted part of the coefficient chain.
 
     c_j is the product over l = 2..j of 1 / (2 L(2l) * sqrt(D(2l-1))),
@@ -193,10 +182,9 @@ def tail_series(
     c_j/c_{j-1} drops below 1 from some eps-dependent index on, making
     the series convergent (ever more slowly as eps -> 0).
     """
-    cfg = cfg or FlowConfig()
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
-    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params, cfg)
+    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params)
 
     j = np.arange(2, j_max + 1, dtype=np.float64)
     factors = 1.0 / (
@@ -217,14 +205,14 @@ def tail_series(
     return TailSeries(c=cvals, ratios=ratios, j=j.astype(np.int64), threshold_index=threshold)
 
 
-def _tail_norm_bound(params, cfg, last_coeff, last_index) -> float:
+def _tail_norm_bound(params, last_coeff, last_index) -> float:
     """Geometric bound on the norm omitted beyond pair index last_index,
     from the ratio c_J / c_{J-1} of tail_series at J = max(last_index + 2,
     3), computed alone; inf where that ratio is not in (0, 1) or the
     series does not exist (epsilon >= 1)."""
     if not params.epsilon < 1.0:
         return math.inf
-    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params, cfg)
+    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params)
     j = float(max(last_index + 2, 3))
     lower = majorant_lower_bound(2.0 * j, b, sqrt_eta_a, xi)
     r = float(1.0 / (2.0 * lower * np.sqrt(chain_denominator(2.0 * j - 1.0, a, b, c))))

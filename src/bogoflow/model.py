@@ -17,7 +17,6 @@ Conventions used throughout the package:
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -60,45 +59,20 @@ class ModelParams:
 THETA = 0.1
 C_GAMMA = 10.0
 K_GAMMA = 0.05
+# exponents of the regime conditions: (i) 1/N <= eps^NU, (ii) N^MU, (iii)
+# N^GAMMA; BETA sets the truncation span N^(1-BETA) of the error budget
+NU = 1.5
+MU = 2.0 / 3.0
+GAMMA = 1.0 / 3.0
+BETA = 2.0 / 3.0
+# exponent of the xi = eps**THETA_EXPONENT correction in the sequence bounds
+THETA_EXPONENT = min(2.0 * (NU - 11.0 / 8.0), 0.25)
 
 
-@dataclass(frozen=True)
-class FlowConfig:
-    """Exponents and tolerances of the flow machinery.
-
-    nu, mu, gamma, beta are the exponents of the four regime conditions;
-    delta controls the top of the spectral window (None means the
-    standard choice 1 + sqrt(epsilon), resolved per parameter point).
-    """
-
-    nu: float = 1.5
-    mu: float = 2.0 / 3.0
-    gamma: float = 1.0 / 3.0
-    beta: float = 2.0 / 3.0
-    delta: Optional[float] = None
-    tol_root: float = 1e-12
-
-    def __post_init__(self):
-        if not self.nu > 11.0 / 8.0:
-            raise ValueError("nu must exceed 11/8")
-        if not 0.0 < self.mu < 1.0:
-            raise ValueError("mu must lie in (0, 1)")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError("beta must lie in (0, 1)")
-        if self.delta is not None and not self.delta < 2.0:
-            raise ValueError("delta must be < 2")
-        if not self.tol_root > 0.0:
-            raise ValueError("tol_root must be positive")
-
-    def resolved_delta(self, epsilon: float) -> float:
-        return self.delta if self.delta is not None else 1.0 + math.sqrt(epsilon)
-
-    @property
-    def theta_exponent(self) -> float:
-        """Exponent of the xi = epsilon**Theta correction in sequence bounds."""
-        return min(2.0 * (self.nu - 11.0 / 8.0), 0.25)
+def window_delta(epsilon: float) -> float:
+    """Slope delta = 1 + sqrt(eps) of the spectral window's top, at which
+    coefficient_set evaluates b and c."""
+    return 1.0 + math.sqrt(epsilon)
 
 
 def bogoliubov_energy(params: ModelParams) -> float:
@@ -161,34 +135,31 @@ class CoefficientSet:
     xi: float
 
 
-def coefficient_set(params: ModelParams, cfg: FlowConfig) -> CoefficientSet:
+def coefficient_set(params: ModelParams) -> CoefficientSet:
     eps = params.epsilon
     n = params.n_particles
-    delta = cfg.resolved_delta(eps)
-    a_gamma = 2.0 * eps + C_GAMMA * (eps / n**cfg.gamma + 1.0 / n + eps * eps)
+    delta = window_delta(eps)
+    a_gamma = 2.0 * eps + C_GAMMA * (eps / n**GAMMA + 1.0 / n + eps * eps)
     return CoefficientSet(
         a_prime=eps * eps + 2.0 * eps,
         a_gamma=a_gamma,
         b_delta=b_coefficient(eps, delta),
         c_delta=c_coefficient(eps, delta),
         eta=1.0 - math.sqrt(eps),
-        xi=eps**cfg.theta_exponent,
+        xi=eps**THETA_EXPONENT,
     )
 
 
-def majorant_coefficients(params: ModelParams, cfg: FlowConfig):
-    """(a, b, c, sqrt(eta*a), xi) with b, c at delta = 1 + sqrt(eps): the
-    family of the majorant chain, its lower bound and the tail series,
-    whatever delta cfg configures for the spectral window.  The family
+def majorant_coefficients(params: ModelParams):
+    """(a, b, c, sqrt(eta*a), xi) of coefficient_set: the family of the
+    majorant chain, its lower bound and the tail series.  The family
     needs eta = 1 - sqrt(eps) > 0, so eps < 1."""
     eps = params.epsilon
     if not eps < 1.0:
         raise ValueError(f"the majorant coefficients need epsilon < 1, got {eps!r}")
-    coefs = coefficient_set(params, cfg)
-    delta = 1.0 + math.sqrt(eps)
+    coefs = coefficient_set(params)
     a = coefs.a_prime
-    b, c = b_coefficient(eps, delta), c_coefficient(eps, delta)
-    return a, b, c, math.sqrt(coefs.eta * a), coefs.xi
+    return a, coefs.b_delta, coefs.c_delta, math.sqrt(coefs.eta * a), coefs.xi
 
 
 @dataclass(frozen=True)
@@ -213,22 +184,27 @@ class AssumptionReport:
         return self.nu_ok and self.mu_ok
 
 
-def check_assumptions(params: ModelParams, cfg: FlowConfig) -> AssumptionReport:
+def check_assumptions(params: ModelParams) -> AssumptionReport:
     """Evaluate the three regime conditions.
 
-    (i)   1/N <= epsilon**nu
-    (ii)  phi*N^mu / (delta0*N*(N - N^mu)) < 1/2  and  N^-mu <= eps^((1+THETA)/2)
-    (iii) eps^2 + eps/N^gamma + 1/N <= K_GAMMA*eps^1.5  and
-          N^-(1-gamma) <= K_GAMMA*eps
+    (i)   1/N <= epsilon**NU, whose right side is inf where the power
+          overflows (eps above about 1e205)
+    (ii)  phi*N^MU / (delta0*N*(N - N^MU)) < 1/2  and  N^-MU <= eps^((1+THETA)/2)
+    (iii) eps^2 + eps/N^GAMMA + 1/N <= K_GAMMA*eps^1.5  and
+          N^-(1-GAMMA) <= K_GAMMA*eps
     """
     eps, n, phi = params.epsilon, params.n_particles, params.phi
     details = {}
 
-    lhs, rhs = 1.0 / n, eps**cfg.nu
+    try:
+        rhs = eps**NU
+    except OverflowError:
+        rhs = math.inf
+    lhs = 1.0 / n
     nu_ok = lhs <= rhs
     details["nu"] = (lhs, rhs, nu_ok)
 
-    n_mu = n**cfg.mu
+    n_mu = n**MU
     gap_ok = n > n_mu and phi * n_mu / (params.delta0 * n * (n - n_mu)) < 0.5
     occ_ok = 1.0 / n_mu <= eps ** ((1.0 + THETA) / 2.0)
     mu_ok = gap_ok and occ_ok
@@ -239,13 +215,13 @@ def check_assumptions(params: ModelParams, cfg: FlowConfig) -> AssumptionReport:
     )
     details["mu_occupation"] = (1.0 / n_mu, eps ** ((1.0 + THETA) / 2.0), occ_ok)
 
-    g_lhs = eps * eps + eps / n**cfg.gamma + 1.0 / n
+    g_lhs = eps * eps + eps / n**GAMMA + 1.0 / n
     g_rhs = K_GAMMA * eps * math.sqrt(eps)
-    s_lhs = 1.0 / n ** (1.0 - cfg.gamma)
+    s_lhs = 1.0 / n ** (1.0 - GAMMA)
     s_rhs = K_GAMMA * eps
     gamma_ok = g_lhs <= g_rhs and s_lhs <= s_rhs
     # N-dependent part only: drop the eps^2 term from the first inequality
-    gamma_size_ok = (eps / n**cfg.gamma + 1.0 / n <= g_rhs) and s_lhs <= s_rhs
+    gamma_size_ok = (eps / n**GAMMA + 1.0 / n <= g_rhs) and s_lhs <= s_rhs
     details["gamma_smallness"] = (g_lhs, g_rhs, g_lhs <= g_rhs)
     details["gamma_size"] = (s_lhs, s_rhs, s_lhs <= s_rhs)
 
@@ -266,15 +242,15 @@ class SpectralWindow:
     z_max: float
 
 
-def spectral_window(params: ModelParams, cfg: FlowConfig) -> SpectralWindow:
+def spectral_window(params: ModelParams) -> SpectralWindow:
     """Window [z_min, z_max] on which the flow is evaluated.
 
     z_max = E + (delta-1)*phi*sqrt(eps^2+2eps) with E the closed-form
-    ground-energy approximation.  z_min is E - 10*phi, far enough below
+    ground-energy approximation and delta = window_delta(eps).  z_min is E - 10*phi, far enough below
     the spectrum that the fixed-point function is positive.
     """
     eps = params.epsilon
     e_bog = bogoliubov_energy(params)
-    delta = cfg.resolved_delta(eps)
+    delta = window_delta(eps)
     z_max = e_bog + (delta - 1.0) * params.phi * math.sqrt(eps * (eps + 2.0))
     return SpectralWindow(z_min=e_bog - 10.0 * params.phi, z_max=z_max)

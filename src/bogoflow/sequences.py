@@ -8,13 +8,11 @@ kernel lives in _kernels.rational_chain.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from . import _kernels
 from .model import (
-    FlowConfig,
+    GAMMA,
     ModelParams,
     chain_denominator,
     coefficient_set,
@@ -69,7 +67,7 @@ class SequenceWithBound:
             fh.write("\n".join(lines) + "\n")
 
 
-def x_sequence(params: ModelParams, cfg: Optional[FlowConfig] = None) -> SequenceWithBound:
+def x_sequence(params: ModelParams) -> SequenceWithBound:
     """Forward majorant chain X over even levels 0..N-2, X_0 = 1.
 
     Step to level 2j+2 divides by 4*D(N-2j-1), D = model.chain_denominator
@@ -77,9 +75,8 @@ def x_sequence(params: ModelParams, cfg: Optional[FlowConfig] = None) -> Sequenc
     Companion lower bound: X_{2j} >= model.majorant_lower_bound(N - 2j).
     This is the one-pass reference of x_sequence_blocks.
     """
-    cfg = cfg or FlowConfig()
     n = params.n_particles
-    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params, cfg)
+    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params)
 
     levels = np.arange(0, n, 2, dtype=np.float64)  # 0, 2, ..., N-2
     dfac = np.empty_like(levels)
@@ -195,35 +192,29 @@ class StreamedSequenceSummary:
         )
 
 
-def x_sequence_terminal(
-    params: ModelParams, cfg: Optional[FlowConfig] = None
-) -> StreamedSequenceSummary:
+def x_sequence_terminal(params: ModelParams) -> StreamedSequenceSummary:
     """Streaming form of x_sequence for sweeps at very large N: returns
     only the terminal entry and the bound margins instead of
     materializing O(N) arrays; memory is O(STREAM_BLOCK).
     """
-    cfg = cfg or FlowConfig()
-    blocks = x_sequence_blocks(params.n_particles, *majorant_coefficients(params, cfg))
+    blocks = x_sequence_blocks(params.n_particles, *majorant_coefficients(params))
     return StreamedSequenceSummary.of(blocks)
 
 
-def xtilde_sequence(
-    params: ModelParams, cfg: Optional[FlowConfig] = None
-) -> SequenceWithBound:
-    """Minorant chain over even levels N - N^(1-gamma) .. N-2, started at 1.
+def xtilde_sequence(params: ModelParams) -> SequenceWithBound:
+    """Minorant chain over even levels N - N^(1-GAMMA) .. N-2, started at 1.
 
     Step to level 2j+2 divides by 4*D(N-2j), D = model.chain_denominator
     with a = a_g, which carries the C_GAMMA-inflated corrections, and b, c
-    at the configured delta (default 1 + sqrt(eps)).  The companion upper bound
+    at delta = 1 + sqrt(eps).  The companion upper bound
     (1 + sqrt(a_g) - 1/(N - 2j + 1 - b)) / 2 is asserted on the tail
-    2 <= N - 2j <= N^(1-gamma)/2 and NaN elsewhere.
+    2 <= N - 2j <= N^(1-GAMMA)/2 and NaN elsewhere.
     """
-    cfg = cfg or FlowConfig()
     n = params.n_particles
-    coefs = coefficient_set(params, cfg)
+    coefs = coefficient_set(params)
     a_g, b = coefs.a_gamma, coefs.b_delta
 
-    span = int(n ** (1.0 - cfg.gamma) + 1e-9)  # nudge floor against pow slop
+    span = int(n ** (1.0 - GAMMA) + 1e-9)  # nudge floor against pow slop
     span -= span % 2
     if span < 4:
         raise ValueError("N^(1-gamma) must be at least 4")

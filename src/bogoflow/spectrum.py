@@ -13,10 +13,10 @@ O(N) pass from there certifies the root.  At spectral parameters where
 the geometric-series condition of the flow fails, the root necessarily
 lies below, which lets the search treat "invalid" as "to the right of
 the root" without ever leaving certified territory.  The search stops
-once |f(z)| <= tol_root * phi, which the slope bound turns into
-|z - z*| <= tol_root * phi, or once the safeguard rejects a Newton step
+once |f(z)| <= TOL_ROOT * phi, which the slope bound turns into
+|z - z*| <= TOL_ROOT * phi, or once the safeguard rejects a Newton step
 no longer than that: f is then at its rounding floor, which can lie
-above tol_root * phi.
+above TOL_ROOT * phi.
 """
 
 import math
@@ -25,8 +25,8 @@ from typing import Optional, Tuple
 
 from .flow import FITTED_DECAY_C, FlowDomainError, g_check, level_coefficients, truncation_span
 from .model import (
+    BETA,
     AssumptionReport,
-    FlowConfig,
     ModelParams,
     SpectralWindow,
     bogoliubov_energy,
@@ -42,6 +42,8 @@ GAP_COEF = (3.0 - 2.0 * math.sqrt(2.0)) / 6.0
 
 # multiplier absorbing the unspecified constants of the three budget terms
 BUDGET_FACTOR = 10.0
+# the root search's stop: |f(z)| <= TOL_ROOT * phi certifies |z - z*| <= TOL_ROOT * phi
+TOL_ROOT = 1e-12
 
 
 class BracketError(RuntimeError):
@@ -90,9 +92,7 @@ def _f_or_right(point) -> float:
 
 
 def solve_fixed_point(
-    params: ModelParams,
-    cfg: Optional[FlowConfig] = None,
-    reference: Optional[TridiagonalHamiltonian] = None,
+    params: ModelParams, reference: Optional[TridiagonalHamiltonian] = None
 ) -> GroundEnergyResult:
     """Locate the unique root of the fixed-point function.
 
@@ -126,10 +126,10 @@ def solve_fixed_point(
     to 0 (extended_bracket), which lies above the ground energy for
     phi > 0 and is measured on the same terms.
 
-    A stage stops once |f(z)| <= tol_root * phi; since f' <= -1 that
-    certifies |z - z*| <= tol_root * phi.  Where the rounding noise of f
+    A stage stops once |f(z)| <= TOL_ROOT * phi; since f' <= -1 that
+    certifies |z - z*| <= TOL_ROOT * phi.  Where the rounding noise of f
     exceeds that (large |f'|, as at N = 2e5, eps = 1e-6), it stops at a
-    rejected Newton step no longer than tol_root * phi instead of
+    rejected Newton step no longer than TOL_ROOT * phi instead of
     bisecting the bracket down to that width.  result.iterations counts
     the Newton and bisection steps after each stage's first evaluation,
     result.evaluations every flow pass, bracket probes included, and
@@ -139,13 +139,12 @@ def solve_fixed_point(
     oracle_delta is |z* - lowest_eigenpair(reference).value|, and the
     caller's later oracle calls on the same matrix reuse that solve.
     """
-    cfg = cfg or FlowConfig()
     if params.phi <= 0.0:
         raise ValueError("solver requires phi > 0")
-    report = check_assumptions(params, cfg)
-    window = spectral_window(params, cfg)
+    report = check_assumptions(params)
+    window = spectral_window(params)
     phi = params.phi
-    tol = cfg.tol_root * phi
+    tol = TOL_ROOT * phi
     # the current stage's flow start and bracket (set by search), and counts
     start_level = coefficients = lo = hi = lo_known = hi_known = extended = None
     evaluations = full_evaluations = iterations = 0
@@ -280,40 +279,35 @@ def gap_bound_check(params: ModelParams) -> GapReport:
 class ErrorBudget:
     """Structural terms of |z* - E| with fitted constants; diagnostic only."""
 
-    term_truncation: float  # 1/(eps * N^beta)
-    term_geometric: float  # eps^-1/2 * (1/(1+c*sqrt(eps)))^(N^(1-beta))
+    term_truncation: float  # 1/(eps * N^BETA)
+    term_geometric: float  # eps^-1/2 * (1/(1+c*sqrt(eps)))^(N^(1-BETA))
     term_inverse_n: float  # 1/N
     measured: float
-    fitted_c: float
     budget: float
     in_budget: bool
     regime_ok: bool
 
 
 def energy_error_diagnostic(
-    params: ModelParams,
-    cfg: Optional[FlowConfig] = None,
-    result: Optional[GroundEnergyResult] = None,
+    params: ModelParams, result: Optional[GroundEnergyResult] = None
 ) -> ErrorBudget:
     """Compare the measured |z* - E| with the three-term budget.
 
-    The budget needs 1/N^beta small against eps and 1/N^(1-beta) small
+    The budget needs 1/N^BETA small against eps and 1/N^(1-BETA) small
     against sqrt(eps) (realized as a factor-10 separation); otherwise the
     report flags the regime as violated and claims nothing.
     """
-    cfg = cfg or FlowConfig()
     eps, n, phi = params.epsilon, params.n_particles, params.phi
-    beta = cfg.beta
-    regime_ok = (1.0 / n**beta <= 0.1 * eps) and (
-        1.0 / n ** (1.0 - beta) <= 0.1 * math.sqrt(eps)
+    regime_ok = (1.0 / n**BETA <= 0.1 * eps) and (
+        1.0 / n ** (1.0 - BETA) <= 0.1 * math.sqrt(eps)
     )
     if result is None:
-        result = solve_fixed_point(params, cfg)
+        result = solve_fixed_point(params)
     measured = abs(result.z_star - bogoliubov_energy(params))
 
-    t1 = phi / (eps * n**beta)
+    t1 = phi / (eps * n**BETA)
     t2 = phi / math.sqrt(eps) * (1.0 / (1.0 + FITTED_DECAY_C * math.sqrt(eps))) ** (
-        n ** (1.0 - beta)
+        n ** (1.0 - BETA)
     )
     t3 = phi / n
     budget = BUDGET_FACTOR * (t1 + t2 + t3)
@@ -322,7 +316,6 @@ def energy_error_diagnostic(
         term_geometric=t2,
         term_inverse_n=t3,
         measured=measured,
-        fitted_c=FITTED_DECAY_C,
         budget=budget,
         in_budget=(measured <= budget) if regime_ok else False,
         regime_ok=regime_ok,

@@ -24,13 +24,13 @@ import numpy as np
 
 from . import flow, groundstate, oracle, sequences, spectrum
 from .model import (
-    FlowConfig,
     ModelParams,
     b_coefficient,
     bogoliubov_energy,
     c_coefficient,
     chain_denominator,
     check_assumptions,
+    window_delta,
 )
 
 DEFAULT_GRID_N = (2, 4, 16, 128, 1024)
@@ -48,6 +48,7 @@ MONOTONICITY_POINTS = 8
 LEVEL_TOL = 1e-12  # least increment of G between neighbouring z
 Y_RESIDUAL_TOL = 1e-12  # closed form in its own recursion, relative
 ACCESSORI_TOL = 1e-13  # product identity, relative
+EBOG_EPS = 0.01  # epsilon of the convergence check
 EBOG_SLOPE_RANGE = (-1.5, -0.4)  # log-log slope of |z* - E_bog| against N
 TRUNCATION_N_CAP = 10**5  # largest N of the truncation-decay fits
 R2_FLOOR = 0.95  # least R^2 of those fits
@@ -119,7 +120,6 @@ def check_cf_equivalence(
 
 def check_flow_monotonicity(params: ModelParams) -> PropertyResult:
     """G nondecreasing in z at every level, and f slope <= -1."""
-    cfg = FlowConfig()
     lam0 = oracle.lowest_eigenpair(oracle.build_sector_hamiltonian(params)).value
     zs = _subspectral_grid(lam0, params.phi, MONOTONICITY_POINTS)
     zs.sort()
@@ -174,23 +174,20 @@ def check_w_bound(params: ModelParams) -> PropertyResult:
     )
 
 
-def check_g_lower_bound_link(
-    params: ModelParams, cfg: Optional[FlowConfig] = None
-) -> PropertyResult:
+def check_g_lower_bound_link(params: ModelParams) -> PropertyResult:
     """Flow factors dominate the reciprocal minorant chain on the tail:
-    G_i >= 1/xtilde_i for levels from N - N^(1-gamma) on, at the window
-    edge for the configured delta.
+    G_i >= 1/xtilde_i for levels from N - N^(1-GAMMA) on, at the window
+    top.
 
     G on the chain's levels comes from flow.enclosure, whose two
     restarts agree bit for bit on every one of those levels, which pins
     the full pass to that value.  Where the enclosure does not apply,
     the flow pass is streamed, keeping G on the chain's levels only.
     """
-    cfg = cfg or FlowConfig()
     eps, phi = params.epsilon, params.phi
-    delta = cfg.resolved_delta(eps)
+    delta = window_delta(eps)
     z = bogoliubov_energy(params) + (delta - 1.0) * phi * math.sqrt(eps * (eps + 2.0))
-    seq = sequences.xtilde_sequence(params, cfg)
+    seq = sequences.xtilde_sequence(params)
     first = int(seq.levels[0]) // 2  # the chain covers pass indices first..N/2-1
     count = seq.values.size
     valid = True
@@ -217,10 +214,10 @@ def check_g_lower_bound_link(
     )
 
 
-def check_x_bounds(params: ModelParams, cfg: Optional[FlowConfig] = None) -> PropertyResult:
+def check_x_bounds(params: ModelParams) -> PropertyResult:
     """The majorant chain stays above its lower bound, streamed block by
     block: every entry gets the slack BOUND_SLACK * (1 + |x|)."""
-    summary = sequences.x_sequence_terminal(params, cfg)
+    summary = sequences.x_sequence_terminal(params)
     return PropertyResult(
         name="x_lower_bound",
         passed=summary.holds and summary.first_nonpositive < 0,
@@ -229,10 +226,8 @@ def check_x_bounds(params: ModelParams, cfg: Optional[FlowConfig] = None) -> Pro
     )
 
 
-def check_xtilde_bounds(
-    params: ModelParams, cfg: Optional[FlowConfig] = None
-) -> PropertyResult:
-    seq = sequences.xtilde_sequence(params, cfg)
+def check_xtilde_bounds(params: ModelParams) -> PropertyResult:
+    seq = sequences.xtilde_sequence(params)
     finite = np.isfinite(seq.bound)
     margin = seq.margin[finite]
     tol = sequences.BOUND_SLACK * (1.0 + np.abs(seq.values[finite]))
@@ -335,19 +330,18 @@ def check_zstar_upper_bound(
     eps_values: Sequence[float] = DEFAULT_GRID_EPS,
     phi: float = 1.0,
 ) -> PropertyResult:
-    """Root below its analytic cap at every point passing the 1/N <= eps^nu
+    """Root below its analytic cap at every point passing the 1/N <= eps^NU
     regime gate; points failing the gate are reported but not judged."""
-    cfg = FlowConfig()
     violations = []
     tested = 0
     worst = math.inf
     for n in n_values:
         for eps in eps_values:
             params = ModelParams(n_particles=n, epsilon=eps, phi=phi)
-            if not check_assumptions(params, cfg).nu_ok:
+            if not check_assumptions(params).nu_ok:
                 continue
             tested += 1
-            result = spectrum.solve_fixed_point(params, cfg)
+            result = spectrum.solve_fixed_point(params)
             cap = bogoliubov_energy(params) + spectrum.UPPER_BOUND_COEF * math.sqrt(
                 eps
             ) * phi * math.sqrt(eps * (eps + 2.0))
@@ -367,14 +361,13 @@ def check_gap_bound(
     eps_values: Sequence[float] = DEFAULT_GRID_EPS,
     phi: float = 1.0,
 ) -> PropertyResult:
-    cfg = FlowConfig()
     violations = []
     tested = 0
     worst = math.inf
     for n in n_values:
         for eps in eps_values:
             params = ModelParams(n_particles=n, epsilon=eps, phi=phi)
-            if not check_assumptions(params, cfg).nu_ok:
+            if not check_assumptions(params).nu_ok:
                 continue
             tested += 1
             report = spectrum.gap_bound_check(params)
@@ -420,12 +413,11 @@ def check_overlap(
 
 
 def check_ebog_convergence(
-    eps: float = 0.01,
     n_values: Sequence[int] = (10**3, 10**4, 10**5, 10**6),
 ) -> PropertyResult:
     errs = []
     for n in n_values:
-        params = ModelParams(n_particles=n, epsilon=eps)
+        params = ModelParams(n_particles=n, epsilon=EBOG_EPS)
         result = spectrum.solve_fixed_point(params)
         errs.append(abs(result.z_star - bogoliubov_energy(params)))
     errs = np.array(errs)
@@ -494,7 +486,7 @@ def check_fixed_point_uniqueness(params: ModelParams) -> PropertyResult:
     for z in rng.uniform(lo, hi, UNIQUENESS_PROBES):
         side = spectrum.flow_side(params, float(z))
         expect = 1 if z < result.z_star else -1
-        if abs(z - result.z_star) < 10 * FlowConfig().tol_root * params.phi:
+        if abs(z - result.z_star) < 10 * spectrum.TOL_ROOT * params.phi:
             continue
         if side != expect:
             bad += 1

@@ -57,8 +57,9 @@ def test_criterion_04_zstar_upper_bound():
 
 def test_criterion_05_convergence_to_closed_form():
     assert verify.EBOG_SLOPE_RANGE == (-1.5, -0.4)
+    assert verify.EBOG_EPS == 0.01
     start = time.perf_counter()
-    result = verify.check_ebog_convergence(eps=0.01, n_values=(10**3, 10**4, 10**5, 10**6))
+    result = verify.check_ebog_convergence(n_values=(10**3, 10**4, 10**5, 10**6))
     elapsed = time.perf_counter() - start
     _report(5, result.passed and elapsed < 30.0, f"{result.details}; runtime {elapsed:.2f}s (< 30s)")
 

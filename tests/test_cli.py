@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 import bogoflow
-from bogoflow import FlowConfig, ModelParams, build_sector_hamiltonian, cli
+from bogoflow import ModelParams, build_sector_hamiltonian, cli
 
 
 def run_cli(args):
@@ -290,20 +290,13 @@ def test_every_flag_parses_to_the_same_configs(tmp_path, monkeypatch, capsys):
     out = tmp_path / "verify"
     argv = [
         "--mode", "verify", "--n", "16:64:2", "--epsilon", "0.1,0.02", "--phi", "1.5",
-        "--delta0", "2", "--nu", "1.6", "--mu", "0.6", "--gamma", "0.3", "--beta", "0.7",
-        "--delta", "1.2", "--tol", "1e-11", "--out", str(out),
-        "--workers", "3", "--only", "cf", "--perturb-tk", "0.25",
+        "--delta0", "2", "--out", str(out), "--workers", "3", "--only", "cf", "--perturb-tk", "0.25",
     ]
     config = cli.parse_args(argv)
     assert config.as_dict() == {
         "mode": "verify", "n_values": [16, 32, 64], "eps_values": [0.1, 0.02], "phi": 1.5,
-        "delta0": 2.0, "nu": 1.6, "mu": 0.6, "gamma": 0.3, "beta": 0.7, "delta": 1.2,
-        "tol": 1e-11, "out": str(out), "workers": 3, "only": "cf",
-        "perturb_tk": 0.25,
+        "delta0": 2.0, "out": str(out), "workers": 3, "only": "cf", "perturb_tk": 0.25,
     }
-    assert config.flow_config() == FlowConfig(
-        nu=1.6, mu=0.6, gamma=0.3, beta=0.7, delta=1.2, tol_root=1e-11
-    )
     run_cli(argv)
     assert seen == [
         cli.verify.VerifyConfig(
@@ -323,6 +316,20 @@ def test_every_flag_parses_to_the_same_configs(tmp_path, monkeypatch, capsys):
     assert "--perturb-tk PERTURB_TK" in usage
 
 
+@pytest.mark.parametrize("key", ["nu", "mu", "gamma", "beta", "delta", "tol"])
+def test_the_regime_exponents_window_delta_and_root_tolerance_are_not_settable(tmp_path, capsys, key):
+    # model.NU, MU, GAMMA, BETA, the window delta and spectrum.TOL_ROOT are
+    # constants: the flag and the configuration key are unknown arguments
+    out = str(tmp_path / "run")
+    assert run_cli(["--mode", "solve", f"--{key}", "0.5", "--out", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: unrecognized arguments: --{key} 0.5"]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"mode=solve\n{key}=0.5\nout={out}\n")
+    assert run_cli(["--config", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: unknown configuration key {key!r}"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_solve_at_an_n_it_cannot_allocate_fails_with_a_reason(tmp_path, capsys):
     # N = 2**52 needs petabyte arrays, so the allocation fails at once;
     # the point is recorded as a failed row instead of a traceback
@@ -339,7 +346,7 @@ def test_solve_at_an_n_it_cannot_allocate_fails_with_a_reason(tmp_path, capsys):
 @pytest.mark.parametrize(
     "n, eps, status",
     [
-        ("4", "1e300", "error:OverflowError"),  # eps**nu overflows in the regime check
+        ("4", "1e300", "error:ConvergenceError"),  # eps**NU overflows: the oracle's vector is NaN
         ("1025", "0.01", "error:ValueError"),
         ("4", "1e150", "error:ConvergenceError"),  # the oracle's vector is NaN
     ],
@@ -360,6 +367,18 @@ def test_sweep_row_with_a_nan_oracle_vector_fails_with_its_reason(tmp_path):
     assert code == 1
     rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
     assert [row[-1] for row in rows] == ["error:ConvergenceError"] * 2
+    points = json.loads((out / "manifest.json").read_text())["points"]
+    assert all(point["reason"].startswith("eigenpair residual nan") for point in points)
+
+
+def test_sweep_at_an_epsilon_whose_power_overflows_reaches_the_oracle(tmp_path):
+    # the regime check reads eps**NU as inf above eps ~ 1e205, so no row
+    # fails there; each fails where the oracle's vector turns NaN
+    out = tmp_path / "sweep"
+    code = run_cli(["--mode", "sweep", "--n", "4,16,1024", "--epsilon", "1e300", "--out", str(out)])
+    assert code == 1
+    rows = [line.split(",") for line in (out / "results.csv").read_text().splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["error:ConvergenceError"] * 3
     points = json.loads((out / "manifest.json").read_text())["points"]
     assert all(point["reason"].startswith("eigenpair residual nan") for point in points)
 

@@ -87,16 +87,15 @@ def test_w_products_match_two_resolvent_formula_bitwise(n):
             den2 = ((i - 2.0) * phi / n + k2) * (m + 2.0) - z
             expected = np.zeros(i.size)
             expected[1:] = num[1:] / (den1[1:] * den2[1:])
-            for given in (None, coefficients):
-                w, w_num, w_den1 = _w_product_arrays(params, z, start, given)
-                np.testing.assert_array_equal(w, expected)
-                np.testing.assert_array_equal(w_num, num)
-                np.testing.assert_array_equal(w_den1, den1)
+            w, w_num, w_den1 = _w_product_arrays(params, z, coefficients)
+            np.testing.assert_array_equal(w, expected)
+            np.testing.assert_array_equal(w_num, num)
+            np.testing.assert_array_equal(w_den1, den1)
         if i.size > 1:
             # a pole at the start level enters only as a second resolvent
             for pole in (coefficients[1][0], coefficients[1][-1]):
                 with pytest.raises(FlowDomainError):
-                    _w_product_arrays(params, float(pole), start, coefficients)
+                    _w_product_arrays(params, float(pole), coefficients)
 
 
 def test_g_check_start_level_validation():
@@ -210,15 +209,13 @@ def test_streamed_lower_bound_link_matches_full_table(monkeypatch):
     # blocks, the default seven at this N or blocks of 700 levels, equal
     # g_check's one pass bit for bit.
     from bogoflow import flow, sequences, verify
-    from bogoflow.model import FlowConfig
+    from bogoflow.model import window_delta
 
     p = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
-    eps, cfg = p.epsilon, FlowConfig()
-    z = bogoliubov_energy(p) + (cfg.resolved_delta(eps) - 1.0) * p.phi * math.sqrt(
-        eps * (eps + 2.0)
-    )
+    eps = p.epsilon
+    z = bogoliubov_energy(p) + (window_delta(eps) - 1.0) * p.phi * math.sqrt(eps * (eps + 2.0))
     table = g_check(p, z)
-    seq = sequences.xtilde_sequence(p, cfg)
+    seq = sequences.xtilde_sequence(p)
     recip = 1.0 / seq.values
     worst = float(
         (table.g_values[seq.levels // 2] - recip + sequences.BOUND_SLACK * (1.0 + np.abs(recip))).min()
@@ -245,14 +242,14 @@ def test_streamed_lower_bound_link_matches_full_table(monkeypatch):
         assert verify.check_g_lower_bound_link(p).as_dict() == expected.as_dict()
 
 
-def _streamed_link_row(monkeypatch, params, cfg=None):
+def _streamed_link_row(monkeypatch, params):
     # the reference: the check with the enclosure declined, which streams
     # the full flow pass
     from bogoflow import flow, verify
 
     with monkeypatch.context() as m:
         m.setattr(flow, "enclosure", lambda *args: None)
-        return verify.check_g_lower_bound_link(params, cfg).as_dict()
+        return verify.check_g_lower_bound_link(params).as_dict()
 
 
 def _no_full_pass(*args):
@@ -343,10 +340,9 @@ def test_lower_bound_link_runs_one_restart_pair_at_ten_million(monkeypatch, eps)
     # the verify battery's N = 1e7 points: one enclosure call, whose first
     # span covers the whole minorant chain
     from bogoflow import flow, sequences, verify
-    from bogoflow.model import FlowConfig
 
     p = ModelParams(n_particles=10**7, epsilon=eps)
-    count = sequences.xtilde_sequence(p, FlowConfig()).values.size
+    count = sequences.xtilde_sequence(p).values.size
     spans = _restart_spans(monkeypatch)
     monkeypatch.setattr(flow, "flow_blocks", _no_full_pass)
     assert verify.check_g_lower_bound_link(p).passed
@@ -354,23 +350,24 @@ def test_lower_bound_link_runs_one_restart_pair_at_ten_million(monkeypatch, eps)
 
 
 @pytest.mark.parametrize(
-    "n, eps, delta",
+    "n, eps",
     [
-        pytest.param(2 * 10**5, 1e-6, None, id="eps-N-below-1"),
-        pytest.param(2 * 10**5, 0.5, 1.9, id="z-positive"),
+        pytest.param(2 * 10**5, 1e-6, id="eps-N-below-1"),
+        pytest.param(2 * 10**5, 0.5, id="z-positive"),  # the window top z = +0.409
     ],
 )
-def test_lower_bound_link_streams_where_the_enclosure_does_not_apply(monkeypatch, n, eps, delta):
-    from bogoflow import FlowConfig, flow, verify
+def test_lower_bound_link_streams_where_the_enclosure_does_not_apply(monkeypatch, n, eps):
+    from bogoflow import flow, verify
+    from bogoflow.model import window_delta
 
-    p, cfg = ModelParams(n_particles=n, epsilon=eps), FlowConfig(delta=delta)
-    z = bogoliubov_energy(p) + (cfg.resolved_delta(eps) - 1.0) * p.phi * math.sqrt(eps * (eps + 2.0))
+    p = ModelParams(n_particles=n, epsilon=eps)
+    z = bogoliubov_energy(p) + (window_delta(eps) - 1.0) * p.phi * math.sqrt(eps * (eps + 2.0))
     assert eps * n < 1.0 or z >= 0.0
-    expected = _streamed_link_row(monkeypatch, p, cfg)
+    expected = _streamed_link_row(monkeypatch, p)
     passes = []
     blocks = flow.flow_blocks
     monkeypatch.setattr(flow, "flow_blocks", lambda *args: passes.append(1) or blocks(*args))
-    assert verify.check_g_lower_bound_link(p, cfg).as_dict() == expected
+    assert verify.check_g_lower_bound_link(p).as_dict() == expected
     assert passes == [1]
 
 

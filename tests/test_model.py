@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from bogoflow import (
-    FlowConfig,
     ModelParams,
     bogoliubov_energy,
     check_assumptions,
     coefficient_set,
     spectral_window,
 )
+from bogoflow.model import b_coefficient, c_coefficient, window_delta
 
 
 def test_params_reject_odd_n():
@@ -33,17 +33,6 @@ def test_params_reject_bad_values():
         ModelParams(n_particles=4, epsilon=0.1, phi=-1.0)
     with pytest.raises(ValueError):
         ModelParams(n_particles=4, epsilon=0.1, delta0=0.0)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        FlowConfig(nu=1.0)  # must exceed 11/8
-    with pytest.raises(ValueError):
-        FlowConfig(mu=1.5)
-    with pytest.raises(ValueError):
-        FlowConfig(delta=2.0)
-    with pytest.raises(ValueError):
-        FlowConfig(tol_root=0.0)
 
 
 def test_bogoliubov_energy_limit_case():
@@ -76,36 +65,32 @@ def test_bogoliubov_energy_monotone_in_epsilon():
 
 
 def test_coefficient_set_vanishes_with_interaction():
-    # all coefficients vanish in the eps -> 0 limit
-    from bogoflow.model import b_coefficient, c_coefficient
-
+    # all coefficients vanish in the eps -> 0 limit, where the window
+    # delta 1 + sqrt(eps) rounds to 1
     assert b_coefficient(0.0, 1.0) == 0.0
     assert c_coefficient(0.0, 1.0) == 0.0
-    cfg = FlowConfig(delta=1.0)
-    coefs = coefficient_set(ModelParams(n_particles=10**9, epsilon=1e-300), cfg)
+    assert window_delta(1e-300) == 1.0
+    coefs = coefficient_set(ModelParams(n_particles=10**9, epsilon=1e-300))
     assert coefs.a_prime <= 1e-299
     assert coefs.b_delta <= 1e-149
     assert coefs.c_delta == 0.0
 
 
 def test_coefficient_set_characteristic_cut():
-    cfg = FlowConfig(delta=1.99)
-    p = ModelParams(n_particles=1024, epsilon=0.3)
-    coefs = coefficient_set(p, cfg)
-    assert coefs.b_delta > 0.0 and coefs.c_delta > 0.0
+    assert b_coefficient(0.3, 1.99) > 0.0 and c_coefficient(0.3, 1.99) > 0.0
     # the delta window closes at 2 regardless of epsilon
-    from bogoflow.model import b_coefficient, c_coefficient
-
     assert b_coefficient(0.3, 2.0) == 0.0
     assert c_coefficient(0.3, 2.0) == 0.0
 
 
 def test_coefficient_set_frozen_point():
-    cfg = FlowConfig(delta=1.0)
-    coefs = coefficient_set(ModelParams(n_particles=1024, epsilon=0.01), cfg)
+    coefs = coefficient_set(ModelParams(n_particles=1024, epsilon=0.01))
     assert coefs.a_prime == pytest.approx(0.0201, rel=1e-15)
-    assert coefs.b_delta == pytest.approx(0.14319221347545403, rel=1e-14)
-    assert coefs.c_delta == 0.0
+    assert b_coefficient(0.01, 1.0) == pytest.approx(0.14319221347545403, rel=1e-14)
+    assert c_coefficient(0.01, 1.0) == 0.0
+    # b and c of the set sit at the window delta 1 + sqrt(eps)
+    assert coefs.b_delta == b_coefficient(0.01, window_delta(0.01))
+    assert coefs.c_delta == c_coefficient(0.01, window_delta(0.01))
 
 
 def test_coefficient_identities():
@@ -116,32 +101,45 @@ def test_coefficient_identities():
 
 
 def test_coefficient_signs():
-    p = ModelParams(n_particles=64, epsilon=0.04)
     for delta in (0.0, 0.5, 1.0, 1.5, 1.99):
-        coefs = coefficient_set(p, FlowConfig(delta=delta))
-        assert coefs.b_delta >= 0.0
+        b, c = b_coefficient(0.04, delta), c_coefficient(0.04, delta)
+        assert b >= 0.0
         if delta < 1.0:
-            assert coefs.c_delta < 0.0 or delta == 0.0 and coefs.c_delta <= 0.0
+            assert c < 0.0 or delta == 0.0 and c <= 0.0
         elif delta > 1.0:
-            assert coefs.c_delta > 0.0
+            assert c > 0.0
 
 
 def test_check_assumptions_nu_condition():
-    cfg = FlowConfig()
-    good = check_assumptions(ModelParams(n_particles=10**6, epsilon=0.01), cfg)
+    good = check_assumptions(ModelParams(n_particles=10**6, epsilon=0.01))
     assert good.nu_ok  # 1e-6 <= 1e-3
-    bad = check_assumptions(ModelParams(n_particles=100, epsilon=0.001), cfg)
+    bad = check_assumptions(ModelParams(n_particles=100, epsilon=0.001))
     assert not bad.nu_ok  # 0.01 > 3.16e-5
+
+
+def test_check_assumptions_at_an_epsilon_whose_power_overflows():
+    # eps**1.5 overflows a float above eps ~ 1e205: the right side reads
+    # inf there and stays the power wherever that is finite
+    report = check_assumptions(ModelParams(n_particles=4, epsilon=1e300))
+    assert report.nu_ok
+    assert report.details["nu"] == (0.25, math.inf, True)
+    finite = check_assumptions(ModelParams(n_particles=4, epsilon=1e200))
+    assert finite.details["nu"][1] == 1e200**1.5
 
 
 def test_spectral_window_frozen_value():
     p = ModelParams(n_particles=1024, epsilon=0.01)
-    win = spectral_window(p, FlowConfig())
+    win = spectral_window(p)
     assert win.z_max == pytest.approx(-0.8540480843336639, rel=1e-14)
     assert win.z_min == pytest.approx(bogoliubov_energy(p) - 10.0, rel=1e-14)
 
 
-def test_spectral_window_delta_one():
-    p = ModelParams(n_particles=1024, epsilon=0.01)
-    win = spectral_window(p, FlowConfig(delta=1.0))
-    assert win.z_max == bogoliubov_energy(p)
+def test_spectral_window_top_at_the_fixed_delta():
+    # delta = 1 + sqrt(eps) at every point; the top lies above E by
+    # (delta - 1) * phi * sqrt(eps^2 + 2 eps)
+    for eps in (1e-6, 0.01, 0.5, 50.0):
+        p = ModelParams(n_particles=1024, epsilon=eps, phi=2.0)
+        delta = window_delta(eps)
+        assert delta == 1.0 + math.sqrt(eps)
+        top = bogoliubov_energy(p) + (delta - 1.0) * p.phi * math.sqrt(eps * (eps + 2.0))
+        assert spectral_window(p).z_max == top > bogoliubov_energy(p)

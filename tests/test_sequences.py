@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bogoflow import (
-    FlowConfig,
     ModelParams,
     accessori_identity_check,
     x_sequence,
@@ -68,7 +67,7 @@ def test_streamed_blocks_equal_one_pass_bitwise(block_length, monkeypatch):
     p = ModelParams(n_particles=2 * 10**5 + 2, epsilon=0.04)
     seq = x_sequence(p)
     monkeypatch.setattr(sequences, "STREAM_BLOCK", block_length)
-    coefs = sequences.majorant_coefficients(p, FlowConfig())
+    coefs = sequences.majorant_coefficients(p)
     blocks = [
         (b.levels.copy(), b.values.copy(), b.bound.copy())
         for b in x_sequence_blocks(p.n_particles, *coefs)
@@ -88,8 +87,8 @@ def test_streamed_summary_keeps_nan(monkeypatch):
     assert not summary.holds
 
     p = ModelParams(n_particles=10**4, epsilon=0.04)
-    coefs = sequences.majorant_coefficients(p, FlowConfig())
-    monkeypatch.setattr(sequences, "majorant_coefficients", lambda params, cfg: (nan, *coefs[1:]))
+    coefs = sequences.majorant_coefficients(p)
+    monkeypatch.setattr(sequences, "majorant_coefficients", lambda params: (nan, *coefs[1:]))
     result = verify.check_x_bounds(p)
     assert not result.passed and math.isnan(result.margin)
 
@@ -162,12 +161,11 @@ def test_xtilde_reduces_to_cut_coefficients_at_large_delta():
     # delta >= 2 removes b and c; the chain approaches the fixed point
     # of y = 1 - 1/(4 (1 + a_gamma) y)
     p = ModelParams(n_particles=10**6, epsilon=0.04)
-    cfg = FlowConfig(delta=1.999999)  # delta must stay < 2 in config
-    from bogoflow.model import coefficient_set
+    from bogoflow.model import b_coefficient, c_coefficient, coefficient_set
 
-    seq_vals = None
+    assert b_coefficient(0.04, 2.0) == c_coefficient(0.04, 2.0) == 0.0
     # emulate the cut by building the chain directly with b = c = 0
-    coefs = coefficient_set(p, cfg)
+    coefs = coefficient_set(p)
     a_g = coefs.a_gamma
     span = int((10**6) ** (2.0 / 3.0))
     span -= span % 2

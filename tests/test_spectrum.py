@@ -14,8 +14,8 @@ from bogoflow import (
     lowest_eigenpair,
     solve_fixed_point,
 )
-from bogoflow.model import FlowConfig, check_assumptions
-from bogoflow.spectrum import GAP_COEF, UPPER_BOUND_COEF, BracketError, flow_side
+from bogoflow.model import check_assumptions
+from bogoflow.spectrum import GAP_COEF, TOL_ROOT, UPPER_BOUND_COEF, BracketError, flow_side
 
 
 def _lapack_lambda0(params):
@@ -85,12 +85,19 @@ def test_extended_bracket_outside_regime():
         assert result.oracle_delta <= 1e-10, n
 
 
-def test_root_above_window_top_in_regime_raises():
-    # delta < 1 puts the window top below the closed-form energy and the root
+def test_root_above_window_top_in_regime_raises(monkeypatch):
+    # a window top below the closed-form energy lies below the root too
+    from dataclasses import replace
+
+    from bogoflow import spectrum
+
     params = ModelParams(n_particles=1024, epsilon=0.01)
-    assert check_assumptions(params, FlowConfig(delta=0.5)).solver_regime_ok
+    assert check_assumptions(params).solver_regime_ok
+    eps, window = params.epsilon, spectrum.spectral_window(params)
+    top = bogoliubov_energy(params) - 0.5 * params.phi * math.sqrt(eps * (eps + 2.0))
+    monkeypatch.setattr(spectrum, "spectral_window", lambda p: replace(window, z_max=top))
     with pytest.raises(BracketError, match="inside the spectral window"):
-        solve_fixed_point(params, FlowConfig(delta=0.5))
+        solve_fixed_point(params)
 
 
 def test_single_crossing_property():
@@ -267,7 +274,7 @@ def test_newton_solve_flow_evaluations_and_accuracy(monkeypatch):
 @pytest.mark.parametrize("n, max_passes", ((2 * 10**5, 8), (10**6, 10)))
 def test_search_stops_at_the_noise_floor_of_f(n, max_passes):
     # eps = 1e-6 (root above the window top): f' is about -190 at N = 2e5
-    # and the rounding noise of f can lie above tol_root * phi, so |f| <= tol
+    # and the rounding noise of f can lie above TOL_ROOT * phi, so |f| <= tol
     # may be out of reach; a rejected Newton step no longer than tol ends
     # the search instead of bisecting the bracket down to that width
     # (without that rule N = 1e6 takes 38 passes)
@@ -320,13 +327,13 @@ TWO_STAGE_GRID = [
 
 def test_two_stage_root_agrees_with_the_full_flow_search(monkeypatch):
     # (a) the full-only search, with stage 1 turned off by a span >= N,
-    # finds the same root within tol_root * phi; (b) the last pass is the
+    # finds the same root within TOL_ROOT * phi; (b) the last pass is the
     # full flow at z*, and f_at_z_star is its f
     from bogoflow import spectrum
 
     staged = {point: _counted_solve(monkeypatch, ModelParams(*point)) for point in TWO_STAGE_GRID}
     monkeypatch.setattr(spectrum, "truncation_span", lambda params: params.n_particles)
-    tol = FlowConfig().tol_root
+    tol = TOL_ROOT
     for (n, eps), (result, calls) in staged.items():
         params = ModelParams(n_particles=n, epsilon=eps)
         full_only = solve_fixed_point(params)
@@ -363,7 +370,7 @@ def test_a_poor_steering_flow_changes_only_the_cost(monkeypatch, n, eps, falls_b
     result, calls = _counted_solve(monkeypatch, params)
     assert any(start == n - 4 for _, start in calls)
     assert abs(result.z_star - _lapack_lambda0(params)) <= 1e-10
-    assert abs(result.f_at_z_star) <= FlowConfig().tol_root
+    assert abs(result.f_at_z_star) <= TOL_ROOT
     if falls_back:
         assert result.z_star == full_only.z_star
         assert result.full_evaluations == full_only.evaluations
