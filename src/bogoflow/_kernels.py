@@ -56,19 +56,21 @@ def _pivots(c, y, step, e=None):
         # every entry before the first pivot <= 0 is final
         j = max(info - 2, 0)
         y[j + 1 :] = 1.0
-    with np.errstate(invalid="ignore"):
+    # entries past a failure carry no meaning, and an infinite c_j (a flow
+    # resolvent pole) gives inf * 0 there; silencing that changes no bit
+    with np.errstate(over="ignore", invalid="ignore"):
         e = np.sqrt(c[1:], out=e)  # anew where dpttrf overwrote it
-    for k in (np.flatnonzero(~(e[j:] < np.inf)) + j + 1).tolist() + [n]:
-        while j < k - 1:  # entries j+1 .. k-1 by dpttrf
-            info = dpttrf(y[j:k], e[j : k - 1], overwrite_d=1, overwrite_e=1)[2]
-            if not 0 < info < k - j:
-                j = k - 1
-            else:  # y[j + info - 1] <= 0 and nothing after it computed
-                j += info
-                step(j)
-        if k < n:
-            step(k)
-            j = k
+        for k in (np.flatnonzero(~(e[j:] < np.inf)) + j + 1).tolist() + [n]:
+            while j < k - 1:  # entries j+1 .. k-1 by dpttrf
+                info = dpttrf(y[j:k], e[j : k - 1], overwrite_d=1, overwrite_e=1)[2]
+                if not 0 < info < k - j:
+                    j = k - 1
+                else:  # y[j + info - 1] <= 0 and nothing after it computed
+                    j += info
+                    step(j)
+            if k < n:
+                step(k)
+                j = k
     return False
 
 
@@ -76,7 +78,7 @@ def _flow_loop(w, g):
     first_bad = -1
     for j in range(1, w.shape[0]):
         q = w[j] * g[j - 1]
-        if q >= 1.0 or q < 0.0:
+        if not 0.0 <= q < 1.0:  # a NaN fails too
             if first_bad < 0:
                 first_bad = j
         den = 1.0 - q
@@ -94,7 +96,7 @@ def flow_recursion(w, d):
     c = w; a caller inverts it in place once it has read the last pivot.
     A pass continued from the last pivot of the pass before equals one
     pass bit for bit.  Returns the first index where the condition
-    0 <= w*G < 1 fails (w < 0 or a pivot <= 0), or -1 if it holds
+    0 <= w*G < 1 fails (w < 0, or a pivot <= 0 or NaN), or -1 if it holds
     everywhere.  Values past a failure are still produced (a zero pivot
     is the guarded denominator -_TINY) so callers can inspect the table,
     but they carry no meaning.
@@ -107,7 +109,7 @@ def flow_recursion(w, d):
     if _pivots(w, d, step):
         return -1
     d[d == 0.0] = -_TINY
-    bad = (d[1:] <= 0.0) | (w[1:] < 0.0)
+    bad = ~(d[1:] > 0.0) | (w[1:] < 0.0)
     return 1 + int(np.argmax(bad)) if bad.any() else -1
 
 

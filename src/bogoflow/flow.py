@@ -17,9 +17,15 @@ resolvent of W_i is the first resolvent of level i-2 (i-2 and m+2 are
 exact in floating point), so one array of resolvents serves both.  Only
 the resolvents depend on z: the numerators and the diagonal entries
 (level_coefficients) are computed once by a caller that evaluates the
-flow at several z, as the root search does.  The series sum is valid
-while q = W*G stays in [0, 1); the table records the first level where
-that fails instead of raising.
+flow at several z, as the root search does.  One rule decides where the
+flow holds: a level is valid while its resolvent d - z is > 0 and its
+pivot 1/G = 1 - W*G is > 0 (the series sum with q = W*G in [0, 1)).
+The table records the first level where that fails, a NaN failing too,
+and nothing raises.  For z < 0 every resolvent is a nonnegative d minus
+a negative z, so only z >= 0 (or NaN) needs the resolvent test.  A
+resolvent d_k - z <= 0 puts z at or above d_k, which is at least the
+lowest eigenvalue of the matrix without its condensate row and so above
+the ground energy: right of the root, as every invalid z is.
 
 The recursion runs on the pivots 1/G, which are those of the LDL^T
 factorization of the sector matrix minus z, through LAPACK dpttrf
@@ -77,9 +83,6 @@ import numpy as np
 from . import _kernels
 from .model import ModelParams
 
-# Denominators of W below this multiple of phi*N indicate z outside the
-# admissible window; positivity is only guaranteed inside it.
-POLE_FLOOR = 1e-12
 # levels per block of the flow pass (flow_blocks), which bounds its memory;
 # a block's arrays then stay in a core's L2 cache
 FLOW_BLOCK = 1 << 14
@@ -94,7 +97,7 @@ FITTED_DECAY_C = 1.0
 
 
 class FlowDomainError(ValueError):
-    """z too close to a resolvent pole for the flow to be meaningful."""
+    """A number was asked of the flow at a z where it is invalid."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ class FlowTable:
 
     g_values[j] is G at level start_level + 2j; w_products[j] the scalar
     coupling product entering that level (0.0 at the start level, which
-    has none).  valid means every geometric-series condition held;
+    has none).  valid means every level passed the validity rule;
     otherwise invalid_level is the first offending level.  f_slope is
     the slope of f_value in z where the table is valid, NaN otherwise
     (from a start level above 0 both belong to the truncated flow).
@@ -143,26 +146,21 @@ def _coefficients_at(params: ModelParams, i: np.ndarray):
     return num, diag
 
 
-def _w_product_arrays(params: ModelParams, z: float, coefficients):
+def _w_product_arrays(z: float, coefficients):
     """Coupling products for the consecutive levels whose level
     coefficients are given; index 0 is 0.0.
 
     Also returns the numerator t_k^2 and first resolvent d_k - z of each
     level, which the slope of f reuses.  The second resolvent of level i
     is the first of level i-2: i-2 and m+2 are exact, so both are the
-    same float.
+    same float.  An overflowed resolvent product gives W = 0, its limit;
+    a zero resolvent gives W = inf (NaN at phi = 0) on a level that fails
+    the validity rule anyway.
     """
     num, diag = coefficients
     den1 = diag - z
     w = np.zeros(den1.shape[0])
-    if w.shape[0] > 1:
-        floor = POLE_FLOOR * max(params.phi, params.kinetic, 1e-300) * params.n_particles
-        # below the spectrum every resolvent is positive, and the signed
-        # minimum decides alone; |den1| is taken only when it does not
-        if not np.fmin.reduce(den1) > floor and np.min(np.abs(den1)) <= floor:
-            raise FlowDomainError(
-                f"resolvent denominator below pole floor at z={z!r}"
-            )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.multiply(den1[1:], den1[:-1], out=w[1:])
         np.divide(num[1:], w[1:], out=w[1:])
     return w, num, den1
@@ -171,16 +169,20 @@ def _w_product_arrays(params: ModelParams, z: float, coefficients):
 def _flow_span(params, z, start_level, first, stop, coefficients, pivot):
     """Entries first..stop-1 of the pass from start_level by one kernel
     call, entry first preset to the pivot 1/G given.  Returns w, g, num,
-    den1, the last pivot and the pass index of the first failed level
-    (or -1); coefficients as in g_check."""
+    den1, the last pivot and the pass index of the first level that fails
+    the validity rule (module docstring), or -1; coefficients as in
+    g_check."""
     if coefficients is None:
         coefficients = _coefficients_at(params, start_level + 2.0 * np.arange(first, stop))
     else:
         coefficients = (coefficients[0][first:stop], coefficients[1][first:stop])
-    w, num, den1 = _w_product_arrays(params, z, coefficients)
+    w, num, den1 = _w_product_arrays(z, coefficients)
     g = np.empty_like(w)  # the pivots 1/G, inverted in place once the last is read
     g[0] = pivot
     bad = int(_kernels.flow_recursion(w, g))
+    if not z < 0.0:  # the resolvent test: for z < 0 every d - z is positive
+        poles = np.flatnonzero(~(den1[: bad if bad >= 0 else None] > 0.0))
+        bad = int(poles[0]) if poles.size else bad
     last = float(g[-1])
     np.divide(1.0, g, out=g)
     return w, g, num, den1, last, first + bad if bad >= 0 else -1
@@ -229,8 +231,7 @@ def enclosure(params: ModelParams, z: float, count: int):
     N - S agree bit for bit, which pins the full pass there (module
     docstring).  S starts at _first_span(params, count) and doubles until
     that run holds count levels.  None where the full pass must run
-    instead: z >= 0, eps*N < 1, S >= N, a restart invalid, or the pole
-    guard of either restart or of the full pass below N - S tripped.
+    instead: z >= 0 (or NaN), eps*N < 1, S >= N, or a restart invalid.
     """
     n = params.n_particles
     if not (z < 0.0 and params.epsilon * n >= 1.0):
@@ -238,15 +239,9 @@ def enclosure(params: ModelParams, z: float, count: int):
     span = _first_span(params, count)
     while span < n:
         restart = n - span
-        try:
-            # below the restart d - z is positive and concave in the level, so
-            # the full pass's pole guard there is decided at levels 0 and R - 2
-            _w_product_arrays(params, z, _coefficients_at(params, np.array([0.0, restart - 2.0])))
-            coefficients = level_coefficients(params, restart)
-            _, low, _, _, _, low_bad = _flow_span(params, z, restart, 0, span // 2, coefficients, 1.0)
-            _, high, _, _, _, high_bad = _flow_span(params, z, restart, 0, span // 2, coefficients, 0.5)
-        except FlowDomainError:
-            return None
+        coefficients = level_coefficients(params, restart)
+        _, low, _, _, _, low_bad = _flow_span(params, z, restart, 0, span // 2, coefficients, 1.0)
+        _, high, _, _, _, high_bad = _flow_span(params, z, restart, 0, span // 2, coefficients, 0.5)
         if low_bad >= 0 or high_bad >= 0:
             return None
         apart = np.flatnonzero(low != high)
@@ -293,9 +288,8 @@ def _final_coupling(params: ModelParams) -> float:
 def _f_from_g(params: ModelParams, z: float, g_last: float) -> float:
     n, phi, eps = params.n_particles, params.phi, params.epsilon
     den = phi * (2.0 * eps + 2.0 - 4.0 / n) - z
-    if den == 0.0:
-        raise FlowDomainError("final resolvent pole at this z")
-    return -z - _final_coupling(params) / den * g_last
+    # den is the level N-2 resolvent: at its pole the table is invalid
+    return -z - _final_coupling(params) / den * g_last if den else math.nan
 
 
 def _f_slope(g, num, den1, t0_sq: float) -> float:

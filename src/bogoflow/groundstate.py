@@ -18,8 +18,8 @@ of the flow at level N - S that bracket the full pass, instead of a
 full pass.  It asks for the top EXPAND_BLOCK levels, on which the two
 restarts agree bit for bit (flow sizes S), and for twice as many while
 the expansion needs a level beyond those it got.  The full pass runs
-instead, with its shifted fallback, where the enclosure does not apply
-(z >= 0, eps*N < 1, S >= N) or fails its checks.
+instead where the enclosure does not apply (z >= 0, eps*N < 1, S >= N)
+or fails its checks; a z where that pass is invalid has no vector.
 
 The tail series bounds what truncating the product chain throws away.
 """
@@ -34,7 +34,6 @@ from . import flow
 from .flow import FlowDomainError, g_check, g_truncated
 from .model import ModelParams, chain_denominator, majorant_coefficients, majorant_lower_bound
 from .oracle import TridiagonalHamiltonian, sector_elements
-from .spectrum import TOL_ROOT
 
 # stop extending the vector once coefficients fall below this relative size
 COEFF_FLOOR = 1e-18
@@ -49,7 +48,6 @@ class GroundStateVector:
     coeffs: np.ndarray  # psi_k, k = 0..k_max; psi_0 = 1 before normalization
     z_star: float
     tail_bound: float
-    shifted_evaluation: bool
     flow_span: int  # N - level the flow read started from: S if truncated, N if full
 
     @property
@@ -73,9 +71,7 @@ def expand_ground_state(
     finite there because each eliminated block sits strictly above the
     ground energy.  G comes from the two restarts at level N - S where
     their enclosure applies (module docstring), else from a full pass.
-    If the pole guard of the full pass trips, the evaluation falls back
-    to z_star - 10*spectrum.TOL_ROOT*phi, which changes the coefficients
-    by O(TOL_ROOT) only.
+    Raises FlowDomainError where that pass is invalid at z_star.
     """
     n = params.n_particles
     half = n // 2
@@ -85,7 +81,6 @@ def expand_ground_state(
         raise ValueError("k_max out of range")
 
     coeffs = None
-    shifted = False
     count = EXPAND_BLOCK
     while (top := flow.enclosure(params, z_star, count)) is not None:
         g, span = top
@@ -95,16 +90,10 @@ def expand_ground_state(
         count *= 2
     if coeffs is None:
         span = n
-        z_eval = z_star
-        try:
-            table = g_check(params, z_eval)
-            if not table.valid:
-                raise FlowDomainError("flow invalid at z_star")
-        except FlowDomainError:
-            z_eval = z_star - 10.0 * TOL_ROOT * params.phi
-            shifted = True
-            table = g_check(params, z_eval)
-        coeffs = _adaptive_coefficients(params, z_eval, table.g_values[::-1], k_max)
+        table = g_check(params, z_star)
+        if not table.valid:
+            raise FlowDomainError(f"flow invalid at z={z_star!r} from level {table.invalid_level}")
+        coeffs = _adaptive_coefficients(params, z_star, table.g_values[::-1], k_max)
     last = coeffs.size - 1
 
     tail_bound = 0.0
@@ -115,7 +104,6 @@ def expand_ground_state(
         coeffs=coeffs,
         z_star=z_star,
         tail_bound=tail_bound,
-        shifted_evaluation=shifted,
         flow_span=span,
     )
 

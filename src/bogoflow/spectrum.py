@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .flow import FITTED_DECAY_C, FlowDomainError, g_check, level_coefficients, truncation_span
+from .flow import FITTED_DECAY_C, g_check, level_coefficients, truncation_span
 from .model import (
     BETA,
     AssumptionReport,
@@ -77,12 +77,9 @@ def flow_side(params, z):
 
 def _flow_point(params, z, coefficients=None, start_level=0):
     """(f(z), f'(z)) of the flow from start_level, or None where it is
-    invalid or trips the pole guard (z is then right of the root).
+    invalid (z is then right of the root).
     coefficients: level_coefficients(params, start_level), or None."""
-    try:
-        table = g_check(params, z, start_level, coefficients)
-    except FlowDomainError:
-        return None
+    table = g_check(params, z, start_level, coefficients)
     return (table.f_value, table.f_slope) if table.valid else None
 
 

@@ -63,16 +63,17 @@ def test_sequences_mode_rejects_epsilon_one(tmp_path, capsys):
     assert "epsilon < 1" in err and "Traceback" not in err
 
 
-def test_python_m_bogoflow(tmp_path):
+def _python_m_bogoflow(*args):
+    # a fresh interpreter, so stderr holds everything the run writes there
     src = str(Path(bogoflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bogoflow", "--mode", "solve", "--n", "64", "--epsilon", "0.1", "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, "-m", "bogoflow", *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_python_m_bogoflow(tmp_path):
+    proc = _python_m_bogoflow("--mode", "solve", "--n", "64", "--epsilon", "0.1", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert "z_star=" in proc.stdout
 
@@ -87,18 +88,18 @@ def test_python_m_bogoflow(tmp_path):
 def test_python_m_bogoflow_rejects_an_argument_with_exit_1(tmp_path, args, message):
     # exit 2 means "solved but outside the regime"; a rejected argument is a
     # hard error like any other bad input, reported on one line
-    src = str(Path(bogoflow.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bogoflow", "--mode", "solve", *args, "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _python_m_bogoflow("--mode", "solve", *args, "--out", str(tmp_path))
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [message]
     assert proc.stdout == ""
+
+
+def test_python_m_bogoflow_writes_one_error_line_where_the_couplings_overflow(tmp_path):
+    # at eps = 1e300 the resolvent products overflow to W = 0, silently;
+    # the point fails in the oracle with its one error: line
+    proc = _python_m_bogoflow("--mode", "solve", "--n", "4", "--epsilon", "1e300", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: eigenpair residual nan is not within 1e-10*norm"]
 
 
 def test_sweep_grid_rows_and_manifest(tmp_path):

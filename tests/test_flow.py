@@ -60,12 +60,20 @@ def test_final_prefactor_equals_first_coupling():
         assert lhs == pytest.approx(rhs, rel=1e-14)
 
 
-def test_pole_floor_raises():
-    # z sitting exactly on a shell resolvent pole trips the guard
+def test_a_resolvent_pole_marks_the_flow_invalid():
+    # z on a shell resolvent pole fails the validity rule instead of
+    # raising: the first level in pass order (i = N - 2k) whose d_k - z is
+    # <= 0 is invalid, here level 0 (d_8 = 1.6 < z = d_1 = 1.95), and at
+    # z = d_8 the pole itself sits at level 0
     p = ModelParams(n_particles=16, epsilon=0.1)
     tri = build_sector_hamiltonian(p)
-    with pytest.raises(FlowDomainError):
-        g_check(p, float(tri.diag[1]))
+    for k in (1, 8):
+        z = float(tri.diag[k])
+        table = g_check(p, z)
+        first_pole = 16 - 2 * int(np.flatnonzero(tri.diag - z <= 0.0)[-1])
+        assert not table.valid and table.invalid_level == first_pole == 0
+        with pytest.raises(FlowDomainError):
+            f_of_z(p, z)
 
 
 @pytest.mark.parametrize("n", (4, 1024, 2 * 10**5))
@@ -87,15 +95,14 @@ def test_w_products_match_two_resolvent_formula_bitwise(n):
             den2 = ((i - 2.0) * phi / n + k2) * (m + 2.0) - z
             expected = np.zeros(i.size)
             expected[1:] = num[1:] / (den1[1:] * den2[1:])
-            w, w_num, w_den1 = _w_product_arrays(params, z, coefficients)
+            w, w_num, w_den1 = _w_product_arrays(z, coefficients)
             np.testing.assert_array_equal(w, expected)
             np.testing.assert_array_equal(w_num, num)
             np.testing.assert_array_equal(w_den1, den1)
         if i.size > 1:
             # a pole at the start level enters only as a second resolvent
             for pole in (coefficients[1][0], coefficients[1][-1]):
-                with pytest.raises(FlowDomainError):
-                    _w_product_arrays(params, float(pole), coefficients)
+                assert not g_check(params, float(pole), start, coefficients).valid
 
 
 def test_g_check_start_level_validation():
@@ -141,6 +148,30 @@ def test_g_check_invalid_above_spectrum():
     table = g_check(p, 5.0)
     assert not table.valid
     assert table.invalid_level >= 2
+
+
+def test_g_check_invalid_above_every_resolvent():
+    # both resolvents of every W are negative, so W > 0 and each series
+    # sum holds; the resolvent test alone fails the flow, from level 0
+    p = ModelParams(n_particles=64, epsilon=0.1)
+    assert float(build_sector_hamiltonian(p).diag.max()) < 50.0
+    table = g_check(p, 50.0)
+    assert not table.valid and table.invalid_level == 0
+
+
+@pytest.mark.parametrize(
+    "phi, z",
+    [(1.0, math.nan), (1.0, 1.0 * (2 * 0.1 + 2 - 4 / 64)), (0.0, 0.0)],
+    ids=["nan", "final-resolvent-pole", "phi0-every-resolvent-zero"],
+)
+def test_g_check_invalid_without_raising(phi, z):
+    # a NaN z fails the resolvent test at level 0; at the level N-2 pole
+    # f's own denominator is zero, and at phi = 0, z = 0 every W is 0/0
+    p = ModelParams(n_particles=64, epsilon=0.1, phi=phi)
+    table = g_check(p, z)
+    assert not table.valid and math.isnan(table.f_value) and math.isnan(table.f_slope)
+    with pytest.raises(FlowDomainError):
+        f_of_z(p, z)
 
 
 def test_f_of_z_asymptotic_dominance():

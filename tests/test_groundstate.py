@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bogoflow import (
+    FlowDomainError,
     ModelParams,
     bogoliubov_energy,
     build_sector_hamiltonian,
@@ -177,7 +178,6 @@ def test_vectorized_expansion_matches_loop_bitwise(n, eps, k_max):
     params = ModelParams(n_particles=n, epsilon=eps)
     z = solve_fixed_point(params).z_star
     vec = expand_ground_state(params, z, k_max=k_max)
-    assert not vec.shifted_evaluation
     np.testing.assert_array_equal(vec.coeffs, _expand_by_loop(params, z, k_max))
 
 
@@ -200,7 +200,6 @@ def test_truncated_expansion_matches_full_pass_bitwise(monkeypatch, n, eps):
     vec = expand_ground_state(params, z)
     ref = _full_pass_expansion(monkeypatch, params, z)
     assert vec.flow_span < n and ref.flow_span == n
-    assert not vec.shifted_evaluation and not ref.shifted_evaluation
     np.testing.assert_array_equal(vec.coeffs, ref.coeffs)
     assert vec.tail_bound == ref.tail_bound
 
@@ -225,12 +224,28 @@ def test_full_pass_where_enclosure_does_not_apply():
     for n, eps, z in [
         (2 * 10**5, 1e-6, None),
         (4000, 0.01, None),
-        (2 * 10**5, 0.01, 0.0),
+        (2 * 10**5, 0.5, 0.0),  # the flow is valid at z = 0 here
     ]:
         params = ModelParams(n_particles=n, epsilon=eps)
         if z is None:
             z = solve_fixed_point(params).z_star
         assert expand_ground_state(params, z).flow_span == n
+    # where the full pass is invalid at z there is no vector
+    with pytest.raises(FlowDomainError, match="z=0.0"):
+        expand_ground_state(ModelParams(n_particles=2 * 10**5, epsilon=0.01), 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.01, 1e-4])
+@pytest.mark.parametrize("n", [3 * 10**12, 10**13, 2**52])
+def test_enclosure_and_expansion_apply_past_two_trillion(n, eps):
+    # at z <= 0 every resolvent is positive, so nothing N-scaled stops the
+    # two restarts; the full pass here would need terabytes
+    from bogoflow import flow
+
+    params = ModelParams(n_particles=n, epsilon=eps)
+    z = bogoliubov_energy(params)
+    assert flow.enclosure(params, z, 1) is not None
+    assert expand_ground_state(params, z).flow_span < n
 
 
 def test_forced_short_span_doubles_to_same_vector(monkeypatch):
@@ -290,7 +305,6 @@ def test_solve_and_expand_read_the_top_of_the_flow_at_small_n(monkeypatch, n, ep
     ref = _full_pass_expansion(monkeypatch, params, z)
     assert starts.count(0) == 1
     assert vec.flow_span < n and ref.flow_span == n
-    assert not vec.shifted_evaluation and not ref.shifted_evaluation
     np.testing.assert_array_equal(vec.coeffs, ref.coeffs)
     assert vec.tail_bound == ref.tail_bound
 
@@ -328,6 +342,6 @@ def test_expansion_at_n_1e12_holds_only_the_top_of_the_flow():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert vec.flow_span < 10**4 and not vec.shifted_evaluation
+    assert vec.flow_span < 10**4
     assert 0.0 <= vec.tail_bound < 1e-12
     assert peak < 5e6

@@ -128,6 +128,18 @@ def test_negative_coefficient():
     assert _compare(_flow_table, _kernels._flow_loop, w)[1] == 5
 
 
+@pytest.mark.parametrize("j", (1, 2, 1000, 4096))
+def test_a_nan_coefficient_fails_its_index(j):
+    # a NaN passes w < 0 and a pivot <= 0 alike, so both kernels test
+    # that the condition holds: a NaN w gives a NaN q and pivot, failed
+    rng = np.random.default_rng(5)
+    w = _flow_inputs(4097, rng)
+    w[j] = np.nan
+    got, ref = np.ones(w.size), np.ones(w.size)
+    assert _flow_table(w, got) == _kernels._flow_loop(w, ref) == j
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+
+
 def test_exact_zero_pivot():
     # a pivot of exactly 0: dpttrf stops there, the element loop takes
     # the next entry with its guarded denominator

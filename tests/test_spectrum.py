@@ -231,7 +231,6 @@ def test_flow_slope_is_minus_squared_norm_of_expansion():
         params = ModelParams(n_particles=n, epsilon=eps)
         z = solve_fixed_point(params).z_star - 0.01
         vec = expand_ground_state(params, z)
-        assert not vec.shifted_evaluation
         slope = g_check(params, z).f_slope
         assert slope == pytest.approx(-float(np.sum(vec.coeffs**2)), rel=1e-12)
 
