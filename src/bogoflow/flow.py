@@ -15,11 +15,10 @@ elements divided by the two shell resolvents:
 with m = N - i the pair-mode occupation at level i.  The second
 resolvent of W_i is the first resolvent of level i-2 (i-2 and m+2 are
 exact in floating point), so one array of resolvents serves both.  Only
-the resolvents depend on z: the numerators and the diagonal entries
-(level_coefficients) are computed once by a caller that evaluates the
-flow at several z, as the root search does.  One rule decides where the
-flow holds: a level is valid while its resolvent d - z is > 0 and its
-pivot 1/G = 1 - W*G is > 0 (the series sum with q = W*G in [0, 1)).
+the resolvents depend on z; a pass builds the numerators and diagonal
+entries of its levels once.  One rule decides where the flow holds: a
+level is valid while its resolvent d - z is > 0 and its pivot
+1/G = 1 - W*G is > 0 (the series sum with q = W*G in [0, 1)).
 The table records the first level where that fails, a NaN failing too,
 and nothing raises.  For z < 0 every resolvent is a nonnegative d minus
 a negative z, so only z >= 0 (or NaN) needs the resolvent test.  A
@@ -29,16 +28,13 @@ the ground energy: right of the root, as every invalid z is.
 
 The recursion runs on the pivots 1/G, which are those of the LDL^T
 factorization of the sector matrix minus z, through LAPACK dpttrf
-(_kernels.flow_recursion, which fills the pivots only); a span reads
-its last pivot and then inverts the pivots in place.  g_check runs the
-pass in one span;
-flow_blocks yields the same pass in blocks of FLOW_BLOCK levels, each
-continued from the last pivot of the block before, so a caller that
-keeps only part of the levels needs O(FLOW_BLOCK) memory.
+(_kernels.flow_recursion, which fills the pivots only), and a span
+then inverts them in place.  g_check runs the pass in one span.
 
 A caller that reads G on the top levels only (the ground-state
 expansion, and the verify check against the minorant chain) asks
-enclosure for them instead of running a pass.  enclosure restarts the
+enclosure for them; it is the one reader of the top of the flow, and
+decides between two restarts and the full pass.  enclosure restarts the
 flow twice at level R = N - S.  For z < 0 and eps*N >= 1, every level
 with m = N - i >= 2/eps has
 
@@ -53,7 +49,10 @@ if the upper one is valid so is the full pass.  Where the two agree bit
 for bit, the full pass equals them.  One rule sizes S for every caller:
 it starts at 2*count + max(truncation_span, 2/eps + 2) levels for a
 caller that needs the top count levels, and doubles until the restarts
-agree bit for bit on at least those.
+agree bit for bit on at least those.  Where the restarts do not apply
+(z >= 0 or NaN, eps*N < 1, S >= N, or a restart invalid) enclosure
+reads the full pass instead, and raises FlowDomainError where that pass
+is invalid.
 
 The one-dimensional remainder after the last elimination,
 
@@ -83,9 +82,6 @@ import numpy as np
 from . import _kernels
 from .model import ModelParams
 
-# levels per block of the flow pass (flow_blocks), which bounds its memory;
-# a block's arrays then stay in a core's L2 cache
-FLOW_BLOCK = 1 << 14
 # block length and cutoff of the amplitude sum behind the slope of f
 SLOPE_BLOCK = 2048
 SLOPE_NEGLIGIBLE = 1e-250
@@ -126,19 +122,12 @@ class FlowTable:
         return self.start_level + 2 * np.arange(self.g_values.shape[0])
 
 
-def level_coefficients(params: ModelParams, start_level: int = 0):
-    """The z-independent parts of W at levels start_level..N-2.
-
-    Returns (num, diag): the coupling numerator t_k^2 and the diagonal
-    entry d_k of each level, so that d_k - z is its first resolvent.
-    """
+def _coefficients_at(params: ModelParams, start_level: int):
+    """The z-independent parts of W at levels start_level..N-2, as
+    (num, diag): the coupling numerator t_k^2 and the diagonal entry d_k
+    of each level, so that d_k - z is its first resolvent."""
     n = params.n_particles
-    return _coefficients_at(params, start_level + 2.0 * np.arange((n - start_level) // 2))
-
-
-def _coefficients_at(params: ModelParams, i: np.ndarray):
-    # level_coefficients at the even levels i, exact integers in float64
-    n = params.n_particles
+    i = start_level + 2.0 * np.arange((n - start_level) // 2)  # exact integers in float64
     phi, k2 = params.phi, params.kinetic
     m = n - i
     num = (i - 1.0) * i / (float(n) * float(n)) * phi * phi * (0.5 * m + 1.0) ** 2
@@ -147,8 +136,8 @@ def _coefficients_at(params: ModelParams, i: np.ndarray):
 
 
 def _w_product_arrays(z: float, coefficients):
-    """Coupling products for the consecutive levels whose level
-    coefficients are given; index 0 is 0.0.
+    """Coupling products for the consecutive levels whose coefficients
+    (_coefficients_at) are given; index 0 is 0.0.
 
     Also returns the numerator t_k^2 and first resolvent d_k - z of each
     level, which the slope of f reuses.  The second resolvent of level i
@@ -166,16 +155,11 @@ def _w_product_arrays(z: float, coefficients):
     return w, num, den1
 
 
-def _flow_span(params, z, start_level, first, stop, coefficients, pivot):
-    """Entries first..stop-1 of the pass from start_level by one kernel
-    call, entry first preset to the pivot 1/G given.  Returns w, g, num,
-    den1, the last pivot and the pass index of the first level that fails
-    the validity rule (module docstring), or -1; coefficients as in
-    g_check."""
-    if coefficients is None:
-        coefficients = _coefficients_at(params, start_level + 2.0 * np.arange(first, stop))
-    else:
-        coefficients = (coefficients[0][first:stop], coefficients[1][first:stop])
+def _flow_span(z, coefficients, pivot):
+    """The pass over the levels whose coefficients are given by one
+    kernel call, its first entry preset to the pivot 1/G given.  Returns
+    w, g, num, den1 and the pass index of the first level that fails the
+    validity rule (module docstring), or -1."""
     w, num, den1 = _w_product_arrays(z, coefficients)
     g = np.empty_like(w)  # the pivots 1/G, inverted in place once the last is read
     g[0] = pivot
@@ -183,28 +167,8 @@ def _flow_span(params, z, start_level, first, stop, coefficients, pivot):
     if not z < 0.0:  # the resolvent test: for z < 0 every d - z is positive
         poles = np.flatnonzero(~(den1[: bad if bad >= 0 else None] > 0.0))
         bad = int(poles[0]) if poles.size else bad
-    last = float(g[-1])
     np.divide(1.0, g, out=g)
-    return w, g, num, den1, last, first + bad if bad >= 0 else -1
-
-
-def flow_blocks(params: ModelParams, z: float):
-    """The pass of g_check from level 0 in consecutive blocks of
-    FLOW_BLOCK levels, each continued from the last pivot 1/G of the
-    block before, so the blocks equal the one pass bit for bit; memory
-    is O(FLOW_BLOCK).
-
-    Yields (start, g_values, first_bad): entry j of a block is pass
-    index start + j, and first_bad the pass index of the block's first
-    failed level, or -1.
-    """
-    count = params.n_particles // 2  # levels 0 .. N-2
-    pivot = 1.0  # 1/G at level 0
-    for lo in range(0, count, FLOW_BLOCK):
-        first = max(lo - 1, 0)  # the level a block continues from
-        stop = min(lo + FLOW_BLOCK, count)
-        _, g, _, _, pivot, bad = _flow_span(params, z, 0, first, stop, None, pivot)
-        yield lo, g[lo - first :], bad
+    return w, g, num, den1, bad
 
 
 def truncation_span(params: ModelParams) -> int:
@@ -224,48 +188,43 @@ def _first_span(params: ModelParams, count: int) -> int:
 
 
 def enclosure(params: ModelParams, z: float, count: int):
-    """G on at least the top count levels without a full pass, as (g, S).
+    """G on at least the top count levels of the full pass, as (g, S).
 
-    g holds G at levels N - 2*g.size, ..., N - 2 (level order): the
-    longest top run on which the restarts with G = 1 and G = 2 at level
-    N - S agree bit for bit, which pins the full pass there (module
-    docstring).  S starts at _first_span(params, count) and doubles until
-    that run holds count levels.  None where the full pass must run
-    instead: z >= 0 (or NaN), eps*N < 1, S >= N, or a restart invalid.
+    g holds G at levels N - 2*g.size, ..., N - 2 (level order).  Where
+    the restarts apply, g is the longest top run on which the restarts
+    with G = 1 and G = 2 at level N - S agree bit for bit, which pins the
+    full pass there (module docstring); S starts at
+    _first_span(params, count) and doubles until that run holds count
+    levels.  Elsewhere (z >= 0 or NaN, eps*N < 1, S >= N, or a restart
+    invalid) g is the whole of g_check's pass and S = N.  Raises
+    FlowDomainError where that pass is invalid at z.
     """
     n = params.n_particles
-    if not (z < 0.0 and params.epsilon * n >= 1.0):
-        return None
-    span = _first_span(params, count)
+    span = _first_span(params, count) if z < 0.0 and params.epsilon * n >= 1.0 else n
     while span < n:
-        restart = n - span
-        coefficients = level_coefficients(params, restart)
-        _, low, _, _, _, low_bad = _flow_span(params, z, restart, 0, span // 2, coefficients, 1.0)
-        _, high, _, _, _, high_bad = _flow_span(params, z, restart, 0, span // 2, coefficients, 0.5)
+        coefficients = _coefficients_at(params, n - span)
+        _, low, _, _, low_bad = _flow_span(z, coefficients, 1.0)
+        _, high, _, _, high_bad = _flow_span(z, coefficients, 0.5)
         if low_bad >= 0 or high_bad >= 0:
-            return None
+            break
         apart = np.flatnonzero(low != high)
         g = low[apart[-1] + 1 :] if apart.size else low
         if g.size >= count:
             return g, span
         span *= 2
-    return None
+    table = g_check(params, z)
+    if not table.valid:
+        raise FlowDomainError(f"flow invalid at z={z!r} from level {table.invalid_level}")
+    return table.g_values, n
 
 
-def g_check(
-    params: ModelParams, z: float, start_level: int = 0, coefficients=None
-) -> FlowTable:
-    """Run the flow upward from start_level (value 1 there) to level N-2.
-
-    One span over the whole pass; flow_blocks streams the same pass.
-    coefficients, if given, is level_coefficients(params, start_level);
-    a caller evaluating the flow at several z computes it once.
-    """
+def g_check(params: ModelParams, z: float, start_level: int = 0) -> FlowTable:
+    """Run the flow upward from start_level (value 1 there) to level N-2
+    in one span."""
     n = params.n_particles
     if start_level % 2 != 0 or not 0 <= start_level <= n - 2:
         raise ValueError("start_level must be even with 0 <= start_level <= N-2")
-    count = (n - start_level) // 2
-    w, g, num, den1, _, first_bad = _flow_span(params, z, start_level, 0, count, coefficients, 1.0)
+    w, g, num, den1, first_bad = _flow_span(z, _coefficients_at(params, start_level), 1.0)
     valid = first_bad < 0
     return FlowTable(
         z=float(z),

@@ -13,13 +13,12 @@ couplings.
 
 The expansion stops once the amplitudes fall below COEFF_FLOOR of the
 norm so far, after at most a few thousand pairs, so it reads G only on
-the top levels, and it takes them from flow.enclosure, the two restarts
-of the flow at level N - S that bracket the full pass, instead of a
-full pass.  It asks for the top EXPAND_BLOCK levels, on which the two
-restarts agree bit for bit (flow sizes S), and for twice as many while
-the expansion needs a level beyond those it got.  The full pass runs
-instead where the enclosure does not apply (z >= 0, eps*N < 1, S >= N)
-or fails its checks; a z where that pass is invalid has no vector.
+the top levels, and it takes them from flow.enclosure: the top of the
+full pass, read from two restarts of the flow at level N - S that
+bracket it where they apply, and from the full pass elsewhere.  It asks
+for the top EXPAND_BLOCK levels and for twice as many while the
+expansion needs a level beyond those it got; a z where the full pass is
+invalid has no vector (enclosure raises FlowDomainError).
 
 The tail series bounds what truncating the product chain throws away.
 """
@@ -31,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import flow
-from .flow import FlowDomainError, g_check, g_truncated
+from .flow import g_check, g_truncated
 from .model import ModelParams, chain_denominator, majorant_coefficients, majorant_lower_bound
 from .oracle import TridiagonalHamiltonian, sector_elements
 
@@ -69,9 +68,8 @@ def expand_ground_state(
 
     The flow is evaluated at z_star itself; the shared denominators are
     finite there because each eliminated block sits strictly above the
-    ground energy.  G comes from the two restarts at level N - S where
-    their enclosure applies (module docstring), else from a full pass.
-    Raises FlowDomainError where that pass is invalid at z_star.
+    ground energy.  G comes from flow.enclosure, which raises
+    FlowDomainError where the full pass is invalid at z_star.
     """
     n = params.n_particles
     half = n // 2
@@ -80,20 +78,13 @@ def expand_ground_state(
     if not 0 <= k_max <= half:
         raise ValueError("k_max out of range")
 
-    coeffs = None
     count = EXPAND_BLOCK
-    while (top := flow.enclosure(params, z_star, count)) is not None:
-        g, span = top
+    while True:  # the full pass (span N) holds every level the expansion reads
+        g, span = flow.enclosure(params, z_star, count)
         coeffs = _adaptive_coefficients(params, z_star, g[::-1], k_max)
         if coeffs is not None:
             break
         count *= 2
-    if coeffs is None:
-        span = n
-        table = g_check(params, z_star)
-        if not table.valid:
-            raise FlowDomainError(f"flow invalid at z={z_star!r} from level {table.invalid_level}")
-        coeffs = _adaptive_coefficients(params, z_star, table.g_values[::-1], k_max)
     last = coeffs.size - 1
 
     tail_bound = 0.0

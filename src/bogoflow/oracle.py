@@ -15,8 +15,8 @@ force on the full three-mode occupation basis for small N.
 The low eigenpairs come from LAPACK through scipy's eigh_tridiagonal:
 stebz bisects on Sturm counts for the eigenvalues (Barth, Martin and
 Wilkinson 1967) and stein runs inverse iteration for the vectors, to the
-absolute tolerance ORACLE_TOL.  Like the Feshbach-Schur map of the paper,
-they solve only the leading block T[:K, :K] of the low pair occupations;
+absolute tolerance ORACLE_TOL, both on the block scaled by a power of
+two (_stebz).  Like the Feshbach-Schur map of the paper, they solve only the leading block T[:K, :K] of the low pair occupations;
 K doubles from 256 while 4K <= size, and K = size is the full solve.  A
 block is accepted when its certificate closes.  Its Ritz values bound
 lambda_j from above (Cauchy interlacing).  If rows K+1.. of T - x,
@@ -177,10 +177,19 @@ ORACLE_TOL = 1e-14
 
 
 def _stebz(diag, offdiag, m: int, vectors: bool):
-    return eigh_tridiagonal(
-        diag, offdiag, eigvals_only=not vectors, select="i", select_range=(0, m - 1), tol=ORACLE_TOL,
-        lapack_driver="stebz",
+    """The m lowest eigenvalues (and vectors) of the block by stebz and
+    stein, solved on the block scaled by 2^-e, e the binary exponent of
+    max |d|, with tol scaled alike.  The scaling is exact, and the
+    eigenvalues equal unscaled stebz's bit for bit at every point
+    checked; stein's vector can move by an ulp, since stein mixes in
+    absolute constants such as machine epsilon.  Unscaled, stein's
+    vector was NaN where d reaches 1e150."""
+    e = math.frexp(float(np.abs(diag).max()))[1]
+    out = eigh_tridiagonal(
+        np.ldexp(diag, -e), np.ldexp(offdiag, -e), eigvals_only=not vectors, select="i",
+        select_range=(0, m - 1), tol=math.ldexp(ORACLE_TOL, -e), lapack_driver="stebz",
     )
+    return (np.ldexp(out[0], e), out[1]) if vectors else np.ldexp(out, e)
 
 
 def _block_width(tri: TridiagonalHamiltonian) -> float:
@@ -240,10 +249,10 @@ def lowest_eigenpair(tri: TridiagonalHamiltonian) -> EigenPair:
     leading block.
 
     The vector is unit norm with its first nonzero component positive;
-    a residual that is not at most 1e-10 * norm_inf (a NaN from stein, as
-    at eps = 1e150, included) raises ConvergenceError.  Both are
-    taken on rows 0..K, every row where T v can be nonzero (v is zero
-    below row K), which makes the norm no larger than the whole matrix's.
+    a residual that is not at most 1e-10 * norm_inf (a NaN included)
+    raises ConvergenceError.  Both are taken on rows 0..K, every row
+    where T v can be nonzero (v is zero below row K), which makes the
+    norm no larger than the whole matrix's.
     The first call's pair is kept on tri and returned by every later call;
     its vector is read-only.
     """

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .flow import FITTED_DECAY_C, g_check, level_coefficients, truncation_span
+from .flow import FITTED_DECAY_C, g_check, truncation_span
 from .model import (
     BETA,
     AssumptionReport,
@@ -75,11 +75,10 @@ def flow_side(params, z):
     return 1 if _f_or_right(_flow_point(params, z)) > 0.0 else -1
 
 
-def _flow_point(params, z, coefficients=None, start_level=0):
+def _flow_point(params, z, start_level=0):
     """(f(z), f'(z)) of the flow from start_level, or None where it is
-    invalid (z is then right of the root).
-    coefficients: level_coefficients(params, start_level), or None."""
-    table = g_check(params, z, start_level, coefficients)
+    invalid (z is then right of the root)."""
+    table = g_check(params, z, start_level)
     return (table.f_value, table.f_slope) if table.valid else None
 
 
@@ -143,7 +142,7 @@ def solve_fixed_point(
     phi = params.phi
     tol = TOL_ROOT * phi
     # the current stage's flow start and bracket (set by search), and counts
-    start_level = coefficients = lo = hi = lo_known = hi_known = extended = None
+    start_level = lo = hi = lo_known = hi_known = extended = None
     evaluations = full_evaluations = iterations = 0
 
     def measure(z):
@@ -151,7 +150,7 @@ def solve_fixed_point(
         nonlocal lo, hi, lo_known, hi_known, extended, evaluations, full_evaluations
         evaluations += 1
         full_evaluations += start_level == 0
-        point = _flow_point(params, z, coefficients, start_level)
+        point = _flow_point(params, z, start_level)
         if _f_or_right(point) <= 0.0:
             hi, hi_known = z, True
         elif z < hi:
@@ -170,8 +169,8 @@ def solve_fixed_point(
     def search(z, level):
         # one stage on the flow from level, started at z; returns the
         # last iterate and its (f, f'), or None where the flow is invalid
-        nonlocal start_level, coefficients, lo, hi, lo_known, hi_known, extended, iterations
-        start_level, coefficients = level, level_coefficients(params, level)
+        nonlocal start_level, lo, hi, lo_known, hi_known, extended, iterations
+        start_level = level
         lo, hi = window.z_min, window.z_max
         lo_known = hi_known = extended = False
         point = measure(z)
@@ -285,9 +284,7 @@ class ErrorBudget:
     regime_ok: bool
 
 
-def energy_error_diagnostic(
-    params: ModelParams, result: Optional[GroundEnergyResult] = None
-) -> ErrorBudget:
+def energy_error_diagnostic(params: ModelParams) -> ErrorBudget:
     """Compare the measured |z* - E| with the three-term budget.
 
     The budget needs 1/N^BETA small against eps and 1/N^(1-BETA) small
@@ -298,9 +295,7 @@ def energy_error_diagnostic(
     regime_ok = (1.0 / n**BETA <= 0.1 * eps) and (
         1.0 / n ** (1.0 - BETA) <= 0.1 * math.sqrt(eps)
     )
-    if result is None:
-        result = solve_fixed_point(params)
-    measured = abs(result.z_star - bogoliubov_energy(params))
+    measured = abs(solve_fixed_point(params).z_star - bogoliubov_energy(params))
 
     t1 = phi / (eps * n**BETA)
     t2 = phi / math.sqrt(eps) * (1.0 / (1.0 + FITTED_DECAY_C * math.sqrt(eps))) ** (

@@ -179,27 +179,17 @@ def check_g_lower_bound_link(params: ModelParams) -> PropertyResult:
     G_i >= 1/xtilde_i for levels from N - N^(1-GAMMA) on, at the window
     top.
 
-    G on the chain's levels comes from flow.enclosure, whose two
-    restarts agree bit for bit on every one of those levels, which pins
-    the full pass to that value.  Where the enclosure does not apply,
-    the flow pass is streamed, keeping G on the chain's levels only.
+    G on the chain's levels comes from flow.enclosure: the full pass's
+    values, read from two restarts that agree bit for bit on every one
+    of those levels where they apply, and from the full pass elsewhere
+    (FlowDomainError where that pass is invalid).
     """
     eps, phi = params.epsilon, params.phi
     delta = window_delta(eps)
     z = bogoliubov_energy(params) + (delta - 1.0) * phi * math.sqrt(eps * (eps + 2.0))
     seq = sequences.xtilde_sequence(params)
-    first = int(seq.levels[0]) // 2  # the chain covers pass indices first..N/2-1
-    count = seq.values.size
-    valid = True
-    if (top := flow.enclosure(params, z, count)) is not None:
-        g_on_levels = top[0][-count:]
-    else:
-        kept = []
-        for start, g, bad in flow.flow_blocks(params, z):
-            valid = valid and bad < 0
-            if start + g.size > first:
-                kept.append(g[max(first - start, 0) :])
-        g_on_levels = np.concatenate(kept)
+    count = seq.values.size  # the chain covers the top count levels
+    g_on_levels = flow.enclosure(params, z, count)[0][-count:]
     with np.errstate(divide="ignore"):
         recip = 1.0 / seq.values
     ok_mask = seq.values > 0.0
@@ -208,7 +198,7 @@ def check_g_lower_bound_link(params: ModelParams) -> PropertyResult:
     worst = float((slack + tol).min())
     return PropertyResult(
         name="g_lower_bound_link",
-        passed=bool(np.all(ok_mask)) and worst >= 0.0 and valid,
+        passed=bool(np.all(ok_mask)) and worst >= 0.0,
         margin=worst,
         details=f"min G - 1/xtilde = {worst:.3e} on {int(ok_mask.sum())} levels",
     )

@@ -79,8 +79,8 @@ def test_a_resolvent_pole_marks_the_flow_invalid():
 @pytest.mark.parametrize("n", (4, 1024, 2 * 10**5))
 def test_w_products_match_two_resolvent_formula_bitwise(n):
     # W_i with both resolvents written out at level i; the code takes the
-    # second one from level i-2 and the z-free parts from level_coefficients
-    from bogoflow.flow import _w_product_arrays, level_coefficients
+    # second one from level i-2 and the z-free parts from _coefficients_at
+    from bogoflow.flow import _coefficients_at, _w_product_arrays
 
     params = ModelParams(n_particles=n, epsilon=0.01)
     phi, k2 = params.phi, params.kinetic
@@ -89,7 +89,7 @@ def test_w_products_match_two_resolvent_formula_bitwise(n):
         i = start + 2.0 * np.arange((n - start) // 2)
         m = n - i
         num = (i - 1.0) * i / (float(n) * float(n)) * phi * phi * (0.5 * m + 1.0) ** 2
-        coefficients = level_coefficients(params, start)
+        coefficients = _coefficients_at(params, start)
         for z in (z_star, z_star - 1.0):
             den1 = (i * phi / n + k2) * m - z
             den2 = ((i - 2.0) * phi / n + k2) * (m + 2.0) - z
@@ -102,7 +102,7 @@ def test_w_products_match_two_resolvent_formula_bitwise(n):
         if i.size > 1:
             # a pole at the start level enters only as a second resolvent
             for pole in (coefficients[1][0], coefficients[1][-1]):
-                assert not g_check(params, float(pole), start, coefficients).valid
+                assert not g_check(params, float(pole), start).valid
 
 
 def test_g_check_start_level_validation():
@@ -233,53 +233,50 @@ def test_g_dominates_reciprocal_minorant_chain():
     assert res.passed
 
 
-def test_streamed_lower_bound_link_matches_full_table(monkeypatch):
-    # the check keeps G on the minorant chain's levels only, from the
-    # enclosure here and from the streamed pass where that does not
-    # apply; its row equals the one built from a full g_check.  The
-    # blocks, the default seven at this N or blocks of 700 levels, equal
-    # g_check's one pass bit for bit.
-    from bogoflow import flow, sequences, verify
+def _link_window_top(p):
+    # the z at which the check reads G
     from bogoflow.model import window_delta
 
-    p = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
     eps = p.epsilon
-    z = bogoliubov_energy(p) + (window_delta(eps) - 1.0) * p.phi * math.sqrt(eps * (eps + 2.0))
-    table = g_check(p, z)
+    return bogoliubov_energy(p) + (window_delta(eps) - 1.0) * p.phi * math.sqrt(eps * (eps + 2.0))
+
+
+def _link_row_from_full_table(p):
+    # the check's row built from one full g_check table
+    from bogoflow import sequences, verify
+
+    table = g_check(p, _link_window_top(p))
     seq = sequences.xtilde_sequence(p)
     recip = 1.0 / seq.values
     worst = float(
         (table.g_values[seq.levels // 2] - recip + sequences.BOUND_SLACK * (1.0 + np.abs(recip))).min()
     )
-    expected = verify.PropertyResult(
+    return verify.PropertyResult(
         name="g_lower_bound_link",
         passed=bool(np.all(seq.values > 0.0)) and worst >= 0.0 and table.valid,
         margin=worst,
         details=f"min G - 1/xtilde = {worst:.3e} on {seq.values.size} levels",
-    )
-    assert expected.passed
-    assert verify.check_g_lower_bound_link(p).as_dict() == expected.as_dict()
-
-    for block_length in (flow.FLOW_BLOCK, 700):
-        monkeypatch.setattr(flow, "FLOW_BLOCK", block_length)
-        starts, g, bad = zip(*flow.flow_blocks(p, z))
-        assert starts == tuple(range(0, p.n_particles // 2, block_length))
-        assert max(bad) == -1
-        np.testing.assert_array_equal(np.concatenate(g), table.g_values)
-        for lo in starts:  # each block's own coupling products
-            first, stop = max(lo - 1, 0), min(lo + block_length, p.n_particles // 2)
-            w = flow._flow_span(p, z, 0, first, stop, None, 1.0)[0]
-            np.testing.assert_array_equal(w[lo - first :], table.w_products[lo:stop])
-        assert verify.check_g_lower_bound_link(p).as_dict() == expected.as_dict()
+    ).as_dict()
 
 
-def _streamed_link_row(monkeypatch, params):
-    # the reference: the check with the enclosure declined, which streams
-    # the full flow pass
+def test_streamed_lower_bound_link_matches_full_table():
+    # the check keeps G on the minorant chain's levels only, from the
+    # enclosure; its row equals the one built from a full g_check
+    from bogoflow import verify
+
+    p = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
+    expected = _link_row_from_full_table(p)
+    assert expected["passed"]
+    assert verify.check_g_lower_bound_link(p).as_dict() == expected
+
+
+def _full_pass_link_row(monkeypatch, params):
+    # the reference: the check on the full flow pass, which the enclosure
+    # reads once its first restart span reaches N
     from bogoflow import flow, verify
 
     with monkeypatch.context() as m:
-        m.setattr(flow, "enclosure", lambda *args: None)
+        m.setattr(flow, "_first_span", lambda params, count: params.n_particles)
         return verify.check_g_lower_bound_link(params).as_dict()
 
 
@@ -291,28 +288,27 @@ def _no_full_pass(*args):
 @pytest.mark.parametrize("n", [2 * 10**5, 10**6, 10**7])
 def test_lower_bound_link_reads_the_enclosure(monkeypatch, n, eps):
     # the two restarts agree bit for bit on every level of the minorant
-    # chain, which pins the full pass there: the row equals the streamed
+    # chain, which pins the full pass there: the row equals the full
     # pass's, and no O(N) pass runs
     from bogoflow import flow, verify
 
     p = ModelParams(n_particles=n, epsilon=eps)
-    expected = _streamed_link_row(monkeypatch, p)
-    monkeypatch.setattr(flow, "flow_blocks", _no_full_pass)
+    expected = _full_pass_link_row(monkeypatch, p)
+    monkeypatch.setattr(flow, "g_check", _no_full_pass)
     assert verify.check_g_lower_bound_link(p).as_dict() == expected
 
 
 def _restart_spans(monkeypatch):
-    # the span N - R of every flow span run from a restart level R > 0,
-    # in call order; a restart pair appends its span twice
+    # the span N - R of every flow span run from a level R, twice its
+    # level count, in call order; a restart pair appends its span twice
     from bogoflow import flow
 
     spans = []
     span = flow._flow_span
 
-    def recorded(params, z, start_level, *args):
-        if start_level > 0:
-            spans.append(params.n_particles - start_level)
-        return span(params, z, start_level, *args)
+    def recorded(z, coefficients, pivot):
+        spans.append(2 * coefficients[0].size)
+        return span(z, coefficients, pivot)
 
     monkeypatch.setattr(flow, "_flow_span", recorded)
     return spans
@@ -324,10 +320,10 @@ def test_lower_bound_link_short_span_doubles_to_same_row(monkeypatch):
     from bogoflow import flow, verify
 
     p = ModelParams(n_particles=2 * 10**5, epsilon=0.01)
-    expected = _streamed_link_row(monkeypatch, p)
+    expected = _full_pass_link_row(monkeypatch, p)
     spans = _restart_spans(monkeypatch)
     monkeypatch.setattr(flow, "_first_span", lambda params, count: 4)
-    monkeypatch.setattr(flow, "flow_blocks", _no_full_pass)
+    monkeypatch.setattr(flow, "g_check", _no_full_pass)
     assert verify.check_g_lower_bound_link(p).as_dict() == expected
     assert spans[::2] == spans[1::2] == [4 << j for j in range(len(spans) // 2)]
     assert 2 * 1709 < spans[-1] < p.n_particles
@@ -375,7 +371,7 @@ def test_lower_bound_link_runs_one_restart_pair_at_ten_million(monkeypatch, eps)
     p = ModelParams(n_particles=10**7, epsilon=eps)
     count = sequences.xtilde_sequence(p).values.size
     spans = _restart_spans(monkeypatch)
-    monkeypatch.setattr(flow, "flow_blocks", _no_full_pass)
+    monkeypatch.setattr(flow, "g_check", _no_full_pass)
     assert verify.check_g_lower_bound_link(p).passed
     assert spans == [flow._first_span(p, count)] * 2
 
@@ -388,18 +384,45 @@ def test_lower_bound_link_runs_one_restart_pair_at_ten_million(monkeypatch, eps)
     ],
 )
 def test_lower_bound_link_streams_where_the_enclosure_does_not_apply(monkeypatch, n, eps):
+    # the restarts do not apply: the enclosure reads one full g_check pass
     from bogoflow import flow, verify
-    from bogoflow.model import window_delta
 
     p = ModelParams(n_particles=n, epsilon=eps)
-    z = bogoliubov_energy(p) + (window_delta(eps) - 1.0) * p.phi * math.sqrt(eps * (eps + 2.0))
+    z = _link_window_top(p)
     assert eps * n < 1.0 or z >= 0.0
-    expected = _streamed_link_row(monkeypatch, p)
+    expected = _link_row_from_full_table(p)
     passes = []
-    blocks = flow.flow_blocks
-    monkeypatch.setattr(flow, "flow_blocks", lambda *args: passes.append(1) or blocks(*args))
+    full = flow.g_check
+    monkeypatch.setattr(flow, "g_check", lambda *args: passes.append(args[1:]) or full(*args))
     assert verify.check_g_lower_bound_link(p).as_dict() == expected
-    assert passes == [1]
+    assert passes == [(z,)]
+
+
+@pytest.mark.parametrize(
+    "n, eps, z",
+    [
+        pytest.param(2 * 10**5, 1e-6, None, id="eps-N-below-1"),
+        pytest.param(4000, 0.01, None, id="span-reaches-N"),
+        pytest.param(2 * 10**5, 0.5, 0.0, id="z-zero"),  # the flow is valid at z = 0 here
+    ],
+)
+def test_enclosure_reads_the_full_pass_where_the_restarts_do_not_apply(n, eps, z):
+    from bogoflow import flow
+    from bogoflow.groundstate import EXPAND_BLOCK
+
+    params = ModelParams(n_particles=n, epsilon=eps)
+    if z is None:
+        z = solve_fixed_point(params).z_star
+    g, span = flow.enclosure(params, z, EXPAND_BLOCK)
+    assert span == n
+    np.testing.assert_array_equal(g, g_check(params, z).g_values)
+
+
+def test_enclosure_raises_where_the_full_pass_is_invalid():
+    from bogoflow import flow
+
+    with pytest.raises(FlowDomainError, match="z=0.0"):
+        flow.enclosure(ModelParams(n_particles=2 * 10**5, epsilon=0.01), 0.0, 1)
 
 
 def test_g_monotone_in_z_per_level():

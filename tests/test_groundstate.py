@@ -182,11 +182,12 @@ def test_vectorized_expansion_matches_loop_bitwise(n, eps, k_max):
 
 
 def _full_pass_expansion(monkeypatch, params, z, **kwargs):
-    # the reference: the same expansion with the enclosure declined
+    # the reference: the same expansion from the full pass, which the
+    # enclosure reads once its first restart span reaches N
     from bogoflow import flow
 
     with monkeypatch.context() as m:
-        m.setattr(flow, "enclosure", lambda *args: None)
+        m.setattr(flow, "_first_span", lambda params, count: params.n_particles)
         return expand_ground_state(params, z, **kwargs)
 
 
@@ -244,7 +245,7 @@ def test_enclosure_and_expansion_apply_past_two_trillion(n, eps):
 
     params = ModelParams(n_particles=n, epsilon=eps)
     z = bogoliubov_energy(params)
-    assert flow.enclosure(params, z, 1) is not None
+    assert flow.enclosure(params, z, 1)[1] < n
     assert expand_ground_state(params, z).flow_span < n
 
 
@@ -266,21 +267,28 @@ def test_forced_short_span_doubles_to_same_vector(monkeypatch):
         assert vec.tail_bound == ref.tail_bound
 
 
-def test_solve_and_expand_run_one_full_flow_pass(monkeypatch):
+def _span_sizes(monkeypatch):
+    # the level count of every flow span run, in call order; a full pass
+    # from level 0 runs N/2 levels, every restart fewer
     from bogoflow import flow
 
-    starts = []
+    sizes = []
     span = flow._flow_span
 
-    def counted(params, z, start_level, *args):
-        starts.append(start_level)
-        return span(params, z, start_level, *args)
+    def counted(z, coefficients, pivot):
+        sizes.append(coefficients[0].size)
+        return span(z, coefficients, pivot)
 
     monkeypatch.setattr(flow, "_flow_span", counted)
+    return sizes
+
+
+def test_solve_and_expand_run_one_full_flow_pass(monkeypatch):
+    sizes = _span_sizes(monkeypatch)
     params = ModelParams(n_particles=3 * 10**5, epsilon=0.01)
     vec = expand_ground_state(params, solve_fixed_point(params).z_star)
     assert vec.flow_span < params.n_particles
-    assert starts.count(0) == 1
+    assert sizes.count(params.n_particles // 2) == 1
 
 
 @pytest.mark.parametrize("eps", [0.005, 0.01, 0.05])
@@ -288,22 +296,13 @@ def test_solve_and_expand_run_one_full_flow_pass(monkeypatch):
 def test_solve_and_expand_read_the_top_of_the_flow_at_small_n(monkeypatch, n, eps):
     # at the certify workload's sizes too the expansion reads the enclosure:
     # the one level-0 pass is the solve's own, and the vector is the full pass's
-    from bogoflow import flow
-
-    starts = []
-    span = flow._flow_span
-
-    def counted(params, z, start_level, *args):
-        starts.append(start_level)
-        return span(params, z, start_level, *args)
-
     params = ModelParams(n_particles=n, epsilon=eps)
     with monkeypatch.context() as m:
-        m.setattr(flow, "_flow_span", counted)
+        sizes = _span_sizes(m)
         z = solve_fixed_point(params).z_star
         vec = expand_ground_state(params, z)
     ref = _full_pass_expansion(monkeypatch, params, z)
-    assert starts.count(0) == 1
+    assert sizes.count(n // 2) == 1
     assert vec.flow_span < n and ref.flow_span == n
     np.testing.assert_array_equal(vec.coeffs, ref.coeffs)
     assert vec.tail_bound == ref.tail_bound

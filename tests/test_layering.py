@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -120,21 +121,53 @@ def test_no_module_level_eigensolve_cache(module):
     assert names & {"functools", "cache", "lru_cache", "cached_property"} == set()
 
 
-def _called_names(path: Path) -> set:
-    names = set()
+def _call_arguments(path: Path):
+    """(called name, positional count, keyword names) of every call in
+    path; a *args call counts as passing every position, a **kwargs call
+    every keyword (None in the names)."""
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Call):
             func = node.func
-            names.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
-    return names
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            yield name, math.inf if starred else len(node.args), {kw.arg for kw in node.keywords}
+
+
+def _caller_sources():
+    # the package, the demos and the benchmark harness, its tests excluded
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    return [path for path in sources if not path.name.startswith("test_")]
 
 
 def test_every_exported_function_has_a_caller_outside_the_tests():
     # callers: the package, the demos, the benchmark harness and the README
     import bogoflow
 
-    sources = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    called = set().union(*(_called_names(path) for path in sources if not path.name.startswith("test_")))
+    called = {name for path in _caller_sources() for name, _, _ in _call_arguments(path)}
     called.update(re.findall(r"(\w+)\(", (ROOT / "README.md").read_text()))
     functions = {name for name in bogoflow.__all__ if inspect.isfunction(getattr(bogoflow, name))}
     assert functions - called - set(TEST_REFERENCES) == set()
+
+
+def test_every_defaulted_parameter_is_passed_by_a_caller_outside_the_tests():
+    # a default that no caller overrides is a constant, not a parameter;
+    # callers as above, the README excluded
+    import bogoflow
+
+    calls = {}
+    for path in _caller_sources():
+        for name, positional, keywords in _call_arguments(path):
+            calls.setdefault(name, []).append((positional, keywords))
+    never = []
+    for name in bogoflow.__all__:
+        function = getattr(bogoflow, name)
+        if not inspect.isfunction(function):
+            continue
+        for index, param in enumerate(inspect.signature(function).parameters.values()):
+            passed = any(
+                positional > index or param.name in keywords or None in keywords
+                for positional, keywords in calls.get(name, ())
+            )
+            if param.default is not param.empty and not passed:
+                never.append(f"{name}({param.name}=)")
+    assert never == []

@@ -93,12 +93,42 @@ def test_eigenvector_sign_and_residual():
 
 
 @pytest.mark.parametrize("n", (4, 16))
-def test_a_nan_eigenvector_is_refused(n):
-    # at eps = 1e150 stein returns NaN entries, so the residual is NaN,
-    # which no "residual > tol" test rejects
-    tri = build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=1e150))
+def test_a_nan_eigenvector_is_refused(monkeypatch, n):
+    # a vector with a NaN entry, as unscaled stein returned at eps = 1e150,
+    # has a NaN residual, which no "residual > tol" test rejects
+    stebz = oracle._stebz
+
+    def nan_vector(diag, offdiag, m, vectors):
+        theta, v = stebz(diag, offdiag, m, vectors)
+        v[-1, 0] = math.nan
+        return theta, v
+
+    monkeypatch.setattr(oracle, "_stebz", nan_vector)
+    tri = build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=0.1))
     with pytest.raises(ConvergenceError, match="residual nan"):
         lowest_eigenpair(tri)
+
+
+@pytest.mark.parametrize("eps", (1e150, 1e300))
+@pytest.mark.parametrize("n", (4, 16, 2048, 65536))
+def test_the_scaled_block_solves_at_a_huge_epsilon(n, eps):
+    # d_k near eps * 2k against t_k near 1: solved unscaled, stein's vector
+    # was NaN; on the block scaled by a power of two it is finite and
+    # lambda_0 = -t_0^2 / d_1 + ... lies within ORACLE_TOL of 0
+    pair = lowest_eigenpair(build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=eps)))
+    assert np.isfinite(pair.vector).all()
+    assert abs(pair.value) <= ORACLE_TOL
+
+
+def test_the_scaled_block_changes_no_eigenvalue_bit():
+    # scaling by 2^-e is exact, and so is scaling the eigenvalues back:
+    # they equal unscaled stebz's bit for bit on ordinary and large eps
+    for n, eps in ((1024, 0.01), (4096, 0.5), (4, 1e50), (16, 1e100), (2048, 1e100)):
+        tri = build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=eps))
+        m = min(3, tri.size)
+        np.testing.assert_array_equal(
+            oracle._stebz(tri.diag, tri.offdiag, m, False), _full_stebz(tri, m, vectors=False)
+        )
 
 
 def test_low_spectrum_consistency():

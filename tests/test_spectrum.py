@@ -31,9 +31,9 @@ def _counted_solve(monkeypatch, params):
 
     calls = []
 
-    def counting_g_check(params, z, start_level=0, coefficients=None):
+    def counting_g_check(params, z, start_level=0):
         calls.append((z, start_level))
-        return g_check(params, z, start_level, coefficients)
+        return g_check(params, z, start_level)
 
     monkeypatch.setattr(spectrum, "g_check", counting_g_check)
     result = solve_fixed_point(params)
@@ -305,23 +305,9 @@ def test_edge_parameters_match_lapack(n, eps):
     assert abs(result.z_star - _lapack_lambda0(params)) <= 1e-10
 
 
-def test_solve_identical_with_and_without_precomputed_coefficients(monkeypatch):
-    # the root search computes level_coefficients once and passes it to
-    # every flow evaluation; with None each g_check computes its own
-    from bogoflow import spectrum
-
-    points = [
-        ModelParams(n_particles=n, epsilon=eps)
-        for n, eps in ((2, 0.001), (1024, 0.01), (16384, 0.5), (200000, 0.0079))
-    ]
-    shared = [repr(solve_fixed_point(p)) for p in points]
-    monkeypatch.setattr(spectrum, "level_coefficients", lambda params, start_level=0: None)
-    assert [repr(solve_fixed_point(p)) for p in points] == shared
-
-
 TWO_STAGE_GRID = [
     (n, eps) for n in (1024, 16384, 2 * 10**5, 10**6) for eps in (1e-4, 1e-3, 0.01, 0.05, 0.5)
-]
+] + [(10**4, 0.005), (4 * 10**4, 0.05), (4 * 10**5, 0.005)]  # the benchmark workloads' range
 
 
 def test_two_stage_root_agrees_with_the_full_flow_search(monkeypatch):
@@ -399,10 +385,10 @@ def test_steering_that_ends_invalid_falls_back_to_the_closed_form_start(monkeypa
     z0 = min(bogoliubov_energy(params), full_only.window.z_max)
     real_flow_point = spectrum._flow_point
 
-    def steering_valid_only_at_start(params, z, coefficients=None, start_level=0):
+    def steering_valid_only_at_start(params, z, start_level=0):
         if start_level > 0 and z != z0:
             return None
-        return real_flow_point(params, z, coefficients, start_level)
+        return real_flow_point(params, z, start_level)
 
     monkeypatch.setattr(spectrum, "_flow_point", steering_valid_only_at_start)
     result, calls = _counted_solve(monkeypatch, params)
