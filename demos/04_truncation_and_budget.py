@@ -2,13 +2,15 @@
 """Restarting the flow near the top shell: geometric accuracy loss.
 
 The difference between the full flow and the truncated restart decays
-geometrically in the restart span N^(1-beta); the fitted decay constant
-feeds the diagnostic error budget for |z* - E|.
+geometrically in the restart span N^(1-beta), rounded down to even
+(model.power_span); the fitted decay constant feeds the diagnostic
+error budget for |z* - E|.
 """
 
 import numpy as np
 
 import bogoflow as bf
+from bogoflow.model import power_span
 
 params = bf.ModelParams(n_particles=10**4, epsilon=0.04)
 z = bf.bogoliubov_energy(params)
@@ -16,7 +18,7 @@ full = bf.g_check(params, z).g_values[-1]
 
 print("restart span  |G - G_T|")
 for beta in (0.75, 0.65, 0.55, 0.45):
-    span = int(10**4 ** (1 - beta) + 1e-9)
+    span = power_span(params.n_particles, 1 - beta)
     diff = abs(full - bf.g_truncated(params, z, beta))
     print(f"  {span:>6}      {diff:.3e}")
 

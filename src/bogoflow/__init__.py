@@ -48,10 +48,10 @@ from .sequences import (
 from .spectrum import (
     BracketError,
     ErrorBudget,
-    GapReport,
     GroundEnergyResult,
+    energy_cap,
     energy_error_diagnostic,
-    gap_bound_check,
+    gap_floor,
     solve_fixed_point,
 )
 
@@ -63,7 +63,6 @@ __all__ = [
     "ErrorBudget",
     "FlowDomainError",
     "FlowTable",
-    "GapReport",
     "GroundEnergyResult",
     "GroundStateVector",
     "ModelParams",
@@ -77,13 +76,14 @@ __all__ = [
     "coefficient_set",
     "dense_crosscheck",
     "eigen_residual",
+    "energy_cap",
     "energy_error_diagnostic",
     "expand_ground_state",
     "f_of_z",
     "g_check",
     "g_truncated",
     "gamma_truncation_experiment",
-    "gap_bound_check",
+    "gap_floor",
     "low_spectrum",
     "lowest_eigenpair",
     "schur_complement",

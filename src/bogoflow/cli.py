@@ -7,8 +7,8 @@ ordering, so repeated runs produce byte-identical bodies at any worker
 count; timing lives in the manifest only.
 
 Exit codes: 0 success, 2 solved-but-outside-regime (1/N <= eps^NU or the
-window condition failed), 1 hard error, a rejected argument and a failed
-solve point included.
+window condition failed), 1 hard error, a rejected argument, a failed
+solve point and a sequences chain built at no grid point included.
 """
 
 import argparse
@@ -41,10 +41,10 @@ def _parse_grid(text: str, kind=float) -> list:
     """
     text = text.strip()
     if ":" in text:
-        start_s, stop_s, factor_s = text.split(":")
-        start, stop, factor = float(start_s), float(stop_s), float(factor_s)
-        if factor <= 1.0 or start <= 0 or stop < start:
+        parts = [float(part) for part in text.split(":")]
+        if len(parts) != 3 or not (parts[2] > 1.0 and 0 < parts[0] <= parts[1]):
             raise ValueError(f"bad geometric range {text!r}")
+        start, stop, factor = parts
         values = []
         v = start
         while v <= stop * (1.0 + 1e-12):
@@ -174,11 +174,11 @@ def _solve_point(config: RunConfig, n: int, eps: float) -> dict:
         n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0
     )
     tri = build_sector_hamiltonian(params)
-    result = spectrum.solve_fixed_point(params, reference=tri)
+    result = spectrum.solve_fixed_point(params)
+    lambda0 = lowest_eigenpair(tri).value
     report = result.assumptions
     e_bog = bogoliubov_energy(params)
-    lam = low_spectrum(tri, min(2, tri.size))
-    gap = float(lam[1] - lam[0]) if lam.size > 1 else float("nan")
+    lam = low_spectrum(tri, 2)  # N >= 2: the sector has at least 2 rows
     psi = groundstate.expand_ground_state(params, result.z_star).normalized()
     pair = lowest_eigenpair(tri)
     overlap = float(abs(psi @ pair.vector[: psi.size]))
@@ -189,9 +189,9 @@ def _solve_point(config: RunConfig, n: int, eps: float) -> dict:
         "z_star": result.z_star,
         "e_bog": e_bog,
         "abs_err": abs(result.z_star - e_bog),
-        "sector_gap": gap,
+        "sector_gap": float(lam[1] - lam[0]),
         "overlap": overlap,
-        "oracle_delta": result.oracle_delta,
+        "oracle_delta": abs(result.z_star - lambda0),
         "oracle_block_size": pair.block_size,
         "oracle_enclosure": pair.enclosure,
         "assumptions_ok": report.solver_regime_ok,
@@ -332,32 +332,36 @@ def run_verify(config: RunConfig) -> int:
 
 def run_sequences(config: RunConfig) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
-    files = {}
+    files, points, built = {}, [], set()
     n_values, eps_values = config.grid()
     for n in n_values:
         for eps in eps_values:
-            params = ModelParams(
-                n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0
-            )
-            tag = f"n{n}-eps{eps}"
-            x = sequences.x_sequence(params)
-            x_path = config.out / f"x-{tag}.csv"
-            x.to_csv(x_path)
-            files[x_path.name] = _sha256(x_path)
-            try:
-                xt = sequences.xtilde_sequence(params)
-                xt_path = config.out / f"xtilde-{tag}.csv"
-                xt.to_csv(xt_path)
-                files[xt_path.name] = _sha256(xt_path)
-            except ValueError:
-                pass  # N^(1-gamma) < 4: no minorant chain at this size
-            if n ** (1 - BETA) >= 4:
-                ys_path = config.out / f"ystar-{tag}.csv"
-                sequences.y_star_sequence(params, BETA).to_csv(ys_path)
-                files[ys_path.name] = _sha256(ys_path)
-    _write_manifest(config, files, [])
+            params = ModelParams(n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0)
+            chains = {
+                "x": lambda: sequences.x_sequence(params),
+                "xtilde": lambda: sequences.xtilde_sequence(params),
+                "ystar": lambda: sequences.y_star_sequence(params, BETA),
+            }
+            # a builder's ValueError (x needs eps < 1, the others a span of at
+            # least 4) skips its chain here; the point's record names it
+            skipped = {}
+            for chain, build in chains.items():
+                try:
+                    seq = build()
+                except ValueError as exc:
+                    skipped[chain] = str(exc)
+                    continue
+                path = config.out / f"{chain}-n{n}-eps{eps}.csv"
+                seq.to_csv(path)
+                files[path.name] = _sha256(path)
+                built.add(chain)
+            points.append({"n": n, "epsilon": eps, "skipped": skipped})
+    _write_manifest(config, files, points)
     print(f"sequences: wrote {len(files)} files to {config.out}")
-    return 0
+    unbuilt = [chain for chain in chains if chain not in built]
+    for chain in unbuilt:  # skipped at every point, the last one included
+        print(f"error: no {chain} chain at any grid point: {skipped[chain]}", file=sys.stderr)
+    return 1 if unbuilt else 0
 
 
 def main(argv=None) -> int:

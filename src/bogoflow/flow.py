@@ -80,7 +80,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .model import ModelParams
+from .model import ModelParams, power_span
 
 # block length and cutoff of the amplitude sum behind the slope of f
 SLOPE_BLOCK = 2048
@@ -292,18 +292,14 @@ def f_of_z(params: ModelParams, z: float) -> float:
 
 
 def g_truncated(params: ModelParams, z: float, beta: float) -> float:
-    """Level-(N-2) flow value restarted from level N - floor(N^(1-beta)).
+    """Level-(N-2) flow value restarted from level N - model.power_span(N, 1 - beta).
 
-    The restart level is rounded down to even and the restart value is 1;
-    with beta -> 0 the restart level is 0 and the full flow is recovered.
+    The restart value is 1; with beta -> 0 the restart level is 0 and the
+    full flow is recovered.
     """
     n = params.n_particles
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    span = int(n ** (1.0 - beta) + 1e-9)  # nudge floor against pow slop
-    if span < 4:
-        raise ValueError("N^(1-beta) must be at least 4")
-    span -= span % 2
-    start = max(n - span, 0)
+    start = max(n - power_span(n, 1.0 - beta), 0)
     table = g_check(params, z, start_level=start)
     return float(table.g_values[-1])

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import flow
 from .flow import g_check, g_truncated
-from .model import ModelParams, chain_denominator, majorant_coefficients, majorant_lower_bound
+from .model import ModelParams, chain_denominator, majorant_coefficients, majorant_lower_bound, power_span
 from .oracle import TridiagonalHamiltonian, sector_elements
 
 # stop extending the vector once coefficients fall below this relative size
@@ -244,18 +244,19 @@ def fit_truncation_decay(x, diffs) -> TruncationDecayReport:
 def gamma_truncation_experiment(
     params: ModelParams, beta_grid, z: float
 ) -> TruncationDecayReport:
-    """Measure log|G - G_truncated| against the truncation span N^(1-beta)
-    over a beta grid at fixed parameters, and fit the decay line.
+    """Measure log|G - G_truncated| against the restart span
+    model.power_span(N, 1 - beta) over a beta grid at fixed parameters,
+    and fit the decay line; betas whose span is below 4 are skipped.
 
     fitted_c solves slope = -log(1 + c*sqrt(eps)) for c.
     """
     full = g_check(params, z).g_values[-1]
     xs, diffs = [], []
     for beta in np.asarray(beta_grid, dtype=np.float64):
-        span = int(params.n_particles ** (1.0 - beta))
-        if span < 4:
+        try:
+            xs.append(power_span(params.n_particles, 1.0 - beta))
+        except ValueError:
             continue
-        xs.append(span - span % 2)
         diffs.append(abs(full - g_truncated(params, z, float(beta))))
     report = fit_truncation_decay(np.array(xs), np.array(diffs))
     return replace(report, fitted_c=math.expm1(-report.slope) / math.sqrt(params.epsilon))

@@ -75,6 +75,14 @@ def window_delta(epsilon: float) -> float:
     return 1.0 + math.sqrt(epsilon)
 
 
+def power_span(n: int, exponent: float) -> int:
+    """Truncation span N^exponent, rounded down to even; ValueError below 4."""
+    span = int(n**exponent + 1e-9)  # nudge floor against pow slop
+    if span < 4:
+        raise ValueError(f"N^{exponent:.4g} must be at least 4, got {n**exponent:.4g} at N = {n}")
+    return span - span % 2
+
+
 def bogoliubov_energy(params: ModelParams) -> float:
     """Closed-form pair-mode ground-energy approximation.
 

@@ -18,6 +18,7 @@ from .model import (
     coefficient_set,
     majorant_coefficients,
     majorant_lower_bound,
+    power_span,
 )
 
 # absolute slack absorbing rounding when checking strict analytic
@@ -202,22 +203,20 @@ def x_sequence_terminal(params: ModelParams) -> StreamedSequenceSummary:
 
 
 def xtilde_sequence(params: ModelParams) -> SequenceWithBound:
-    """Minorant chain over even levels N - N^(1-GAMMA) .. N-2, started at 1.
+    """Minorant chain over even levels N - s .. N-2, s = model.power_span(N,
+    1 - GAMMA), started at 1.
 
     Step to level 2j+2 divides by 4*D(N-2j), D = model.chain_denominator
     with a = a_g, which carries the C_GAMMA-inflated corrections, and b, c
     at delta = 1 + sqrt(eps).  The companion upper bound
     (1 + sqrt(a_g) - 1/(N - 2j + 1 - b)) / 2 is asserted on the tail
-    2 <= N - 2j <= N^(1-GAMMA)/2 and NaN elsewhere.
+    2 <= N - 2j <= s/2 and NaN elsewhere.
     """
     n = params.n_particles
     coefs = coefficient_set(params)
     a_g, b = coefs.a_gamma, coefs.b_delta
 
-    span = int(n ** (1.0 - GAMMA) + 1e-9)  # nudge floor against pow slop
-    span -= span % 2
-    if span < 4:
-        raise ValueError("N^(1-gamma) must be at least 4")
+    span = power_span(n, 1.0 - GAMMA)
     start = n - span
     levels = np.arange(start, n, 2, dtype=np.float64)
     rem_prev = n - (levels[1:] - 2.0)  # N - 2j at the previous level
@@ -246,17 +245,15 @@ def y_star_sequence(params: ModelParams, beta: float) -> SequenceWithBound:
     recursion Y_{2l-2} = 1 - 1/(4*(1 + a' - 2b/(2l) - (1-c)/(4l^2))*Y_{2l})
     started at 1, with a' = eps^2 + 2eps and b, c evaluated at delta = 1.
 
-    levels are the pair indices 2l, descending from floor(N^(1-beta))+2
-    to 2; the companion lower bound is y_closed_form(l, eps).  A
-    nonpositive entry is a regime violation, reported not raised.
+    levels are the pair indices 2l, descending from
+    model.power_span(N, 1 - beta) + 2 to 2; the companion lower bound is
+    y_closed_form(l, eps).  A nonpositive entry is a regime violation,
+    reported not raised.
     """
     n, eps = params.n_particles, params.epsilon
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
-    span = int(n ** (1.0 - beta) + 1e-9)  # nudge floor against pow slop
-    if span < 4:
-        raise ValueError("N^(1-beta) must be at least 4")
-    span -= span % 2
+    span = power_span(n, 1.0 - beta)
 
     a_prime = eps * eps + 2.0 * eps
     b1 = (1.0 + eps) * math.sqrt(a_prime)

@@ -1,5 +1,7 @@
-"""Ground-state energy from the fixed-point equation, gap accounting,
-and the error budget against the closed-form approximation.
+"""Ground-state energy from the fixed-point equation, the paper's bounds
+on it and on the sector gap, and the error budget against the
+closed-form approximation.  Nothing here calls the exact oracle: the
+callers that compare with it (cli, verify) run it themselves.
 
 The fixed-point function f is continuous and strictly decreasing (slope
 <= -1) on the admissible window, and concave wherever the flow is valid,
@@ -21,7 +23,7 @@ above TOL_ROOT * phi.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .flow import FITTED_DECAY_C, g_check, truncation_span
 from .model import (
@@ -33,7 +35,6 @@ from .model import (
     check_assumptions,
     spectral_window,
 )
-from .oracle import TridiagonalHamiltonian, build_sector_hamiltonian, low_spectrum, lowest_eigenpair
 
 # coefficient of sqrt(eps)*phi*sqrt(eps^2+2eps) in the root's upper bound
 UPPER_BOUND_COEF = (2.0 * math.sqrt(2.0) + 3.0) / 6.0
@@ -62,7 +63,6 @@ class GroundEnergyResult:
     f_at_z_star: float
     assumptions: AssumptionReport
     extended_bracket: bool
-    oracle_delta: Optional[float] = None
 
 
 def flow_side(params, z):
@@ -87,9 +87,7 @@ def _f_or_right(point) -> float:
     return point[0] if point is not None else -math.inf
 
 
-def solve_fixed_point(
-    params: ModelParams, reference: Optional[TridiagonalHamiltonian] = None
-) -> GroundEnergyResult:
+def solve_fixed_point(params: ModelParams) -> GroundEnergyResult:
     """Locate the unique root of the fixed-point function.
 
     Safeguarded Newton on the exact slope (rtsafe, Numerical Recipes
@@ -130,10 +128,7 @@ def solve_fixed_point(
     the Newton and bisection steps after each stage's first evaluation,
     result.evaluations every flow pass, bracket probes included, and
     result.full_evaluations the O(N) passes among them.
-
-    reference: the sector matrix of params, or None.  Given, the result's
-    oracle_delta is |z* - lowest_eigenpair(reference).value|, and the
-    caller's later oracle calls on the same matrix reuse that solve.
+    result.upper_bound_check is z* < energy_cap(params).
     """
     if params.phi <= 0.0:
         raise ValueError("solver requires phi > 0")
@@ -219,10 +214,6 @@ def solve_fixed_point(
             steered = None
         z = z_steered if steered is not None else z
     z_star, point = search(z, 0)
-
-    eps = params.epsilon
-    cap = e_bog + UPPER_BOUND_COEF * math.sqrt(eps) * phi * math.sqrt(eps * (eps + 2.0))
-    oracle_delta = None if reference is None else abs(z_star - lowest_eigenpair(reference).value)
     return GroundEnergyResult(
         z_star=z_star,
         iterations=iterations,
@@ -230,45 +221,23 @@ def solve_fixed_point(
         full_evaluations=full_evaluations,
         window=window,
         bracket=(lo, hi),
-        upper_bound_check=z_star < cap,
+        upper_bound_check=z_star < energy_cap(params),
         f_at_z_star=point[0] if point is not None else math.nan,
         assumptions=report,
         extended_bracket=extended,
-        oracle_delta=oracle_delta,
     )
 
 
-@dataclass(frozen=True)
-class GapReport:
-    sector_gap: float
-    delta0: float
-    gap_floor: float
-    combined_floor: float
-    sector_ok: bool
-    combined_ok: bool
-
-
-def gap_bound_check(params: ModelParams) -> GapReport:
-    """Sector gap lambda_1 - lambda_0 against its analytic floor.
-
-    Modes outside the interacting triple cost at least delta0, which
-    enters only through the min with delta0/2; the sector-internal floor
-    is GAP_COEF * sqrt(eps) * phi * sqrt(eps^2 + 2eps).
-    """
+def energy_cap(params: ModelParams) -> float:
+    """The paper's upper bound on the ground energy z*."""
     eps, phi = params.epsilon, params.phi
-    tri = build_sector_hamiltonian(params)
-    lam = low_spectrum(tri, 2) if tri.size >= 2 else None
-    sector_gap = float(lam[1] - lam[0]) if lam is not None else math.inf
-    gap_floor = GAP_COEF * math.sqrt(eps) * phi * math.sqrt(eps * (eps + 2.0))
-    combined_floor = min(0.5 * params.delta0, gap_floor)
-    return GapReport(
-        sector_gap=sector_gap,
-        delta0=params.delta0,
-        gap_floor=gap_floor,
-        combined_floor=combined_floor,
-        sector_ok=sector_gap >= gap_floor,
-        combined_ok=min(sector_gap, params.delta0) >= combined_floor,
-    )
+    return bogoliubov_energy(params) + UPPER_BOUND_COEF * math.sqrt(eps) * phi * math.sqrt(eps * (eps + 2.0))
+
+
+def gap_floor(params: ModelParams) -> float:
+    """The paper's floor on the sector gap lambda_1 - lambda_0 (delta0 left out)."""
+    eps, phi = params.epsilon, params.phi
+    return GAP_COEF * math.sqrt(eps) * phi * math.sqrt(eps * (eps + 2.0))
 
 
 @dataclass(frozen=True)

@@ -258,12 +258,43 @@ def test_sequences_mode_writes_csvs(tmp_path):
     assert any(name.startswith("ystar-") for name in names)
 
 
+def test_sequences_mode_skips_a_chain_it_cannot_build(tmp_path):
+    # the majorant chain needs eps < 1: at eps = 2 it is skipped, the grid
+    # runs on, and the point's manifest record names the chain and the reason
+    out = tmp_path / "seq"
+    assert run_cli(["--mode", "sequences", "--n", "64,128", "--epsilon", "0.5,2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {p.name for p in out.glob("x-*.csv")} == {"x-n64-eps0.5.csv", "x-n128-eps0.5.csv"}
+    assert {f["name"] for f in manifest["files"]} == {p.name for p in out.glob("*.csv")}
+    skipped = {(p["n"], p["epsilon"]): p["skipped"] for p in manifest["points"]}
+    assert list(skipped) == [(64, 0.5), (64, 2.0), (128, 0.5), (128, 2.0)]
+    for n in (64, 128):
+        assert "x" not in skipped[(n, 0.5)]
+        assert skipped[(n, 2.0)]["x"] == "the majorant coefficients need epsilon < 1, got 2.0"
+
+
 def test_geometric_grid_parsing():
     assert cli._parse_grid("1000:100000:10", int) == [1000, 10000, 100000]
     assert cli._parse_grid("1000:1006:1.001", int) == [1000, 1002, 1004, 1006]
     assert cli._parse_grid("0.5,0.1", float) == [0.5, 0.1]
     with pytest.raises(ValueError):
         cli._parse_grid("10:1:2", int)
+
+
+@pytest.mark.parametrize("text", ["1:2", "1:2:3:4"])
+def test_geometric_range_needs_three_parts(text, capsys):
+    with pytest.raises(ValueError, match="bad geometric range"):
+        cli._parse_grid(text, int)
+    assert run_cli(["--n", text]) == 1
+    assert capsys.readouterr().err == f"error: bad geometric range {text!r}\n"
+
+
+@pytest.mark.parametrize("only", ["bogus", "s"])
+def test_verify_only_rejects_anything_but_a_suite_name(tmp_path, capsys, only):
+    assert run_cli(["--mode", "verify", "--only", only, "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "cf, flow, sequences, spectrum, groundstate" in err[0]
+    assert not (tmp_path / "v" / "verify.json").exists()
 
 
 def test_verify_uses_grid_equal_to_solve_defaults(tmp_path, monkeypatch):

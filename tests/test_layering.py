@@ -51,6 +51,12 @@ def test_oracle_imports_no_flow_side_module():
     assert _imported_modules("oracle") & flow_side == set()
 
 
+def test_spectrum_imports_nothing_from_the_oracle():
+    # the solver keeps the root and the paper's bounds; comparing them with
+    # the oracle is the callers' (cli, verify)
+    assert "oracle" not in _imported_modules("spectrum")
+
+
 def test_groundstate_runs_no_eigensolve():
     # the expansion reads the sector's matrix elements only; the oracle's
     # solvers and its whole-sector build belong to the callers that compare

@@ -8,9 +8,11 @@ from bogoflow import (
     ModelParams,
     bogoliubov_energy,
     build_sector_hamiltonian,
+    energy_cap,
     energy_error_diagnostic,
     g_check,
-    gap_bound_check,
+    gap_floor,
+    low_spectrum,
     lowest_eigenpair,
     solve_fixed_point,
 )
@@ -47,10 +49,13 @@ def test_solve_n2_analytic():
     assert result.z_star == pytest.approx(-0.6971774883294858, abs=1e-12)
 
 
+def _distance_to_lambda0(params, z_star):
+    return abs(z_star - lowest_eigenpair(build_sector_hamiltonian(params)).value)
+
+
 def test_solve_matches_oracle_midsize():
     params = ModelParams(n_particles=1024, epsilon=0.01)
-    result = solve_fixed_point(params, reference=build_sector_hamiltonian(params))
-    assert result.oracle_delta <= 1e-10
+    assert _distance_to_lambda0(params, solve_fixed_point(params).z_star) <= 1e-10
 
 
 def test_solve_requires_interaction():
@@ -73,6 +78,7 @@ def test_upper_bound_on_regime_grid():
             eps
         ) * math.sqrt(eps * (eps + 2.0))
         assert result.z_star < cap
+        assert energy_cap(params) == cap
         assert result.upper_bound_check
 
 
@@ -80,9 +86,9 @@ def test_extended_bracket_outside_regime():
     # window top below the root: only reachable outside the regime
     for n in (2, 4):
         params = ModelParams(n_particles=n, epsilon=0.001)
-        result = solve_fixed_point(params, reference=build_sector_hamiltonian(params))
+        result = solve_fixed_point(params)
         assert result.extended_bracket, n
-        assert result.oracle_delta <= 1e-10, n
+        assert _distance_to_lambda0(params, result.z_star) <= 1e-10, n
 
 
 def test_root_above_window_top_in_regime_raises(monkeypatch):
@@ -123,19 +129,16 @@ def test_zstar_decreasing_in_phi_at_fixed_kinetic():
 
 def test_gap_bound_report():
     params = ModelParams(n_particles=128, epsilon=0.01, delta0=1.0)
-    report = gap_bound_check(params)
-    assert report.sector_ok and report.combined_ok
-    assert report.gap_floor == pytest.approx(
+    lam = low_spectrum(build_sector_hamiltonian(params), 2)
+    assert lam[1] - lam[0] >= gap_floor(params)
+    assert gap_floor(params) == pytest.approx(
         GAP_COEF * 0.1 * math.sqrt(0.01 * 2.01), rel=1e-12
     )
-    # a huge delta0 leaves only the sector term in the combined floor
-    big = gap_bound_check(ModelParams(n_particles=128, epsilon=0.01, delta0=1e12))
-    assert big.combined_floor == big.gap_floor
 
 
 def test_gap_n2_analytic():
-    report = gap_bound_check(ModelParams(n_particles=2, epsilon=0.01))
-    assert report.sector_gap == pytest.approx(2.0 * math.sqrt(0.5001), abs=1e-11)
+    lam = low_spectrum(build_sector_hamiltonian(ModelParams(n_particles=2, epsilon=0.01)), 2)
+    assert lam[1] - lam[0] == pytest.approx(2.0 * math.sqrt(0.5001), abs=1e-11)
 
 
 def test_error_budget_trend():
@@ -203,11 +206,11 @@ def test_random_parameter_points_end_to_end():
         phi = float(10.0 ** rng.uniform(-1, 1))
         delta0 = float(10.0 ** rng.uniform(-1, 1))
         params = ModelParams(n_particles=n, epsilon=eps, phi=phi, delta0=delta0)
-        tri = build_sector_hamiltonian(params)
-        result = solve_fixed_point(params, reference=tri)
-        assert result.oracle_delta <= 1e-10 * max(1.0, phi), (n, eps, phi)
+        pair = lowest_eigenpair(build_sector_hamiltonian(params))
+        result = solve_fixed_point(params)
+        assert abs(result.z_star - pair.value) <= 1e-10 * max(1.0, phi), (n, eps, phi)
         psi = expand_ground_state(params, result.z_star).normalized()
-        v0 = lowest_eigenpair(tri).vector
+        v0 = pair.vector
         assert abs(psi @ v0[: psi.size]) >= 1.0 - 1e-9, (n, eps, phi)
 
 

@@ -7,7 +7,8 @@ from bogoflow import verify
 # The default battery's rows as the streamed-pass code wrote them (the
 # flow pass and the majorant chain streamed in blocks of 65536): name,
 # passed, repr of the margin, details.  A change of rounding anywhere
-# in the battery shows here.
+# in the battery shows here.  The truncation_decay fits use the span
+# g_truncated restarts from (model.power_span).
 FROZEN_BATTERY = [
     ("cf_equivalence", True, "9.835793725740424e-13",
      "worst rel diff 1.642e-14 at n=16 eps=0.01 z=-0.786554; tol 1e-12"),
@@ -43,10 +44,10 @@ FROZEN_BATTERY = [
      "errors ['2.621e-03', '2.659e-04', '2.662e-05'], log-log slope -0.997"),
     ("ground_state_overlap", True, "9.99999860695766e-10",
      "min overlap 1.000000000000, max residual/norm_inf 1.626e-13"),
-    ("truncation_decay", True, "0.03463145334887918",
-     "eps=0.04 beta=0.3: slope=-0.2435 R2=0.9944; eps=0.04 beta=0.5: slope=-0.2385 R2=0.9972; "
-     "eps=0.04 beta=0.7: slope=-0.2220 R2=0.9975; eps=0.01 beta=0.3: slope=-0.0966 R2=0.9846; "
-     "eps=0.01 beta=0.5: slope=-0.0944 R2=0.9883; eps=0.01 beta=0.7: slope=-0.0892 R2=0.9974"),
+    ("truncation_decay", True, "0.03834933529341322",
+     "eps=0.04 beta=0.3: slope=-0.2446 R2=0.9969; eps=0.04 beta=0.5: slope=-0.2385 R2=0.9972; "
+     "eps=0.04 beta=0.7: slope=-0.2171 R2=0.9978; eps=0.01 beta=0.3: slope=-0.0971 R2=0.9891; "
+     "eps=0.01 beta=0.5: slope=-0.0944 R2=0.9883; eps=0.01 beta=0.7: slope=-0.0873 R2=0.9993"),
 ]
 
 
@@ -62,6 +63,15 @@ def test_default_battery_is_frozen_to_the_bit(workers):
     results = verify.run_all(verify.VerifyConfig(workers=workers))
     rows = [(r.name, bool(r.passed), repr(float(r.margin)), r.details) for r in results]
     assert rows == FROZEN_BATTERY
+
+
+@pytest.mark.parametrize("only", ["bogus", "s", ""])
+def test_only_names_exactly_one_suite(only):
+    # no prefix match: "s" would have run sequences and spectrum
+    with pytest.raises(ValueError, match="cf, flow, sequences, spectrum, groundstate"):
+        verify.run_all(verify.VerifyConfig(only=only))
+    rows = verify.run_all(verify.VerifyConfig(n_values=(16,), eps_values=(0.1,), only="cf", workers=1))
+    assert [r.name for r in rows] == ["cf_equivalence"]
 
 
 def _boom(*args):
