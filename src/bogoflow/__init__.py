@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .flow import FlowDomainError, FlowTable, f_of_z, g_check, g_truncated
 from .groundstate import (
     GroundStateVector,
-    eigen_residual,
     expand_ground_state,
     gamma_truncation_experiment,
     tail_series,
@@ -32,6 +31,7 @@ from .oracle import (
     TridiagonalHamiltonian,
     build_sector_hamiltonian,
     dense_crosscheck,
+    eigen_residual,
     low_spectrum,
     lowest_eigenpair,
     schur_complement,

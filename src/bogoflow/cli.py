@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -336,14 +337,15 @@ def run_sequences(config: RunConfig) -> int:
     n_values, eps_values = config.grid()
     for n in n_values:
         for eps in eps_values:
-            params = ModelParams(n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0)
+            point = partial(ModelParams, n, eps, phi=config.phi, delta0=config.delta0)
             chains = {
-                "x": lambda: sequences.x_sequence(params),
-                "xtilde": lambda: sequences.xtilde_sequence(params),
-                "ystar": lambda: sequences.y_star_sequence(params, BETA),
+                "x": lambda: sequences.x_sequence(point()),
+                "xtilde": lambda: sequences.xtilde_sequence(point()),
+                "ystar": lambda: sequences.y_star_sequence(point(), BETA),
             }
-            # a builder's ValueError (x needs eps < 1, the others a span of at
-            # least 4) skips its chain here; the point's record names it
+            # a builder's ValueError (the point's own, such as an odd N; x needs
+            # eps < 1, the others a span of at least 4) skips its chain here;
+            # the point's record names it
             skipped = {}
             for chain, build in chains.items():
                 try:

@@ -31,12 +31,12 @@ factorization of the sector matrix minus z, through LAPACK dpttrf
 (_kernels.flow_recursion, which fills the pivots only), and a span
 then inverts them in place.  g_check runs the pass in one span.
 
-A caller that reads G on the top levels only (the ground-state
-expansion, and the verify check against the minorant chain) asks
-enclosure for them; it is the one reader of the top of the flow, and
-decides between two restarts and the full pass.  enclosure restarts the
-flow twice at level R = N - S.  For z < 0 and eps*N >= 1, every level
-with m = N - i >= 2/eps has
+A caller that reads G on the top levels only (amplitudes, behind the
+ground-state expansion, and the verify check against the minorant chain)
+asks enclosure for them; it is the one reader of the top of the flow,
+and decides between two restarts and the full pass.  enclosure restarts
+the flow twice at level R = N - S.  For z < 0 and eps*N >= 1, every
+level with m = N - i >= 2/eps has
 
     W_i(z) <= W_i(0) = 1/4 * i/(i+eps*N) * (i-1)/(i-2+eps*N) * (1+2/m)
                      <= (1+2/m) / (4*(1+eps)) <= 1/4,
@@ -60,12 +60,23 @@ The one-dimensional remainder after the last elimination,
 
 is, identically in z, the Schur complement of the sector tridiagonal
 matrix onto the condensate entry; its unique root in the window is the
-ground-state energy.  Its slope comes from the same factors: with the
-amplitudes psi_k that groundstate.expand_ground_state builds (psi_0 = 1),
+ground-state energy.
+
+The eliminated shells are reconstructed from the same factors, one pair
+at a time, in the amplitudes of the ground-state expansion:
+
+    psi_0 = 1,    psi_k = -G_{N-2k}(z) * t_{k-1} / (d_k - z) * psi_{k-1},
+
+with t_{k-1}^2 the coupling numerator one level up (t_0^2 above level
+N-2).  The signs alternate, as the positive couplings force.  One chain
+(_amplitude_chain) builds them, block by block from the top, and stops
+at the first psi_k below COEFF_FLOOR of the norm so far.  The slope of
+f reads its norm,
 
     f'(z) = -(1 + sum_{k>=1} psi_k(z)^2),
 
-the derivative of the Schur complement, hence f' <= -1.
+the derivative of the Schur complement, hence f' <= -1; amplitudes
+hands the chain to the expansion, reading G from enclosure.
 
 The level <-> pair-index dictionary is pinned here once: level i
 corresponds to pair count k = (N - i)/2, so W_i(z) equals
@@ -82,9 +93,10 @@ import numpy as np
 from . import _kernels
 from .model import ModelParams, power_span
 
-# block length and cutoff of the amplitude sum behind the slope of f
-SLOPE_BLOCK = 2048
-SLOPE_NEGLIGIBLE = 1e-250
+# the amplitude chain stops at the first psi_k below this fraction of the norm so far
+COEFF_FLOOR = 1e-18
+# block length of the amplitude chain, and the top levels amplitudes first asks for
+CHAIN_BLOCK = 2048
 # decay constant of the truncation error (1/(1+c*sqrt(eps)))^(N^(1-beta)),
 # conservative lower end of the range measured by the truncation-decay
 # experiment (1.0 at eps=0.01 to 1.4 at eps=0.04).  It sizes the error
@@ -104,8 +116,9 @@ class FlowTable:
     coupling product entering that level (0.0 at the start level, which
     has none).  valid means every level passed the validity rule;
     otherwise invalid_level is the first offending level.  f_slope is
-    the slope of f_value in z where the table is valid, NaN otherwise
-    (from a start level above 0 both belong to the truncated flow).
+    the slope of f_value in z, minus the norm of the amplitude chain on
+    the table's levels, where the table is valid, NaN otherwise (from a
+    start level above 0 both belong to the truncated flow).
     """
 
     z: float
@@ -140,9 +153,9 @@ def _w_product_arrays(z: float, coefficients):
     (_coefficients_at) are given; index 0 is 0.0.
 
     Also returns the numerator t_k^2 and first resolvent d_k - z of each
-    level, which the slope of f reuses.  The second resolvent of level i
-    is the first of level i-2: i-2 and m+2 are exact, so both are the
-    same float.  An overflowed resolvent product gives W = 0, its limit;
+    level, which the amplitude chain reuses.  The second resolvent of
+    level i is the first of level i-2: i-2 and m+2 are exact, so both
+    are the same float.  An overflowed resolvent product gives W = 0, its limit;
     a zero resolvent gives W = inf (NaN at phi = 0) on a level that fails
     the validity rule anyway.
     """
@@ -226,6 +239,9 @@ def g_check(params: ModelParams, z: float, start_level: int = 0) -> FlowTable:
         raise ValueError("start_level must be even with 0 <= start_level <= N-2")
     w, g, num, den1, first_bad = _flow_span(z, _coefficients_at(params, start_level), 1.0)
     valid = first_bad < 0
+    norm_sq = math.nan
+    if valid:  # f' = -(1 + sum psi_k^2) over the table's levels
+        norm_sq = _amplitude_chain(g, num, den1, _final_coupling(params), g.size)[1]
     return FlowTable(
         z=float(z),
         start_level=start_level,
@@ -234,7 +250,7 @@ def g_check(params: ModelParams, z: float, start_level: int = 0) -> FlowTable:
         f_value=_f_from_g(params, z, float(g[-1])),
         valid=valid,
         invalid_level=-1 if valid else start_level + 2 * first_bad,
-        f_slope=_f_slope(g, num, den1, _final_coupling(params)) if valid else math.nan,
+        f_slope=-norm_sq,
     )
 
 
@@ -251,34 +267,70 @@ def _f_from_g(params: ModelParams, z: float, g_last: float) -> float:
     return -z - _final_coupling(params) / den * g_last if den else math.nan
 
 
-def _f_slope(g, num, den1, t0_sq: float) -> float:
-    """f'(z) = -(1 + sum psi_k^2) from one flow pass.
+def _amplitude_chain(g, num, den1, t0_sq: float, k_max: int):
+    """(blocks, 1 + sum psi_k^2) of the chain on the top levels given, or
+    None if a block needs a level below them; the blocks hold
+    psi_1..psi_last in order (psi_0 = 1).
 
-    psi_k / psi_{k-1} = -G t_{k-1} / (d_k - z) at level i = N - 2k
-    (index j = i/2): its square is g[j]^2 num[j+1] / den1[j]^2, with
-    num at level N being t_0^2.  The running product psi_k^2 is taken
-    block by block.  Once it falls below SLOPE_NEGLIGIBLE with no later
-    ratio above 1, the rest of the sum is below SLOPE_NEGLIGIBLE * N,
-    far under the rounding of the total (>= 1), and the sum stops: past
-    that point the products are subnormal, and slow to multiply.
+    g, num and den1 hold G, t^2 and d - z, level N - 2 last, so level
+    N - 2k sits at index g.size - k.  The ratio psi_k / psi_{k-1} is
+    -G t_{k-1} / (d_k - z) (module docstring), formed block by block
+    with the running product and norm carried over: a product or sum
+    commutes, and the accumulations run in index order, so every
+    psi_k, the norm and the stop equal those of the term-by-term
+    recursion.  The chain stops at the first psi_k below COEFF_FLOOR of
+    the norm so far, or at k_max; no ratio past that block is formed,
+    most of those products being subnormal.
     """
-    ratio_sq = g * g
-    ratio_sq[:-1] *= num[1:]
-    ratio_sq[-1] *= t0_sq
-    ratio_sq /= den1
-    ratio_sq /= den1
-    ratio_sq = ratio_sq[::-1]
-    total, carry = 1.0, 1.0
-    for start in range(0, ratio_sq.size, SLOPE_BLOCK):
-        rest = start + SLOPE_BLOCK
-        psi_sq = ratio_sq[start:rest].copy()
-        psi_sq[0] *= carry
-        np.cumprod(psi_sq, out=psi_sq)
-        total += float(psi_sq.sum())
-        carry = float(psi_sq[-1])
-        if carry < SLOPE_NEGLIGIBLE and not (ratio_sq[rest:] > 1.0).any():
-            break
-    return -total
+    top = g.size
+    blocks = []
+    prod, norm_sq = 1.0, 1.0
+    for start in range(1, k_max + 1, CHAIN_BLOCK):
+        stop = min(start + CHAIN_BLOCK, k_max + 1)
+        if stop - 1 > top:
+            return None
+        lo, hi = top - stop + 1, top - start + 1  # indices of levels N - 2(stop-1) .. N - 2start
+        block = -g[lo:hi]
+        block[:-1] *= np.sqrt(num[lo + 1 : hi])
+        block[-1] *= math.sqrt(num[hi] if hi < top else t0_sq)
+        block /= den1[lo:hi]
+        block = block[::-1]
+        block[0] *= prod
+        np.multiply.accumulate(block, out=block)
+        sq = block * block
+        sq[0] += norm_sq
+        np.add.accumulate(sq, out=sq)
+        small = np.abs(block) < COEFF_FLOOR * np.sqrt(sq)
+        last = int(small.argmax())
+        if small[last]:
+            blocks.append(block[: last + 1])
+            return blocks, float(sq[last])
+        blocks.append(block)
+        prod, norm_sq = float(block[-1]), float(sq[-1])
+    return blocks, norm_sq
+
+
+def amplitudes(params: ModelParams, z: float, k_max: int):
+    """psi_0..psi_last of the amplitude chain at z, up to k_max, and the
+    span S of the flow read, as (psi, S).
+
+    The chain reads the top CHAIN_BLOCK levels first, and twice as many
+    while it needs a level below those; G comes from enclosure, asked
+    again only when its run holds too few levels, and S = N where it
+    read the full pass.  Raises FlowDomainError where the full pass is
+    invalid at z.
+    """
+    count = CHAIN_BLOCK
+    g, span = enclosure(params, z, count)
+    while True:  # the full pass (span N) holds every level the chain reads
+        top = g[-count:]  # coefficients only for the levels the chain may read
+        num, diag = _coefficients_at(params, params.n_particles - 2 * top.size)
+        chain = _amplitude_chain(top, num, diag - z, _final_coupling(params), k_max)
+        if chain is not None:
+            return np.concatenate([np.ones(1), *chain[0]]), span
+        count *= 2
+        if count > g.size:
+            g, span = enclosure(params, z, count)
 
 
 def f_of_z(params: ModelParams, z: float) -> float:

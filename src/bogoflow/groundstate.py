@@ -1,26 +1,10 @@
 """Ground-state vector from the flow, its tail control, and the
 truncation-decay experiment.
 
-The eliminated shells are reconstructed one pair at a time: with the
-level <-> pair-index dictionary i = N - 2k,
-
-    psi_0 = 1,
-    psi_{k} = - G_{N-2k}(z) * t_{k-1} / (d_k - z) * psi_{k-1},
-
-where d, t are the sector matrix elements and G the flow factors.  The
-signs alternate, matching the sign structure forced by the positive
-couplings.
-
-The expansion stops once the amplitudes fall below COEFF_FLOOR of the
-norm so far, after at most a few thousand pairs, so it reads G only on
-the top levels, and it takes them from flow.enclosure: the top of the
-full pass, read from two restarts of the flow at level N - S that
-bracket it where they apply, and from the full pass elsewhere.  It asks
-for the top EXPAND_BLOCK levels and for twice as many while the
-expansion needs a level beyond those it got; a z where the full pass is
-invalid has no vector (enclosure raises FlowDomainError).
-
-The tail series bounds what truncating the product chain throws away.
+The vector holds the amplitudes psi_0..psi_last of the eliminated shells
+that flow.amplitudes builds at the fixed point (psi_0 = 1).  Where the
+chain stops short of the sector, the tail series bounds the norm it
+leaves out.
 """
 
 import math
@@ -32,12 +16,7 @@ import numpy as np
 from . import flow
 from .flow import g_check, g_truncated
 from .model import ModelParams, chain_denominator, majorant_coefficients, majorant_lower_bound, power_span
-from .oracle import TridiagonalHamiltonian, sector_elements
 
-# stop extending the vector once coefficients fall below this relative size
-COEFF_FLOOR = 1e-18
-# block length of the adaptive expansion
-EXPAND_BLOCK = 2048
 # rounding floor of |G - G_T|: differences at or below it carry no decay
 DECAY_FLOOR = 1e-13
 
@@ -66,82 +45,20 @@ def expand_ground_state(
 ) -> GroundStateVector:
     """Sector amplitudes of the eigenvector at the fixed point z_star.
 
-    The flow is evaluated at z_star itself; the shared denominators are
-    finite there because each eliminated block sits strictly above the
-    ground energy.  G comes from flow.enclosure, which raises
+    The chain of flow.amplitudes runs at z_star itself, where each
+    eliminated block sits strictly above the ground energy; it raises
     FlowDomainError where the full pass is invalid at z_star.
     """
-    n = params.n_particles
-    half = n // 2
+    half = params.n_particles // 2
     if k_max is None:
         k_max = half
     if not 0 <= k_max <= half:
         raise ValueError("k_max out of range")
 
-    count = EXPAND_BLOCK
-    while True:  # the full pass (span N) holds every level the expansion reads
-        g, span = flow.enclosure(params, z_star, count)
-        coeffs = _adaptive_coefficients(params, z_star, g[::-1], k_max)
-        if coeffs is not None:
-            break
-        count *= 2
+    coeffs, span = flow.amplitudes(params, z_star, k_max)
     last = coeffs.size - 1
-
-    tail_bound = 0.0
-    if last < half:
-        tail_bound = _tail_norm_bound(params, abs(coeffs[-1]), last)
-
-    return GroundStateVector(
-        coeffs=coeffs,
-        z_star=z_star,
-        tail_bound=tail_bound,
-        flow_span=span,
-    )
-
-
-def _ratios(params, z, g_rev, k_lo, k_hi):
-    # psi_k / psi_{k-1} for k_lo <= k < k_hi; g_rev[k - 1] is G at level N - 2k
-    d, t = sector_elements(params, k_lo - 1, k_hi)
-    return -g_rev[k_lo - 1 : k_hi - 1] * t / (d[1:] - z)
-
-
-def _adaptive_coefficients(params, z, g_rev, k_max):
-    """psi_0..psi_last with the adaptive stop at the first psi_k below
-    COEFF_FLOOR * |psi_0..k|, or None if a block needs G beyond g_rev.
-
-    Block by block with the running product and norm carried over (a
-    product or sum commutes, so the carry changes no bit, and cumprod
-    and cumsum accumulate in index order, so every psi_k and the stop
-    index equal those of the term-by-term recursion); the matrix
-    elements and products past the stop, most of the products
-    subnormal, are never formed.
-    """
-    blocks = [np.ones(1)]
-    prod, norm_sq = 1.0, 1.0
-    for start in range(1, k_max + 1, EXPAND_BLOCK):
-        stop = min(start + EXPAND_BLOCK, k_max + 1)
-        if stop - 1 > g_rev.size:
-            return None
-        block = _ratios(params, z, g_rev, start, stop)
-        block[0] *= prod
-        np.cumprod(block, out=block)
-        sq = block * block
-        sq[0] += norm_sq
-        np.cumsum(sq, out=sq)
-        small = np.abs(block) < COEFF_FLOOR * np.sqrt(sq)
-        if small.any():
-            blocks.append(block[: int(np.argmax(small)) + 1])
-            break
-        blocks.append(block)
-        prod, norm_sq = float(block[-1]), float(sq[-1])
-    return np.concatenate(blocks)
-
-
-def eigen_residual(tri: TridiagonalHamiltonian, psi: np.ndarray, z: float) -> float:
-    """|| H psi - z psi || / || psi || with psi zero-padded to the sector."""
-    v = np.zeros(tri.size)
-    v[: psi.size] = psi
-    return float(np.linalg.norm(tri.matvec(v) - z * v) / np.linalg.norm(v))
+    tail_bound = _tail_norm_bound(params, abs(coeffs[-1]), last) if last < half else 0.0
+    return GroundStateVector(coeffs=coeffs, z_star=z_star, tail_bound=tail_bound, flow_span=span)
 
 
 @dataclass(frozen=True)
@@ -202,13 +119,9 @@ def _tail_norm_bound(params, last_coeff, last_index) -> float:
 
 @dataclass(frozen=True)
 class TruncationDecayReport:
-    x: np.ndarray  # N^(1-beta) values actually used
-    log_diff: np.ndarray
     slope: float
-    intercept: float
     r_squared: float
     fitted_c: float
-    points_used: int
 
 
 def fit_truncation_decay(x, diffs) -> TruncationDecayReport:
@@ -230,15 +143,7 @@ def fit_truncation_decay(x, diffs) -> TruncationDecayReport:
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return TruncationDecayReport(
-        x=x,
-        log_diff=y,
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r2,
-        fitted_c=math.nan,
-        points_used=int(x.size),
-    )
+    return TruncationDecayReport(slope=float(slope), r_squared=r2, fitted_c=math.nan)
 
 
 def gamma_truncation_experiment(

@@ -36,8 +36,9 @@ an interval as wide as its tolerance) for each j >= 1.
 lowest_eigenpair keeps its certified pair on the matrix object, so a
 matrix is solved once however often it is asked; build_sector_hamiltonian
 makes its arrays read-only to keep that pair valid.
-schur_complement evaluates the nested fraction of (T - z) directly.  No
-part of this module looks at the flow; it is the independent reference.
+schur_complement evaluates the nested fraction of (T - z) directly, and
+eigen_residual measures a vector against T.  No part of this module
+looks at the flow; it is the independent reference.
 """
 
 import math
@@ -293,3 +294,10 @@ def schur_complement(tri: TridiagonalHamiltonian, z: float) -> float:
     d = np.ascontiguousarray(tri.diag)
     e2 = np.ascontiguousarray(tri.offdiag * tri.offdiag)
     return float(_kernels.schur_eta(d, e2, float(z)))
+
+
+def eigen_residual(tri: TridiagonalHamiltonian, psi: np.ndarray, z: float) -> float:
+    """|| H psi - z psi || / || psi || with psi zero-padded to the sector."""
+    v = np.zeros(tri.size)
+    v[: psi.size] = psi
+    return float(np.linalg.norm(tri.matvec(v) - z * v) / np.linalg.norm(v))

@@ -71,7 +71,7 @@ class PropertyResult:
         return {
             "name": self.name,
             "passed": bool(self.passed),
-            "margin": float(self.margin),
+            "margin": float(self.margin) if math.isfinite(self.margin) else None,  # strict JSON
             "details": self.details,
         }
 
@@ -386,7 +386,7 @@ def check_overlap(
             result = spectrum.solve_fixed_point(params)
             vec = groundstate.expand_ground_state(params, result.z_star)
             tri = oracle.build_sector_hamiltonian(params)
-            res = groundstate.eigen_residual(tri, vec.coeffs, result.z_star)
+            res = oracle.eigen_residual(tri, vec.coeffs, result.z_star)
             psi = vec.normalized()
             overlap = float(abs(psi @ oracle.lowest_eigenpair(tri).vector[: psi.size]))
             worst_overlap = min(worst_overlap, overlap)
@@ -439,17 +439,18 @@ def check_truncation_decay(
             spans = np.unique((np.geomspace(8, 60, 7) // 2 * 2).astype(np.int64))
             xs, diffs = [], []
             for span in spans:
-                n = int(round(span ** (1.0 / (1.0 - beta))))
-                n += n % 2
-                if n < span + 4:
-                    n = span + 4 + (span % 2)
+                # the smallest even N that g_truncated restarts from span, searched
+                # upward from an even N below span^(1/(1-beta)), which restarts lower
+                n = int(span ** (1.0 / (1.0 - beta))) // 2 * 2 - 2
+                while power_span(n, 1.0 - beta) < span:
+                    n += 2
                 if n > TRUNCATION_N_CAP:
                     continue
                 params = ModelParams(n_particles=n, epsilon=eps)
                 z = bogoliubov_energy(params)
                 full = flow.g_check(params, z).g_values[-1]
                 trunc = flow.g_truncated(params, z, beta)
-                xs.append(power_span(n, 1.0 - beta))  # the span g_truncated restarts from
+                xs.append(span)
                 diffs.append(abs(full - trunc))
             report = groundstate.fit_truncation_decay(np.array(xs), np.array(diffs))
             worst_r2 = min(worst_r2, report.r_squared)

@@ -273,6 +273,39 @@ def test_sequences_mode_skips_a_chain_it_cannot_build(tmp_path):
         assert skipped[(n, 2.0)]["x"] == "the majorant coefficients need epsilon < 1, got 2.0"
 
 
+def test_sequences_mode_skips_an_odd_n_and_runs_on(tmp_path):
+    # the point's own ValueError is each chain's: the odd N is listed, the
+    # grid runs on, and the manifest is written
+    out = tmp_path / "seq"
+    assert run_cli(["--mode", "sequences", "--n", "64,63", "--epsilon", "0.5", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert {p.name for p in out.glob("*.csv")} == {f"{c}-n64-eps0.5.csv" for c in ("x", "xtilde", "ystar")}
+    assert [p["skipped"] for p in manifest["points"]] == [
+        {},
+        {chain: "n must be even" for chain in ("x", "xtilde", "ystar")},
+    ]
+
+
+def test_sequences_mode_fails_on_an_odd_n_alone(tmp_path, capsys):
+    assert run_cli(["--mode", "sequences", "--n", "63", "--epsilon", "0.5", "--out", str(tmp_path / "seq")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: no {chain} chain at any grid point: n must be even" for chain in ("x", "xtilde", "ystar")]
+    assert (tmp_path / "seq" / "manifest.json").exists()
+
+
+def test_verify_json_is_strict_json(tmp_path):
+    # no point passes the regime gate of the two bounds, whose margin stays
+    # inf: the file writes it as null, which a strict parser accepts
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    out = tmp_path / "v"
+    run_cli(["--mode", "verify", "--n", "2,6", "--epsilon", "0.3", "--only", "spectrum", "--out", str(out)])
+    rows = json.loads((out / "verify.json").read_text(), parse_constant=reject)
+    margins = {row["name"]: row["margin"] for row in rows}
+    assert margins["zstar_upper_bound"] is None and margins["sector_gap_bound"] is None
+
+
 def test_geometric_grid_parsing():
     assert cli._parse_grid("1000:100000:10", int) == [1000, 10000, 100000]
     assert cli._parse_grid("1000:1006:1.001", int) == [1000, 1002, 1004, 1006]

@@ -335,12 +335,11 @@ def test_enclosure_is_the_top_of_the_full_pass(n, eps):
     # g holds at least count levels, and equals the full pass's top
     # g.size levels bit for bit
     from bogoflow import flow
-    from bogoflow.groundstate import EXPAND_BLOCK
 
     params = ModelParams(n_particles=n, epsilon=eps)
     z = solve_fixed_point(params).z_star
     full = g_check(params, z).g_values
-    for count in (1, EXPAND_BLOCK, 5000):
+    for count in (1, flow.CHAIN_BLOCK, 5000):
         g, span = flow.enclosure(params, z, count)
         assert count <= g.size <= span // 2 < n // 2
         np.testing.assert_array_equal(g, full[-g.size :])
@@ -352,14 +351,13 @@ def test_expansion_runs_one_restart_pair(monkeypatch, n, eps):
     # on the root benchmark's grid the expansion's one enclosure call
     # accepts its first span: one restart pair, no doubling
     from bogoflow import flow
-    from bogoflow.groundstate import EXPAND_BLOCK
 
     params = ModelParams(n_particles=n, epsilon=eps)
     z = solve_fixed_point(params).z_star
     spans = _restart_spans(monkeypatch)
     vec = expand_ground_state(params, z)
     assert spans == [vec.flow_span] * 2
-    assert vec.flow_span == flow._first_span(params, EXPAND_BLOCK)
+    assert vec.flow_span == flow._first_span(params, flow.CHAIN_BLOCK)
 
 
 @pytest.mark.parametrize("eps", [0.04, 0.01])
@@ -408,12 +406,11 @@ def test_lower_bound_link_streams_where_the_enclosure_does_not_apply(monkeypatch
 )
 def test_enclosure_reads_the_full_pass_where_the_restarts_do_not_apply(n, eps, z):
     from bogoflow import flow
-    from bogoflow.groundstate import EXPAND_BLOCK
 
     params = ModelParams(n_particles=n, epsilon=eps)
     if z is None:
         z = solve_fixed_point(params).z_star
-    g, span = flow.enclosure(params, z, EXPAND_BLOCK)
+    g, span = flow.enclosure(params, z, flow.CHAIN_BLOCK)
     assert span == n
     np.testing.assert_array_equal(g, g_check(params, z).g_values)
 

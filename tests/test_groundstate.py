@@ -136,22 +136,24 @@ def test_truncation_fitted_c_consistent_scale():
 
 
 def _expand_by_loop(params, z, k_max=None):
-    # the element loop the vectorized expansion replaced, kept as reference
-    from bogoflow.flow import g_check
-    from bogoflow.groundstate import COEFF_FLOOR
+    # the element loop the vectorized chain replaced, kept as reference: at
+    # level N - 2k (index j), d_k - z is diag[j] - z and t_{k-1} the root of
+    # the numerator one level up, t_0^2 above the top level
+    from bogoflow.flow import COEFF_FLOOR, _coefficients_at, _final_coupling, g_check
 
     n = params.n_particles
     if k_max is None:
         k_max = n // 2
     g = g_check(params, z).g_values
-    tri = build_sector_hamiltonian(params)
-    d, t = tri.diag, tri.offdiag
+    num, diag = _coefficients_at(params, 0)
+    t = np.sqrt(np.append(num[1:], _final_coupling(params)))
     coeffs = np.zeros(k_max + 1)
     coeffs[0] = 1.0
     norm_sq = 1.0
     last = 0
     for k in range(1, k_max + 1):
-        psi = -g[(n - 2 * k) // 2] * t[k - 1] / (d[k] - z) * coeffs[k - 1]
+        j = (n - 2 * k) // 2
+        psi = -g[j] * t[j] / (diag[j] - z) * coeffs[k - 1]
         coeffs[k] = psi
         norm_sq += psi * psi
         last = k
@@ -166,7 +168,7 @@ def _expand_by_loop(params, z, k_max=None):
         pytest.param(1024, 0.01, None, id="1024"),
         pytest.param(1024, 0.01, 100, id="1024-kmax100"),
         pytest.param(2 * 10**5, 0.01, None, id="200000"),
-        # stop index 2752, past the first EXPAND_BLOCK, and a k_max below it
+        # stop index 2752, past the first CHAIN_BLOCK, and a k_max below it
         pytest.param(2 * 10**5, 1e-4, None, id="200000-eps1e-4"),
         pytest.param(2 * 10**5, 1e-4, 2500, id="200000-eps1e-4-kmax2500"),
     ],
@@ -219,9 +221,8 @@ def test_truncated_expansion_k_max_cuts(monkeypatch):
 def test_full_pass_where_enclosure_does_not_apply():
     # eps*N < 1, a first restart span S >= N, and z >= 0 take the full pass
     from bogoflow import flow
-    from bogoflow.groundstate import EXPAND_BLOCK
 
-    assert flow._first_span(ModelParams(n_particles=4000, epsilon=0.01), EXPAND_BLOCK) >= 4000
+    assert flow._first_span(ModelParams(n_particles=4000, epsilon=0.01), flow.CHAIN_BLOCK) >= 4000
     for n, eps, z in [
         (2 * 10**5, 1e-6, None),
         (4000, 0.01, None),
@@ -251,7 +252,7 @@ def test_enclosure_and_expansion_apply_past_two_trillion(n, eps):
 
 def test_forced_short_span_doubles_to_same_vector(monkeypatch):
     # a 4-level first span holds too few levels; flow doubles the span
-    # until the restarts agree bit for bit on the top EXPAND_BLOCK levels
+    # until the restarts agree bit for bit on the top CHAIN_BLOCK levels
     # the expansion asks for, and the vector is the one of the full pass
     from bogoflow import flow
 

@@ -51,20 +51,11 @@ def test_oracle_imports_no_flow_side_module():
     assert _imported_modules("oracle") & flow_side == set()
 
 
-def test_spectrum_imports_nothing_from_the_oracle():
-    # the solver keeps the root and the paper's bounds; comparing them with
-    # the oracle is the callers' (cli, verify)
-    assert "oracle" not in _imported_modules("spectrum")
-
-
-def test_groundstate_runs_no_eigensolve():
-    # the expansion reads the sector's matrix elements only; the oracle's
-    # solvers and its whole-sector build belong to the callers that compare
-    solvers = {"lowest_eigenpair", "low_spectrum", "build_sector_hamiltonian"}
-    names = {alias.name for source, aliases in _from_imports("groundstate") for alias in aliases}
-    tree = ast.parse((PACKAGE / "groundstate.py").read_text())
-    names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
-    assert names & solvers == set()
+@pytest.mark.parametrize("module", ["flow", "spectrum", "groundstate", "sequences"])
+def test_no_flow_side_module_imports_the_oracle(module):
+    # the flow builds its root, bounds and amplitudes from its own
+    # coefficients; comparing them with the oracle is the callers' (cli, verify)
+    assert "oracle" not in _imported_modules(module)
 
 
 def _private(name: str) -> bool:

@@ -227,15 +227,16 @@ def test_flow_slope_matches_central_difference():
 
 
 def test_flow_slope_is_minus_squared_norm_of_expansion():
-    # f'(z) = -(1 + sum_k psi_k^2) with psi_0 = 1, at any valid z
+    # f'(z) = -(1 + sum_k psi_k^2) with psi_0 = 1, at any valid z: the
+    # slope and the vector read one chain, summed in index order
     from bogoflow import expand_ground_state
 
     for n, eps in ((2, 0.01), (512, 0.05), (4096, 0.01)):
         params = ModelParams(n_particles=n, epsilon=eps)
-        z = solve_fixed_point(params).z_star - 0.01
-        vec = expand_ground_state(params, z)
-        slope = g_check(params, z).f_slope
-        assert slope == pytest.approx(-float(np.sum(vec.coeffs**2)), rel=1e-12)
+        for offset in (0.0, 1e-9, 0.01):
+            z = solve_fixed_point(params).z_star - offset
+            vec = expand_ground_state(params, z)
+            assert g_check(params, z).f_slope == -np.cumsum(vec.coeffs**2)[-1], (n, offset)
 
 
 def test_newton_solve_flow_evaluations_and_accuracy(monkeypatch):

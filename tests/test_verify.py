@@ -7,8 +7,8 @@ from bogoflow import verify
 # The default battery's rows as the streamed-pass code wrote them (the
 # flow pass and the majorant chain streamed in blocks of 65536): name,
 # passed, repr of the margin, details.  A change of rounding anywhere
-# in the battery shows here.  The truncation_decay fits use the span
-# g_truncated restarts from (model.power_span).
+# in the battery shows here.  Each truncation_decay fit takes, per span,
+# the smallest even N that g_truncated restarts from that span.
 FROZEN_BATTERY = [
     ("cf_equivalence", True, "9.835793725740424e-13",
      "worst rel diff 1.642e-14 at n=16 eps=0.01 z=-0.786554; tol 1e-12"),
@@ -45,9 +45,9 @@ FROZEN_BATTERY = [
     ("ground_state_overlap", True, "9.99999860695766e-10",
      "min overlap 1.000000000000, max residual/norm_inf 1.626e-13"),
     ("truncation_decay", True, "0.03834933529341322",
-     "eps=0.04 beta=0.3: slope=-0.2446 R2=0.9969; eps=0.04 beta=0.5: slope=-0.2385 R2=0.9972; "
-     "eps=0.04 beta=0.7: slope=-0.2171 R2=0.9978; eps=0.01 beta=0.3: slope=-0.0971 R2=0.9891; "
-     "eps=0.01 beta=0.5: slope=-0.0944 R2=0.9883; eps=0.01 beta=0.7: slope=-0.0873 R2=0.9993"),
+     "eps=0.04 beta=0.3: slope=-0.2447 R2=0.9975; eps=0.04 beta=0.5: slope=-0.2385 R2=0.9972; "
+     "eps=0.04 beta=0.7: slope=-0.2186 R2=0.9980; eps=0.01 beta=0.3: slope=-0.0971 R2=0.9921; "
+     "eps=0.01 beta=0.5: slope=-0.0944 R2=0.9883; eps=0.01 beta=0.7: slope=-0.0871 R2=0.9992"),
 ]
 
 
