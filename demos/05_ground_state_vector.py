@@ -11,27 +11,24 @@ need the flow's top levels only, which two restarts of the flow enclose.
 import numpy as np
 
 import bogoflow as bf
+from bogoflow.verify import compare_point
 
 params = bf.ModelParams(n_particles=256, epsilon=0.01)
-result = bf.solve_fixed_point(params)
-vec = bf.expand_ground_state(params, result.z_star)
-tri = bf.build_sector_hamiltonian(params)
+point = compare_point(params)  # the flow's root and vector against the oracle's pair
+result = point.result
 
-psi = vec.normalized()
-overlap = abs(psi @ bf.lowest_eigenpair(tri).vector[: psi.size])
+psi = point.vector.normalized()
 print(f"first amplitudes: {np.array2string(psi[:6], precision=6)}")
-print(f"overlap with oracle eigenvector: {overlap:.15f}")
-res = bf.eigen_residual(tri, vec.coeffs, result.z_star)
-print(f"eigen-residual / matrix norm:    {res / tri.norm_inf():.3e}")
+print(f"overlap with oracle eigenvector: {point.overlap:.15f}")
+print(f"eigen-residual / matrix norm:    {point.relative_residual():.3e}")
 
 cut = bf.expand_ground_state(params, result.z_star, k_max=20)
-full = bf.expand_ground_state(params, result.z_star)
-omitted = float(np.linalg.norm(full.coeffs[21:]))
+omitted = float(np.linalg.norm(point.vector.coeffs[21:]))
 print(f"\ntruncation at 20 pairs: omitted norm {omitted:.3e}, analytic bound {cut.tail_bound:.3e}")
 
 series = bf.tail_series(params, 60)
 print(f"tail-series ratio drops below 1 from j = {series.threshold_index}")
-meas = np.abs(full.coeffs)
+meas = np.abs(point.vector.coeffs)
 worst = max(
     meas[j] / meas[j - 1] / (series.c[j - 2] / series.c[j - 3]) for j in range(3, 40)
 )

@@ -23,9 +23,8 @@ from functools import partial
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from . import __version__, groundstate, sequences, spectrum, verify
+from . import __version__, sequences, spectrum, verify
 from .model import BETA, ModelParams, bogoliubov_energy
-from .oracle import build_sector_hamiltonian, low_spectrum, lowest_eigenpair
 
 MODES = ("solve", "sweep", "verify", "sequences")
 # grid of solve, sweep and sequences when --n / --epsilon are not given
@@ -162,6 +161,10 @@ def parse_args(argv=None) -> RunConfig:
         raise ValueError("empty parameter grid")
     if config.workers is not None and config.workers < 1:
         raise ValueError("workers must be >= 1")
+    n_values, eps_values = config.grid()
+    if config.mode == "solve" and len(n_values) * len(eps_values) > 1:
+        grid = f"{len(n_values)} x {len(eps_values)}"
+        raise ValueError(f"--mode solve takes one point, not a grid of {grid}: use --mode sweep for a grid")
     return config
 
 
@@ -171,18 +174,10 @@ def _float_repr(x) -> str:
 
 def _solve_point(config: RunConfig, n: int, eps: float) -> dict:
     t0 = time.perf_counter()
-    params = ModelParams(
-        n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0
-    )
-    tri = build_sector_hamiltonian(params)
-    result = spectrum.solve_fixed_point(params)
-    lambda0 = lowest_eigenpair(tri).value
-    report = result.assumptions
+    params = ModelParams(n_particles=n, epsilon=eps, phi=config.phi, delta0=config.delta0)
+    point = verify.compare_point(params)
+    result, report = point.result, point.result.assumptions
     e_bog = bogoliubov_energy(params)
-    lam = low_spectrum(tri, 2)  # N >= 2: the sector has at least 2 rows
-    psi = groundstate.expand_ground_state(params, result.z_star).normalized()
-    pair = lowest_eigenpair(tri)
-    overlap = float(abs(psi @ pair.vector[: psi.size]))
     wall_ms = 1000.0 * (time.perf_counter() - t0)
     return {
         "n": n,
@@ -190,11 +185,11 @@ def _solve_point(config: RunConfig, n: int, eps: float) -> dict:
         "z_star": result.z_star,
         "e_bog": e_bog,
         "abs_err": abs(result.z_star - e_bog),
-        "sector_gap": float(lam[1] - lam[0]),
-        "overlap": overlap,
-        "oracle_delta": abs(result.z_star - lambda0),
-        "oracle_block_size": pair.block_size,
-        "oracle_enclosure": pair.enclosure,
+        "sector_gap": point.gap,
+        "overlap": point.overlap,
+        "oracle_delta": point.oracle_delta,
+        "oracle_block_size": point.block_size,
+        "oracle_enclosure": point.enclosure,
         "assumptions_ok": report.solver_regime_ok,
         "checks": {
             "nu_ok": report.nu_ok,
@@ -240,8 +235,7 @@ def _sha256(path: Path) -> str:
 
 def run_solve(config: RunConfig) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
-    n_values, eps_values = config.grid()
-    n, eps = n_values[0], eps_values[0]
+    (n,), (eps,) = config.grid()  # parse_args allows solve one point only
     try:
         record = _solve_point(config, n, eps)
     except Exception as exc:  # recorded as a sweep row is, then exit 1

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,14 @@ class ModelParams:
             raise ValueError("epsilon must be positive and finite")
         if self.phi < 0.0 or not math.isfinite(self.phi):
             raise ValueError("phi must be nonnegative and finite")
+        # the arithmetic of both routes must stay inside binary64
+        phi_n = self.phi * n
+        if not math.isfinite(phi_n * (1.0 + self.epsilon)):
+            raise ValueError("N * phi * (1 + epsilon) must be finite: the largest diagonal entry overflows")
+        if not math.isfinite(phi_n * phi_n):
+            raise ValueError("(phi * N)^2 must be finite: the flow's numerators and t_k^2 overflow")
+        if 0.0 < self.phi and self.phi * self.phi < sys.float_info.min:
+            raise ValueError(f"phi^2 must be at least {sys.float_info.min!r} where phi > 0: it underflows")
         if not (self.delta0 > 0.0):
             raise ValueError("delta0 must be positive")
 

@@ -1,7 +1,7 @@
 """Ground-state energy from the fixed-point equation, the paper's bounds
 on it and on the sector gap, and the error budget against the
-closed-form approximation.  Nothing here calls the exact oracle: the
-callers that compare with it (cli, verify) run it themselves.
+closed-form approximation.  Nothing here calls the exact oracle:
+verify.compare_point runs both routes for the callers that compare.
 
 The fixed-point function f is continuous and strictly decreasing (slope
 <= -1) on the admissible window, and concave wherever the flow is valid,

@@ -4,7 +4,9 @@ package claims, runnable as one machine-readable report.
 Each check returns a PropertyResult with the measured margin (positive
 means the property holds with room to spare).  run_all drives the whole
 battery on a default grid; the CLI verify mode and the acceptance tests
-call the same functions with their own grids.
+call the same functions with their own grids.  compare_point runs both
+routes once at a point: the four oracle rows reduce a grid of its
+records, and a CLI solve or sweep point formats one.
 
 The checks are independent: run_all deals them to forked workers, one per
 usable CPU by default (threads would not overlap the chains' LAPACK calls,
@@ -17,7 +19,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -29,7 +31,6 @@ from .model import (
     bogoliubov_energy,
     c_coefficient,
     chain_denominator,
-    check_assumptions,
     power_span,
     window_delta,
 )
@@ -295,20 +296,51 @@ def check_coefficient_identities(
     )
 
 
-def check_flow_oracle(
-    n_values: Sequence[int] = DEFAULT_GRID_N,
-    eps_values: Sequence[float] = DEFAULT_GRID_EPS,
-    phi: float = 1.0,
-) -> PropertyResult:
-    worst = 0.0
-    where = ""
-    for n in n_values:
-        for eps in eps_values:
-            params = ModelParams(n_particles=n, epsilon=eps, phi=phi)
-            lam0 = oracle.lowest_eigenpair(oracle.build_sector_hamiltonian(params)).value
-            delta = abs(spectrum.solve_fixed_point(params).z_star - lam0)
-            if delta > worst:
-                worst, where = delta, f"n={n} eps={eps}"
+@dataclass(frozen=True)
+class PointComparison:
+    """Both routes at one point: the flow's root and expansion against the
+    oracle's lowest pair and gap."""
+
+    params: ModelParams
+    result: spectrum.GroundEnergyResult
+    lambda0: float
+    block_size: int  # the oracle's K, EigenPair.block_size
+    enclosure: float  # its certified width, EigenPair.enclosure
+    gap: float  # lambda_1 - lambda_0
+    overlap: float  # |<psi, v0>|, psi the normalized expansion at z*
+    tri: oracle.TridiagonalHamiltonian = field(repr=False)
+    vector: groundstate.GroundStateVector = field(repr=False)  # the expansion at z*
+
+    @property
+    def oracle_delta(self) -> float:
+        return abs(self.result.z_star - self.lambda0)
+
+    def relative_residual(self) -> float:
+        """The expansion's eigen-residual over norm_inf: O(N), so computed
+        only where check_overlap reads it."""
+        return oracle.eigen_residual(self.tri, self.vector.coeffs, self.result.z_star) / self.tri.norm_inf()
+
+
+def compare_point(params: ModelParams) -> PointComparison:
+    """The flow and the oracle, each run once at params: the one place
+    that runs both routes side by side."""
+    result = spectrum.solve_fixed_point(params)
+    tri = oracle.build_sector_hamiltonian(params)
+    pair = oracle.lowest_eigenpair(tri)
+    lam = oracle.low_spectrum(tri, 2)  # N >= 2: the sector has at least 2 rows
+    vec = groundstate.expand_ground_state(params, result.z_star)
+    psi = vec.normalized()
+    # the kept pair, read again: perfbench/test_smoke.py pins 3 + 1 oracle calls per point
+    overlap = float(abs(psi @ oracle.lowest_eigenpair(tri).vector[: psi.size]))
+    gap = float(lam[1] - lam[0])
+    return PointComparison(params, result, pair.value, pair.block_size, pair.enclosure, gap, overlap, tri, vec)
+
+
+def check_flow_oracle(records: Sequence[PointComparison]) -> PropertyResult:
+    worst, where = 0.0, ""
+    for rec in records:
+        if rec.oracle_delta > worst:
+            worst, where = rec.oracle_delta, f"n={rec.params.n_particles} eps={rec.params.epsilon}"
     return PropertyResult(
         name="flow_oracle_equivalence",
         passed=worst <= ENERGY_TOL,
@@ -317,89 +349,44 @@ def check_flow_oracle(
     )
 
 
-def check_zstar_upper_bound(
-    n_values: Sequence[int] = DEFAULT_GRID_N,
-    eps_values: Sequence[float] = DEFAULT_GRID_EPS,
-    phi: float = 1.0,
-) -> PropertyResult:
+def check_zstar_upper_bound(records: Sequence[PointComparison]) -> PropertyResult:
     """Root below its analytic cap at every point passing the 1/N <= eps^NU
     regime gate; points failing the gate are reported but not judged."""
-    violations = []
-    tested = 0
-    worst = math.inf
-    for n in n_values:
-        for eps in eps_values:
-            params = ModelParams(n_particles=n, epsilon=eps, phi=phi)
-            if not check_assumptions(params).nu_ok:
-                continue
-            tested += 1
-            result = spectrum.solve_fixed_point(params)
-            worst = min(worst, spectrum.energy_cap(params) - result.z_star)
-            if not result.upper_bound_check:
-                violations.append((n, eps))
+    regime = [rec for rec in records if rec.result.assumptions.nu_ok]
+    margins = [spectrum.energy_cap(rec.params) - rec.result.z_star for rec in regime]
+    violations = sum(not rec.result.upper_bound_check for rec in regime)
+    worst = min(margins, default=math.inf)
     return PropertyResult(
         name="zstar_upper_bound",
         passed=not violations,
-        margin=worst if tested else math.inf,
-        details=f"{tested} regime points, {len(violations)} violations; min cap margin {worst:.3e}",
+        margin=worst,
+        details=f"{len(regime)} regime points, {violations} violations; min cap margin {worst:.3e}",
     )
 
 
-def check_gap_bound(
-    n_values: Sequence[int] = DEFAULT_GRID_N,
-    eps_values: Sequence[float] = DEFAULT_GRID_EPS,
-    phi: float = 1.0,
-) -> PropertyResult:
+def check_gap_bound(records: Sequence[PointComparison]) -> PropertyResult:
     """Oracle gap lambda_1 - lambda_0 >= spectrum.gap_floor at each 1/N <= eps^NU point."""
-    violations = []
-    tested = 0
-    worst = math.inf
-    for n in n_values:
-        for eps in eps_values:
-            params = ModelParams(n_particles=n, epsilon=eps, phi=phi)
-            if not check_assumptions(params).nu_ok:
-                continue
-            tested += 1
-            lam = oracle.low_spectrum(oracle.build_sector_hamiltonian(params), 2)
-            margin = float(lam[1] - lam[0]) - spectrum.gap_floor(params)
-            worst = min(worst, margin)
-            if margin < 0.0:
-                violations.append((n, eps))
+    regime = [rec for rec in records if rec.result.assumptions.nu_ok]
+    margins = [rec.gap - spectrum.gap_floor(rec.params) for rec in regime]
+    violations = sum(margin < 0.0 for margin in margins)
+    worst = min(margins, default=math.inf)
     return PropertyResult(
         name="sector_gap_bound",
         passed=not violations,
-        margin=worst if tested else math.inf,
-        details=f"{tested} regime points, {len(violations)} violations; min gap margin {worst:.3e}",
+        margin=worst,
+        details=f"{len(regime)} regime points, {violations} violations; min gap margin {worst:.3e}",
     )
 
 
-def check_overlap(
-    n_values: Sequence[int] = DEFAULT_GRID_N,
-    eps_values: Sequence[float] = DEFAULT_GRID_EPS,
-    phi: float = 1.0,
-) -> PropertyResult:
-    worst_overlap = 1.0
-    worst_residual = 0.0
-    for n in n_values:
-        for eps in eps_values:
-            params = ModelParams(n_particles=n, epsilon=eps, phi=phi)
-            result = spectrum.solve_fixed_point(params)
-            vec = groundstate.expand_ground_state(params, result.z_star)
-            tri = oracle.build_sector_hamiltonian(params)
-            res = oracle.eigen_residual(tri, vec.coeffs, result.z_star)
-            psi = vec.normalized()
-            overlap = float(abs(psi @ oracle.lowest_eigenpair(tri).vector[: psi.size]))
-            worst_overlap = min(worst_overlap, overlap)
-            worst_residual = max(worst_residual, res / tri.norm_inf())
+def check_overlap(records: Sequence[PointComparison]) -> PropertyResult:
+    worst_overlap = min([1.0, *(rec.overlap for rec in records)])
+    worst_residual = max([0.0, *(rec.relative_residual() for rec in records)])
     ok = worst_overlap >= 1.0 - OVERLAP_TOL and worst_residual <= RESIDUAL_FACTOR
     return PropertyResult(
         name="ground_state_overlap",
         passed=ok,
         margin=min(worst_overlap - (1.0 - OVERLAP_TOL), RESIDUAL_FACTOR - worst_residual),
-        details=(
-            f"min overlap {worst_overlap:.12f}, "
-            f"max residual/norm_inf {worst_residual:.3e}"
-        ),
+        details=f"min overlap {worst_overlap:.12f}, max residual/norm_inf {worst_residual:.3e}",
     )
 
 
@@ -516,6 +503,11 @@ def run_all(config: Optional[VerifyConfig] = None) -> List[PropertyResult]:
     ]
     mono_point = ModelParams(n_particles=256, epsilon=0.01, phi=config.phi)
     grid = (config.n_values, config.eps_values, config.phi)
+    # the grid's records, built by the first check that reads them, once per process
+    # (a forked worker builds its own); not keyed on parameters, gone on return
+    records = cache(
+        lambda: [compare_point(ModelParams(n, eps, config.phi)) for n in config.n_values for eps in config.eps_values]
+    )
 
     suites = {
         "cf": [partial(check_cf_equivalence, *grid, perturb_tk=config.perturb_tk)],
@@ -533,12 +525,12 @@ def run_all(config: Optional[VerifyConfig] = None) -> List[PropertyResult]:
             check_coefficient_identities,
         ],
         "spectrum": [
-            partial(check_flow_oracle, *grid),
-            partial(check_zstar_upper_bound, *grid),
-            partial(check_gap_bound, *grid),
+            lambda: check_flow_oracle(records()),
+            lambda: check_zstar_upper_bound(records()),
+            lambda: check_gap_bound(records()),
             partial(check_ebog_convergence, n_values=(10**3, 10**4, 10**5)),
         ],
-        "groundstate": [partial(check_overlap, *grid), check_truncation_decay],
+        "groundstate": [lambda: check_overlap(records()), check_truncation_decay],
     }
     if config.only is not None and config.only not in suites:
         raise ValueError(f"only must name one suite of {', '.join(suites)}, got {config.only!r}")

@@ -18,6 +18,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from bogoflow import ModelParams, cli, verify
 
@@ -30,11 +31,21 @@ def _report(criterion, passed, detail):
     assert passed, detail
 
 
-def test_criterion_01_fixed_point_oracle_equivalence():
-    assert verify.ENERGY_TOL == 1e-10
+@pytest.fixture(scope="module")
+def grid_records():
+    """The equivalence grid's comparison records, built once for criteria
+    1, 3, 4 and 9, and the seconds the build took."""
     start = time.perf_counter()
-    result = verify.check_flow_oracle(GRID_N, GRID_EPS, phi=1.0)
-    elapsed = time.perf_counter() - start
+    records = [verify.compare_point(ModelParams(n_particles=n, epsilon=eps)) for n in GRID_N for eps in GRID_EPS]
+    return records, time.perf_counter() - start
+
+
+def test_criterion_01_fixed_point_oracle_equivalence(grid_records):
+    assert verify.ENERGY_TOL == 1e-10
+    records, build_s = grid_records
+    start = time.perf_counter()
+    result = verify.check_flow_oracle(records)
+    elapsed = build_s + time.perf_counter() - start
     _report(1, result.passed and elapsed < 5.0, f"{result.details}; runtime {elapsed:.2f}s (< 5s)")
 
 
@@ -44,14 +55,14 @@ def test_criterion_02_continued_fraction_identity():
     _report(2, result.passed, result.details)
 
 
-def test_criterion_03_ground_state_overlap():
+def test_criterion_03_ground_state_overlap(grid_records):
     assert verify.OVERLAP_TOL == 1e-9 and verify.RESIDUAL_FACTOR == 1e-8
-    result = verify.check_overlap(GRID_N, GRID_EPS, phi=1.0)
+    result = verify.check_overlap(grid_records[0])
     _report(3, result.passed, result.details)
 
 
-def test_criterion_04_zstar_upper_bound():
-    result = verify.check_zstar_upper_bound(GRID_N, GRID_EPS, phi=1.0)
+def test_criterion_04_zstar_upper_bound(grid_records):
+    result = verify.check_zstar_upper_bound(grid_records[0])
     _report(4, result.passed, result.details)
 
 
@@ -103,8 +114,8 @@ def test_criterion_08_product_identity():
     _report(8, result.passed, result.details)
 
 
-def test_criterion_09_sector_gap():
-    result = verify.check_gap_bound(GRID_N, GRID_EPS, phi=1.0)
+def test_criterion_09_sector_gap(grid_records):
+    result = verify.check_gap_bound(grid_records[0])
     _report(9, result.passed, result.details)
 
 

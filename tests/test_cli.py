@@ -473,3 +473,38 @@ def test_sweep_row_beyond_exact_level_arithmetic_carries_its_reason(tmp_path):
     assert reason == (
         "n_particles must be at most 2**52: level arithmetic i - 2, m + 2 is exact only below 2**53"
     )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--n", "1024", "--epsilon", "1e300", "--phi", "1e6"],
+        ["--n", "1024", "--phi", "1e160"],
+        ["--n", "1024", "--phi", "1e-160"],
+        ["--n", "1024", "--phi", "1e-200"],
+    ],
+)
+def test_solve_outside_binary64_fails_with_one_reason(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    assert run_cli(["--mode", "solve", *args, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "must be" in line
+    assert not (out / "point-0.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, grid",
+    [
+        (["--n", "100,200", "--epsilon", "0.1,0.2"], "2 x 2"),
+        (["--n", "1e4:4e4:2"], "3 x 1"),
+        (["--epsilon", "0.1,0.2"], "1 x 2"),
+    ],
+)
+def test_solve_takes_exactly_one_point(tmp_path, capsys, args, grid):
+    # solve used to take the grid's first point and exit 0
+    out = tmp_path / "run"
+    assert run_cli(["--mode", "solve", *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --mode solve takes one point, not a grid of {grid}: use --mode sweep for a grid"
+    ]
+    assert not out.exists()

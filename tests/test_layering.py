@@ -54,8 +54,13 @@ def test_oracle_imports_no_flow_side_module():
 @pytest.mark.parametrize("module", ["flow", "spectrum", "groundstate", "sequences"])
 def test_no_flow_side_module_imports_the_oracle(module):
     # the flow builds its root, bounds and amplitudes from its own
-    # coefficients; comparing them with the oracle is the callers' (cli, verify)
+    # coefficients; comparing them with the oracle is verify.compare_point's
     assert "oracle" not in _imported_modules(module)
+
+
+def test_cli_imports_nothing_from_the_oracle():
+    # cli formats verify.compare_point's record; comparing is verify's
+    assert "oracle" not in _imported_modules("cli")
 
 
 def _private(name: str) -> bool:

@@ -8,6 +8,7 @@ from bogoflow import (
     bogoliubov_energy,
     check_assumptions,
     coefficient_set,
+    solve_fixed_point,
     spectral_window,
 )
 from bogoflow.model import b_coefficient, c_coefficient, window_delta
@@ -33,6 +34,31 @@ def test_params_reject_bad_values():
         ModelParams(n_particles=4, epsilon=0.1, phi=-1.0)
     with pytest.raises(ValueError):
         ModelParams(n_particles=4, epsilon=0.1, delta0=0.0)
+
+
+@pytest.mark.parametrize(
+    "n, eps, phi, reason",
+    [
+        (1024, 1e300, 1e6, r"N \* phi \* \(1 \+ epsilon\) must be finite"),
+        (1024, 0.01, 1e160, r"\(phi \* N\)\^2 must be finite"),
+        (1024, 0.01, 1e-160, r"phi\^2 must be at least 2.2250738585072014e-308"),
+        (1024, 0.01, 1e-200, r"phi\^2 must be at least 2.2250738585072014e-308"),
+    ],
+)
+def test_params_reject_arithmetic_that_leaves_binary64(n, eps, phi, reason):
+    # each of these overflowed or underflowed inside the solve: NaN arrays,
+    # a failed bracket, or an oracle lambda0 450x off without an error
+    with pytest.raises(ValueError, match=reason):
+        ModelParams(n_particles=n, epsilon=eps, phi=phi)
+
+
+@pytest.mark.parametrize(
+    "n, eps, phi", [(4, 4e307, 1.0), (65536, 1e300, 1.0), (1024, 0.01, 1e150), (1024, 0.01, 2.0**-500)]
+)
+def test_params_at_the_edges_of_binary64_still_solve(n, eps, phi):
+    # a RuntimeWarning fails the suite, so these solve with none
+    params = ModelParams(n_particles=n, epsilon=eps, phi=phi)
+    assert math.isfinite(solve_fixed_point(params).z_star)
 
 
 def test_bogoliubov_energy_limit_case():

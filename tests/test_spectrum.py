@@ -400,3 +400,13 @@ def test_steering_that_ends_invalid_falls_back_to_the_closed_form_start(monkeypa
     assert [z for z, start in calls if start == 0][0] == z0
     assert result.z_star == full_only.z_star
     assert result.full_evaluations == full_only.evaluations < result.evaluations
+
+
+@pytest.mark.parametrize("n, eps", [(1024, 0.01), (16384, 0.5)])
+@pytest.mark.parametrize("k", [10, 20, 100, 500])
+def test_root_is_exactly_homogeneous_in_phi(n, eps, k):
+    # every flow quantity scales with phi, and a power of two scales
+    # without rounding, so z* must follow bit for bit
+    scale = 2.0**-k
+    z_one = solve_fixed_point(ModelParams(n_particles=n, epsilon=eps)).z_star
+    assert solve_fixed_point(ModelParams(n_particles=n, epsilon=eps, phi=scale)).z_star == scale * z_one

@@ -1,8 +1,9 @@
 import os
+from collections import Counter
 
 import pytest
 
-from bogoflow import verify
+from bogoflow import ModelParams, cli, oracle, spectrum, verify
 
 # The default battery's rows as the streamed-pass code wrote them (the
 # flow pass and the majorant chain streamed in blocks of 65536): name,
@@ -116,3 +117,35 @@ def test_a_failing_check_raises_in_the_caller_and_leaves_no_process(
         verify.run_all(verify.VerifyConfig(only="flow", workers=2))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _counted(monkeypatch):
+    """Counters, by params, of the solves and the sector builds from here on."""
+    counters = []
+    for module, name in ((spectrum, "solve_fixed_point"), (oracle, "build_sector_hamiltonian")):
+        counter, function = Counter(), getattr(module, name)
+
+        def spy(params, counter=counter, function=function):
+            counter[params] += 1
+            return function(params)
+
+        monkeypatch.setattr(module, name, spy)
+        counters.append(counter)
+    return counters
+
+
+@pytest.mark.parametrize("only", ["spectrum", "groundstate"])
+def test_oracle_rows_solve_and_build_once_per_grid_point(monkeypatch, only):
+    # the four oracle rows reduce one compare_point record per grid point;
+    # ebog_convergence solves its own N = 1e3..1e5 points besides
+    solves, builds = _counted(monkeypatch)
+    verify.run_all(verify.VerifyConfig(only=only, workers=1))
+    grid = [ModelParams(n_particles=n, epsilon=eps) for n in verify.DEFAULT_GRID_N for eps in verify.DEFAULT_GRID_EPS]
+    assert {params: solves[params] for params in grid} == dict.fromkeys(grid, 1)
+    assert builds == Counter(grid)
+
+
+def test_cli_point_solves_and_builds_once(monkeypatch):
+    solves, builds = _counted(monkeypatch)
+    cli._solve_point(cli.parse_args(["--mode", "solve"]), 1024, 0.01)
+    assert solves == builds == Counter([ModelParams(n_particles=1024, epsilon=0.01)])
