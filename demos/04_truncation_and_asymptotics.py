@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Restarting the flow near the top shell: geometric accuracy loss.
+"""Restarting the flow near the top shell: geometric accuracy loss, and
+how far the root sits from the Bogoliubov energy.
 
 The difference between the full flow and the truncated restart decays
 geometrically in the restart span N^(1-beta), rounded down to even
-(model.power_span); the fitted decay constant feeds the diagnostic
-error budget for |z* - E|.
+(model.power_span).  The root z* approaches the closed-form energy E as
+E + c1*phi/N; the measured N(z* - E)/phi is printed beside the
+closed-form coefficient c1 of the 1/N expansion.
 """
 
 import numpy as np
@@ -28,11 +30,9 @@ print(
     f"decay constant c = {report.fitted_c:.2f}"
 )
 
-print("\nerror budget at eps = 0.01 (terms x budget factor 10):")
+print("\nN (z* - E)/phi against the closed-form c1 at eps = 0.01:")
 for n in (10**4, 10**5, 10**6):
     p = bf.ModelParams(n_particles=n, epsilon=0.01)
-    budget = bf.energy_error_diagnostic(p)
-    print(
-        f"  N = {n:>7}: measured {budget.measured:.3e}  vs budget {budget.budget:.3e}"
-        f"  (regime {'ok' if budget.regime_ok else 'violated'})"
-    )
+    measured = n * (bf.solve_fixed_point(p).z_star - bf.bogoliubov_energy(p)) / p.phi
+    c1 = bf.inverse_n_coefficient(p) / p.phi
+    print(f"  N = {n:>7}: measured {measured:.6f}  c1 {c1:.6f}")

@@ -24,6 +24,7 @@ from .model import (
     bogoliubov_energy,
     check_assumptions,
     coefficient_set,
+    inverse_n_coefficient,
     spectral_window,
 )
 from .oracle import (
@@ -47,10 +48,8 @@ from .sequences import (
 )
 from .spectrum import (
     BracketError,
-    ErrorBudget,
     GroundEnergyResult,
     energy_cap,
-    energy_error_diagnostic,
     gap_floor,
     solve_fixed_point,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "BracketError",
     "CoefficientSet",
     "EigenPair",
-    "ErrorBudget",
     "FlowDomainError",
     "FlowTable",
     "GroundEnergyResult",
@@ -77,13 +75,13 @@ __all__ = [
     "dense_crosscheck",
     "eigen_residual",
     "energy_cap",
-    "energy_error_diagnostic",
     "expand_ground_state",
     "f_of_z",
     "g_check",
     "g_truncated",
     "gamma_truncation_experiment",
     "gap_floor",
+    "inverse_n_coefficient",
     "low_spectrum",
     "lowest_eigenpair",
     "schur_complement",

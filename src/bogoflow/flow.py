@@ -99,8 +99,8 @@ COEFF_FLOOR = 1e-18
 CHAIN_BLOCK = 2048
 # decay constant of the truncation error (1/(1+c*sqrt(eps)))^(N^(1-beta)),
 # conservative lower end of the range measured by the truncation-decay
-# experiment (1.0 at eps=0.01 to 1.4 at eps=0.04).  It sizes the error
-# budget and the truncation span, but never certifies a result.
+# experiment (1.0 at eps=0.01 to 1.4 at eps=0.04).  It sizes the
+# truncation span, but never certifies a result.
 FITTED_DECAY_C = 1.0
 
 

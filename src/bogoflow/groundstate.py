@@ -80,25 +80,26 @@ def tail_series(params: ModelParams, j_max: int) -> TailSeries:
     """
     if j_max < 2:
         raise ValueError("j_max must be >= 2")
-    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params)
-
     j = np.arange(2, j_max + 1, dtype=np.float64)
-    factors = 1.0 / (
-        2.0 * majorant_lower_bound(2.0 * j, b, sqrt_eta_a, xi)
-        * np.sqrt(chain_denominator(2.0 * j - 1.0, a, b, c))
-    )
+    factors = _tail_factor(majorant_coefficients(params), j)
     cvals = np.cumprod(factors)
     ratios = np.empty_like(cvals)
     ratios[0] = np.nan
     ratios[1:] = factors[1:]
 
-    threshold = -1
-    below = factors < 1.0
-    for idx in range(below.size):
-        if below[idx:].all():
-            threshold = int(j[idx])
-            break
+    # the first j after the last factor that is not < 1 (NaN included)
+    above = np.flatnonzero(~(factors < 1.0))
+    start = above[-1] + 1 if above.size else 0
+    threshold = int(j[start]) if start < j.size else -1
     return TailSeries(c=cvals, ratios=ratios, j=j.astype(np.int64), threshold_index=threshold)
+
+
+def _tail_factor(coefficients, j):
+    """c_j / c_{j-1} = 1 / (2 L(2j) * sqrt(D(2j-1))) on the family of
+    model.majorant_coefficients, for a scalar or an array j."""
+    a, b, c, sqrt_eta_a, xi = coefficients
+    lower = majorant_lower_bound(2.0 * j, b, sqrt_eta_a, xi)
+    return 1.0 / (2.0 * lower * np.sqrt(chain_denominator(2.0 * j - 1.0, a, b, c)))
 
 
 def _tail_norm_bound(params, last_coeff, last_index) -> float:
@@ -108,10 +109,7 @@ def _tail_norm_bound(params, last_coeff, last_index) -> float:
     series does not exist (epsilon >= 1)."""
     if not params.epsilon < 1.0:
         return math.inf
-    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params)
-    j = float(max(last_index + 2, 3))
-    lower = majorant_lower_bound(2.0 * j, b, sqrt_eta_a, xi)
-    r = float(1.0 / (2.0 * lower * np.sqrt(chain_denominator(2.0 * j - 1.0, a, b, c))))
+    r = float(_tail_factor(majorant_coefficients(params), float(max(last_index + 2, 3))))
     if not (0.0 < r < 1.0):
         return math.inf
     return last_coeff * r / (1.0 - r)

@@ -69,7 +69,7 @@ THETA = 0.1
 C_GAMMA = 10.0
 K_GAMMA = 0.05
 # exponents of the regime conditions: (i) 1/N <= eps^NU, (ii) N^MU, (iii)
-# N^GAMMA; BETA sets the truncation span N^(1-BETA) of the error budget
+# N^GAMMA; BETA sets the span N^(1-BETA) of the sequences comparison chain
 NU = 1.5
 MU = 2.0 / 3.0
 GAMMA = 1.0 / 3.0
@@ -102,6 +102,22 @@ def bogoliubov_energy(params: ModelParams) -> float:
     """
     eps = params.epsilon
     return -params.phi / (1.0 + eps + math.sqrt(eps * (eps + 2.0)))
+
+
+def inverse_n_coefficient(params: ModelParams) -> float:
+    """phi * c1(eps), the 1/N term of the ground energy: z* ~ E + c1*phi/N.
+
+    With q = sqrt(eps^2 + 2eps), S = 1/(2q(1+eps+q)) and P = 1/(2q),
+    c1 = P(8S+1) - 4S - 8S^2, the first order of the 1/N expansion
+    (Dusuel and Vidal, Phys. Rev. B 71, 224420, 2005).  Evaluated as
+    8S*(S(eps+q)) + P - 4S, which uses P - S = S(eps+q) and so neither
+    cancels at large eps nor forms S^2, which overflows at small eps.
+    """
+    eps = params.epsilon
+    q = math.sqrt(eps * (eps + 2.0))
+    s = 1.0 / (2.0 * q * (1.0 + eps + q))
+    p = 1.0 / (2.0 * q)
+    return params.phi * (8.0 * s * (s * (eps + q)) + p - 4.0 * s)
 
 
 def b_coefficient(epsilon: float, delta: float) -> float:

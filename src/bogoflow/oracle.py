@@ -15,8 +15,12 @@ force on the full three-mode occupation basis for small N.
 The low eigenpairs come from LAPACK through scipy's eigh_tridiagonal:
 stebz bisects on Sturm counts for the eigenvalues (Barth, Martin and
 Wilkinson 1967) and stein runs inverse iteration for the vectors, to the
-absolute tolerance ORACLE_TOL, both on the block scaled by a power of
-two (_stebz).  Like the Feshbach-Schur map of the paper, they solve only the leading block T[:K, :K] of the low pair occupations;
+tolerance ORACLE_TOL * s, both on the block scaled by a power of two
+(_stebz).  s is the one scale of every oracle tolerance: |t_0| =
+phi * sqrt(1 - 1/N) from 1 on, and below 1 the power of two at or above
+|t_0| (1 at phi = 1), so lambda_0 scales bit for bit under phi -> 2^-k phi.
+Like the Feshbach-Schur map of the paper, they solve only the leading
+block T[:K, :K] of the low pair occupations;
 K doubles from 256 while 4K <= size, and K = size is the full solve.  A
 block is accepted when its certificate closes.  Its Ritz values bound
 lambda_j from above (Cauchy interlacing).  If rows K+1.. of T - x,
@@ -26,9 +30,8 @@ positive definite and folds onto row K-1 as at most t_{K-1}^2/q; Sylvester
 inertia then bounds lambda_j from below by the eigenvalues mu_j of the block
 with that entry lowered by t_{K-1}^2/q.  The block is used when the
 zero-padded vector's residual |t_{K-1} v_{K-1}| is below
-ORACLE_TOL * (1 + |theta_0|), tested first, and theta_j - mu_j <= w, with
-w = ORACLE_TOL * max(1, |t_0|) scaling with phi as the matrix does
-(t_0 = phi * sqrt(1 - 1/N)); for j >= 1 the width is no narrower than the
+ORACLE_TOL * (s + |theta_0|), tested first, and theta_j - mu_j <= w, with
+w = ORACLE_TOL * s; for j >= 1 the width is no narrower than the
 2 ulp |theta_j| to which stebz bisects theta_j.  Inertia decides that
 without solving the lowered block: one LDL^T factorization (LAPACK dpttrf)
 for j = 0, and one Sturm count (LAPACK dstebz, which does not bisect on
@@ -168,36 +171,38 @@ class ConvergenceError(RuntimeError):
     pass
 
 
-# Absolute bisection tolerance passed to stebz, and the widest certified
-# enclosure [mu_j, theta_j] a leading block may leave at phi <= 1 (above,
-# _block_width scales it with the matrix); it gives errors in
-# lambda_0 of at most 4e-15 up to N = 1e6.  A norm-relative one
-# (1e-13 * norm_inf) leaves 3e-10 at N = 4e4 and 4e-9 at N = 1e6, above the
-# 1e-10 agreement the flow is checked to; the stebz default leaves 1.3e-11.
+# Bisection tolerance passed to stebz, and the widest certified enclosure
+# [mu_j, theta_j] a leading block may leave, both at phi = 1 (_scale
+# carries them to any phi); it gives errors in lambda_0 of at most 4e-15 up
+# to N = 1e6.  A norm-relative one (1e-13 * norm_inf) leaves 3e-10 at
+# N = 4e4 and 4e-9 at N = 1e6, above the 1e-10 agreement the flow is
+# checked to; the stebz default leaves 1.3e-11.
 ORACLE_TOL = 1e-14
+
+
+def _scale(offdiag) -> float:
+    """The one scale s of the oracle's tolerances: |t_0| from 1 on, and below
+    1 the power of two at or above |t_0|.  A leading block shares t_0."""
+    t0 = float(np.abs(offdiag[:1]).sum())
+    mantissa, exponent = math.frexp(t0)
+    return t0 if t0 >= 1.0 else math.ldexp(1.0, exponent - (mantissa == 0.5))
 
 
 def _stebz(diag, offdiag, m: int, vectors: bool):
     """The m lowest eigenvalues (and vectors) of the block by stebz and
-    stein, solved on the block scaled by 2^-e, e the binary exponent of
-    max |d|, with tol scaled alike.  The scaling is exact, and the
-    eigenvalues equal unscaled stebz's bit for bit at every point
-    checked; stein's vector can move by an ulp, since stein mixes in
-    absolute constants such as machine epsilon.  Unscaled, stein's
-    vector was NaN where d reaches 1e150."""
-    e = math.frexp(float(np.abs(diag).max()))[1]
+    stein to the tolerance ORACLE_TOL * _scale, solved on the block scaled
+    by 2^-e, e the binary exponent of its largest |entry|, with the
+    tolerance scaled alike.  The scaling is exact, and the eigenvalues
+    equal unscaled stebz's bit for bit at every point checked; stein's
+    vector can move by an ulp, since stein mixes in absolute constants
+    such as machine epsilon.  Unscaled, stein's vector was NaN where d
+    reaches 1e150."""
+    e = math.frexp(max(float(np.abs(diag).max()), float(np.abs(offdiag).max(initial=0.0))))[1]
     out = eigh_tridiagonal(
         np.ldexp(diag, -e), np.ldexp(offdiag, -e), eigvals_only=not vectors, select="i",
-        select_range=(0, m - 1), tol=math.ldexp(ORACLE_TOL, -e), lapack_driver="stebz",
+        select_range=(0, m - 1), tol=math.ldexp(ORACLE_TOL * _scale(offdiag), -e), lapack_driver="stebz",
     )
     return (np.ldexp(out[0], e), out[1]) if vectors else np.ldexp(out, e)
-
-
-def _block_width(tri: TridiagonalHamiltonian) -> float:
-    """The widest certified enclosure w a leading block may leave: an
-    absolute shift of ORACLE_TOL rounds away in the diagonal once phi is
-    large, so it scales with |t_0| = phi * sqrt(1 - 1/N) from 1 on."""
-    return ORACLE_TOL * max(1.0, abs(float(tri.offdiag[0])))
 
 
 def _lowered_bounds_hold(lowered, e, theta, width) -> bool:
@@ -229,12 +234,13 @@ def _leading_block(tri: TridiagonalHamiltonian, m: int, vectors: bool):
         t = np.abs(e)
         slack = d[1:] - t  # slack[j] = d - |t_j| - |t_{j+1}| on row j + 1, t_{n-1} := 0
         slack[:-1] -= t[1:]
-        width = _block_width(tri)
+        scale = _scale(e)
+        width = ORACLE_TOL * scale
     while 4 * k <= n:
         out = _stebz(d[:k], e[: k - 1], m, vectors)
         theta, v = out if vectors else (out, None)
         q = d[k] - theta[-1] - t[k]
-        padding_ok = v is None or abs(t[k - 1] * v[-1, 0]) <= ORACLE_TOL * (1.0 + abs(theta[0]))
+        padding_ok = v is None or abs(t[k - 1] * v[-1, 0]) <= ORACLE_TOL * (scale + abs(theta[0]))
         if padding_ok and q > 0.0 and slack[k:].min() > theta[-1]:
             lowered = d[:k].copy()
             lowered[-1] -= t[k - 1] ** 2 / q
@@ -270,7 +276,7 @@ def lowest_eigenpair(tri: TridiagonalHamiltonian) -> EigenPair:
     residual = float(np.linalg.norm(head.matvec(v[:rows]) - lam * v[:rows]))
     if not residual <= 1e-10 * (head.norm_inf() or 1.0):
         raise ConvergenceError(f"eigenpair residual {residual:.3e} is not within 1e-10*norm")
-    enclosure = _block_width(tri) if k < tri.size else 0.0
+    enclosure = ORACLE_TOL * _scale(tri.offdiag) if k < tri.size else 0.0
     v.flags.writeable = False
     pair = EigenPair(value=lam, vector=v, residual=residual, block_size=k, enclosure=enclosure)
     tri._lowest["pair"] = pair

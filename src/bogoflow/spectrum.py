@@ -1,7 +1,7 @@
-"""Ground-state energy from the fixed-point equation, the paper's bounds
-on it and on the sector gap, and the error budget against the
-closed-form approximation.  Nothing here calls the exact oracle:
-verify.compare_point runs both routes for the callers that compare.
+"""Ground-state energy from the fixed-point equation, and the paper's
+bounds on it and on the sector gap.  Nothing here calls the exact
+oracle: verify.compare_point runs both routes for the callers that
+compare.
 
 The fixed-point function f is continuous and strictly decreasing (slope
 <= -1) on the admissible window, and concave wherever the flow is valid,
@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .flow import FITTED_DECAY_C, g_check, truncation_span
+from .flow import g_check, truncation_span
 from .model import (
-    BETA,
     AssumptionReport,
     ModelParams,
     SpectralWindow,
@@ -41,8 +40,6 @@ UPPER_BOUND_COEF = (2.0 * math.sqrt(2.0) + 3.0) / 6.0
 # coefficient of the same scale in the sector-gap floor
 GAP_COEF = (3.0 - 2.0 * math.sqrt(2.0)) / 6.0
 
-# multiplier absorbing the unspecified constants of the three budget terms
-BUDGET_FACTOR = 10.0
 # the root search's stop: |f(z)| <= TOL_ROOT * phi certifies |z - z*| <= TOL_ROOT * phi
 TOL_ROOT = 1e-12
 
@@ -101,11 +98,12 @@ def solve_fixed_point(params: ModelParams) -> GroundEnergyResult:
     Inside the proven regime, and if N > s = flow.truncation_span(params),
     the loop runs twice.  Stage 1 steers on the flow restarted with value
     1 at level N - s: O(s) passes, whose root the deeper shells move by
-    about (1 + FITTED_DECAY_C*sqrt(eps))^-s <= 1e-16.  Stage 2 certifies
-    on the full flow from stage 1's last iterate (from min(E, window top)
-    if stage 1 raised BracketError or ended invalid); in the regime its
-    first pass meets the stop rule.  All fields but the counts come from
-    stage 2, so stage 1 changes the cost of a solve, never its answer.
+    about (1 + c*sqrt(eps))^-s <= 1e-16, c the flow's fitted decay
+    constant.  Stage 2 certifies on the full flow from stage 1's last
+    iterate (from min(E, window top) if stage 1 raised BracketError or
+    ended invalid); in the regime its first pass meets the stop rule.
+    All fields but the counts come from stage 2, so stage 1 changes the
+    cost of a solve, never its answer.
 
     result.bracket = (lo, hi): f > 0 was measured at lo, and f <= 0 or
     an invalid flow at hi; every iterate moves the end on its side.  An
@@ -239,45 +237,3 @@ def gap_floor(params: ModelParams) -> float:
     eps, phi = params.epsilon, params.phi
     return GAP_COEF * math.sqrt(eps) * phi * math.sqrt(eps * (eps + 2.0))
 
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Structural terms of |z* - E| with fitted constants; diagnostic only."""
-
-    term_truncation: float  # 1/(eps * N^BETA)
-    term_geometric: float  # eps^-1/2 * (1/(1+c*sqrt(eps)))^(N^(1-BETA))
-    term_inverse_n: float  # 1/N
-    measured: float
-    budget: float
-    in_budget: bool
-    regime_ok: bool
-
-
-def energy_error_diagnostic(params: ModelParams) -> ErrorBudget:
-    """Compare the measured |z* - E| with the three-term budget.
-
-    The budget needs 1/N^BETA small against eps and 1/N^(1-BETA) small
-    against sqrt(eps) (realized as a factor-10 separation); otherwise the
-    report flags the regime as violated and claims nothing.
-    """
-    eps, n, phi = params.epsilon, params.n_particles, params.phi
-    regime_ok = (1.0 / n**BETA <= 0.1 * eps) and (
-        1.0 / n ** (1.0 - BETA) <= 0.1 * math.sqrt(eps)
-    )
-    measured = abs(solve_fixed_point(params).z_star - bogoliubov_energy(params))
-
-    t1 = phi / (eps * n**BETA)
-    t2 = phi / math.sqrt(eps) * (1.0 / (1.0 + FITTED_DECAY_C * math.sqrt(eps))) ** (
-        n ** (1.0 - BETA)
-    )
-    t3 = phi / n
-    budget = BUDGET_FACTOR * (t1 + t2 + t3)
-    return ErrorBudget(
-        term_truncation=t1,
-        term_geometric=t2,
-        term_inverse_n=t3,
-        measured=measured,
-        budget=budget,
-        in_budget=(measured <= budget) if regime_ok else False,
-        regime_ok=regime_ok,
-    )

@@ -39,6 +39,25 @@ def test_solve_flags_regime_violation(tmp_path):
     assert code == 2
 
 
+def test_solve_where_the_offdiagonal_is_the_largest_entry(tmp_path):
+    # d_1 = 2e-300 against t_0 = 0.707: scaled by max |d| alone, t_0
+    # overflowed and stebz failed; solved, but outside the proven regime
+    out = tmp_path / "run"
+    code = run_cli(["--mode", "solve", "--n", "2", "--epsilon", "1e-300", "--out", str(out)])
+    assert code == 2
+    record = json.loads((out / "point-0.json").read_text())
+    assert record["oracle_delta"] <= 1e-14
+
+
+def test_solve_at_a_tiny_phi(tmp_path):
+    # phi = 2^-500: the oracle's tolerances scale with phi, as its matrix does
+    out = tmp_path / "run"
+    code = run_cli(["--mode", "solve", "--n", "1024", "--epsilon", "0.01", "--phi", repr(2.0**-500), "--out", str(out)])
+    assert code == 0
+    record = json.loads((out / "point-0.json").read_text())
+    assert record["oracle_delta"] <= 1e-10 * 2.0**-500
+
+
 @pytest.mark.parametrize("eps", (1.0, 2.0))
 def test_solve_at_epsilon_one_and_above(tmp_path, eps):
     # the expansion stops at the coefficient floor and bounds its tail with

@@ -96,6 +96,17 @@ def test_tail_series_ratio_below_one_eventually():
     assert np.all(series.ratios[series.j >= max(j0, 3)] < 1.0)
 
 
+@pytest.mark.parametrize("eps, j_max", [(0.5, 3), (0.01, 400), (1e-6, 50), (1e-6, 3000)])
+def test_tail_series_threshold_is_where_the_last_run_below_one_starts(eps, j_max):
+    # the definition, scanned from every index: the smallest j from which
+    # every ratio c_j / c_{j-1} is below 1, or -1 where the last one is not
+    series = tail_series(ModelParams(n_particles=10**4, epsilon=eps), j_max)
+    factors = np.concatenate([series.c[:1], series.ratios[1:]])
+    below = factors < 1.0
+    expected = next((int(series.j[i]) for i in range(below.size) if below[i:].all()), -1)
+    assert series.threshold_index == expected
+
+
 def test_tail_series_grows_as_eps_shrinks():
     params_a = ModelParams(n_particles=10**4, epsilon=0.01)
     params_b = ModelParams(n_particles=10**4, epsilon=0.001)

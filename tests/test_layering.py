@@ -58,6 +58,12 @@ def test_no_flow_side_module_imports_the_oracle(module):
     assert "oracle" not in _imported_modules(module)
 
 
+def test_model_imports_no_bogoflow_module():
+    # the closed-form route, E_bog and the 1/N coefficient, depends on
+    # neither the flow nor the oracle
+    assert _imported_modules("model") == set()
+
+
 def test_cli_imports_nothing_from_the_oracle():
     # cli formats verify.compare_point's record; comparing is verify's
     assert "oracle" not in _imported_modules("cli")

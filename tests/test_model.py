@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bogoflow import (
     bogoliubov_energy,
     check_assumptions,
     coefficient_set,
+    inverse_n_coefficient,
     solve_fixed_point,
     spectral_window,
 )
@@ -88,6 +90,28 @@ def test_bogoliubov_energy_monotone_in_epsilon():
     grid = np.geomspace(1e-4, 10.0, 60)
     vals = [bogoliubov_energy(ModelParams(n_particles=4, epsilon=float(e))) for e in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_inverse_n_coefficient_matches_a_60_digit_evaluation():
+    # c1 = P(8S+1) - 4S - 8S^2 in 60-digit decimal arithmetic on the same
+    # binary64 epsilon; the float form must hold it to 1e-14 relative
+    def reference(eps):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            e = Decimal(eps)
+            q = (e * (e + 2)).sqrt()
+            s = 1 / (2 * q * (1 + e + q))
+            p = 1 / (2 * q)
+            return p * (8 * s + 1) - 4 * s - 8 * s * s
+
+    for eps in np.geomspace(1e-8, 1e8, 401):
+        c1 = inverse_n_coefficient(ModelParams(n_particles=4, epsilon=float(eps)))
+        exact = reference(float(eps))
+        assert abs((Decimal(c1) - exact) / exact) <= Decimal("1e-14"), eps
+    # c1 carries phi as the energies do
+    assert inverse_n_coefficient(ModelParams(n_particles=4, epsilon=0.01, phi=3.7)) == pytest.approx(
+        3.7 * 2.662822078086606, rel=1e-15
+    )
 
 
 def test_coefficient_set_vanishes_with_interaction():

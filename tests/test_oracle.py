@@ -187,6 +187,18 @@ def test_schur_complement_root_is_lambda0():
     assert abs(schur_complement(tri, lam0)) <= 1e-10
 
 
+@pytest.mark.parametrize("n, eps", [(2, 0.01), (1024, 0.01), (16384, 0.5)])
+@pytest.mark.parametrize("k", [1, 10, 20, 26, 100, 500])
+def test_lambda0_is_exactly_homogeneous_in_phi(n, eps, k):
+    # every tolerance scales with the power of two at or above |t_0| below
+    # phi = 1, so the scaled solve is the same bits; an absolute tolerance
+    # moved lambda_0 by 1e-9 relative at 2^-20 and failed from 2^-26 down
+    scale = 2.0**-k
+    lam_one = lowest_eigenpair(build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=eps))).value
+    tri = build_sector_hamiltonian(ModelParams(n_particles=n, epsilon=eps, phi=scale))
+    assert lowest_eigenpair(tri).value == scale * lam_one
+
+
 def _full_stebz(tri, m, vectors=True):
     return eigh_tridiagonal(
         tri.diag, tri.offdiag, eigvals_only=not vectors, select="i", select_range=(0, m - 1), tol=ORACLE_TOL,

@@ -9,9 +9,9 @@ from bogoflow import (
     bogoliubov_energy,
     build_sector_hamiltonian,
     energy_cap,
-    energy_error_diagnostic,
     g_check,
     gap_floor,
+    inverse_n_coefficient,
     low_spectrum,
     lowest_eigenpair,
     solve_fixed_point,
@@ -150,26 +150,34 @@ def test_error_budget_trend():
     assert errs[0] > errs[1] > errs[2]
 
 
-def test_error_budget_dominant_term():
-    # once the geometric term has died off (large N at eps = 0.01,
-    # beta = 2/3) the algebraic truncation term dominates the budget
-    params = ModelParams(n_particles=10**6, epsilon=0.01)
-    budget = energy_error_diagnostic(params)
-    assert budget.term_truncation > budget.term_geometric
-    assert budget.term_truncation > budget.term_inverse_n
+INVERSE_N_GRID = [(eps, phi) for eps in (2.0, 0.5, 0.05, 0.01, 1e-3, 1e-4) for phi in (1.0, 3.7)]
 
 
-def test_error_budget_in_regime():
-    params = ModelParams(n_particles=10**6, epsilon=0.01)
-    budget = energy_error_diagnostic(params)
-    assert budget.regime_ok
-    assert budget.in_budget
+def _inverse_n_drifts(c1_scale):
+    # N * (N (z* - E)/phi - c1) at N = 1e5 and 1e6 is the next order, c2,
+    # if c1 is right, so it moves by O(1/N) between them; the drift is that
+    # move relative to its value at 1e5.  c1_scale moves only this input.
+    drifts = []
+    for eps, phi in INVERSE_N_GRID:
+        residual = []
+        for n in (10**5, 10**6):
+            params = ModelParams(n_particles=n, epsilon=eps, phi=phi)
+            measured = n * (solve_fixed_point(params).z_star - bogoliubov_energy(params)) / phi
+            residual.append(n * (measured - c1_scale * inverse_n_coefficient(params) / phi))
+        drifts.append(abs(residual[1] / residual[0] - 1.0))
+    return drifts
 
 
-def test_error_budget_regime_violation_reported():
-    budget = energy_error_diagnostic(ModelParams(n_particles=2, epsilon=0.01))
-    assert not budget.regime_ok
-    assert not budget.in_budget
+def test_inverse_n_residual_falls_as_one_over_n():
+    # worst drift measured: 2.3 % at eps = 1e-4
+    assert max(_inverse_n_drifts(1.0)) <= 0.05
+
+
+def test_inverse_n_check_rejects_a_perturbed_coefficient():
+    # negative control: c1 (1 + 1e-6) leaves N * 1e-6 c1 in the residual,
+    # which grows tenfold from 1e5 to 1e6 (drifts of 6 % to 770 % at
+    # eps >= 0.01)
+    assert max(_inverse_n_drifts(1.0 + 1e-6)) > 0.05
 
 
 def test_isospectrality_at_certified_point():
