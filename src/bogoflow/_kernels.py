@@ -56,8 +56,8 @@ def _pivots(c, y, step, e=None):
         # every entry before the first pivot <= 0 is final
         j = max(info - 2, 0)
         y[j + 1 :] = 1.0
-    # entries past a failure carry no meaning, and an infinite c_j (a flow
-    # resolvent pole) gives inf * 0 there; silencing that changes no bit
+    # entries past a failure stay pivots, which a Sylvester count reads; an
+    # infinite c_j (a resolvent pole) gives inf * 0 there: silenced, no bit moves
     with np.errstate(over="ignore", invalid="ignore"):
         e = np.sqrt(c[1:], out=e)  # anew where dpttrf overwrote it
         for k in (np.flatnonzero(~(e[j:] < np.inf)) + j + 1).tolist() + [n]:
@@ -97,9 +97,9 @@ def flow_recursion(w, d):
     A pass continued from the last pivot of the pass before equals one
     pass bit for bit.  Returns the first index where the condition
     0 <= w*G < 1 fails (w < 0, or a pivot <= 0 or NaN), or -1 if it holds
-    everywhere.  Values past a failure are still produced (a zero pivot
-    is the guarded denominator -_TINY) so callers can inspect the table,
-    but they carry no meaning.
+    everywhere.  Past a failure the values stay the continued LDL^T pivots
+    (a zero pivot becomes -_TINY): times their levels' resolvents, and with
+    f(z), their signs count the eigenvalues below z (Sylvester inertia).
     """
 
     def step(j):

@@ -14,6 +14,7 @@ solve point and a sequences chain built at no grid point included.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -32,12 +33,22 @@ DEFAULT_N = [1024]
 DEFAULT_EPS = [0.01]
 
 
+def _particle_number(text: str) -> int:
+    """An integer literal, or a float literal of integral value such as 1e4."""
+    try:
+        return int(text)
+    except ValueError:
+        if (value := float(text)).is_integer():  # not 2.5, inf or nan
+            return int(value)
+    raise ValueError(f"bad particle number {text!r}")
+
+
 def _parse_grid(text: str, kind=float) -> list:
     """Comma list (1,2,3) or geometric range start:stop:factor.
 
-    Integer ranges are particle numbers: each value is rounded to the
-    nearest even integer, since the pair sector needs even N, and
-    repeats are dropped.
+    Integer grids are particle numbers.  A range rounds each value to the
+    nearest even integer, since the pair sector needs even N, and drops
+    repeats; a comma list keeps each number as given.
     """
     text = text.strip()
     if ":" in text:
@@ -51,7 +62,8 @@ def _parse_grid(text: str, kind=float) -> list:
             values.append(kind(2 * round(v / 2) if kind is int else v))
             v *= factor
         return list(dict.fromkeys(values))
-    return [kind(part) for part in text.split(",") if part.strip()]
+    parse = _particle_number if kind is int else kind
+    return [parse(part.strip()) for part in text.split(",") if part.strip()]
 
 
 @dataclass
@@ -161,6 +173,8 @@ def parse_args(argv=None) -> RunConfig:
         raise ValueError("empty parameter grid")
     if config.workers is not None and config.workers < 1:
         raise ValueError("workers must be >= 1")
+    if not math.isfinite(config.perturb_tk):
+        raise ValueError(f"perturb_tk must be finite, got {config.perturb_tk!r}")
     n_values, eps_values = config.grid()
     if config.mode == "solve" and len(n_values) * len(eps_values) > 1:
         grid = f"{len(n_values)} x {len(eps_values)}"

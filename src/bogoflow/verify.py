@@ -5,8 +5,8 @@ Each check returns a PropertyResult with the measured margin (positive
 means the property holds with room to spare).  run_all drives the whole
 battery on a default grid; the CLI verify mode and the acceptance tests
 call the same functions with their own grids.  compare_point runs both
-routes once at a point: the four oracle rows reduce a grid of its
-records, and a CLI solve or sweep point formats one.
+routes once at a point: the cf row and the four oracle rows reduce a
+grid of its records, and a CLI solve or sweep point formats one.
 
 The checks are independent: run_all deals them to forked workers, one per
 usable CPU by default (threads would not overlap the chains' LAPACK calls,
@@ -19,7 +19,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -83,35 +83,27 @@ def _subspectral_grid(lam0: float, phi: float, count: int) -> np.ndarray:
     return lam0 - offsets
 
 
-def check_cf_equivalence(
-    n_values: Sequence[int] = DEFAULT_GRID_N,
-    eps_values: Sequence[float] = DEFAULT_GRID_EPS,
-    phi: float = 1.0,
-    perturb_tk: float = 0.0,
-) -> PropertyResult:
+def check_cf_equivalence(records: Sequence["PointComparison"], perturb_tk: float = 0.0) -> PropertyResult:
     """Flow fixed-point function against the directly evaluated matrix
-    Schur complement, at sub-spectral z.  perturb_tk != 0 multiplies one
-    coupling of the matrix side by (1 + perturb_tk) as a negative control.
+    Schur complement of each record, at sub-spectral z.  perturb_tk != 0
+    multiplies one coupling of a copy by (1 + perturb_tk): a negative control.
     """
-    worst = 0.0
-    where = ""
-    for n in n_values:
-        for eps in eps_values:
-            params = ModelParams(n_particles=n, epsilon=eps, phi=phi)
-            tri = oracle.build_sector_hamiltonian(params)
-            if perturb_tk:
-                # perturb a shallow coupling: deep ones are geometrically
-                # suppressed in the folded function and would go unseen
-                off = tri.offdiag.copy()
-                off[min(1, len(off) - 1)] *= 1.0 + perturb_tk
-                tri = oracle.TridiagonalHamiltonian(diag=tri.diag, offdiag=off)
+    worst, where = 0.0, ""
+    for rec in records:
+        params, tri, lam0 = rec.params, rec.tri, rec.lambda0
+        if perturb_tk:
+            # perturb a shallow coupling: deep ones are geometrically
+            # suppressed in the folded function and would go unseen
+            off = tri.offdiag.copy()
+            off[min(1, len(off) - 1)] *= 1.0 + perturb_tk
+            tri = oracle.TridiagonalHamiltonian(diag=tri.diag, offdiag=off)
             lam0 = oracle.lowest_eigenpair(tri).value
-            for z in _subspectral_grid(lam0, phi, CF_POINTS):
-                f_flow = flow.f_of_z(params, z)
-                f_direct = oracle.schur_complement(tri, z)
-                rel = abs(f_flow - f_direct) / abs(f_direct)
-                if rel > worst:
-                    worst, where = rel, f"n={n} eps={eps} z={z:.6g}"
+        for z in _subspectral_grid(lam0, params.phi, CF_POINTS):
+            f_flow = flow.f_of_z(params, z)
+            f_direct = oracle.schur_complement(tri, z)
+            rel = abs(f_flow - f_direct) / abs(f_direct)
+            if rel > worst:
+                worst, where = rel, f"n={params.n_particles} eps={params.epsilon} z={z:.6g}"
     return PropertyResult(
         name="cf_equivalence",
         passed=worst <= CF_TOL,
@@ -273,15 +265,11 @@ def check_accessori(
     )
 
 
-def check_coefficient_identities(
-    eps_values: Optional[np.ndarray] = None,
-) -> PropertyResult:
+def check_coefficient_identities() -> PropertyResult:
     """(1 + eps)^2 = 1 + a' and sqrt(1 + a') = 1 + eps, at rounding level;
     the rational fixed point solves its equation to 1 ulp."""
-    if eps_values is None:
-        eps_values = np.geomspace(1e-8, 1.0, 30)
     worst = 0.0
-    for eps in eps_values:
+    for eps in np.geomspace(1e-8, 1.0, 30):
         a = eps * eps + 2.0 * eps
         worst = max(worst, abs((1.0 + a) - (1.0 + eps) ** 2) / (1.0 + a))
         worst = max(worst, abs(math.sqrt(1.0 + a) - (1.0 + eps)) / (1.0 + eps))
@@ -497,20 +485,16 @@ def run_all(config: Optional[VerifyConfig] = None) -> List[PropertyResult]:
     config = config or VerifyConfig()
     # N = 10^7 satisfies every N-dependent part of the gamma condition at
     # the documented constants for both default epsilon values
-    seq_points = [
-        ModelParams(n_particles=10**7, epsilon=0.04),
-        ModelParams(n_particles=10**7, epsilon=0.01),
-    ]
+    seq_points = [ModelParams(n_particles=10**7, epsilon=eps) for eps in (0.04, 0.01)]
     mono_point = ModelParams(n_particles=256, epsilon=0.01, phi=config.phi)
-    grid = (config.n_values, config.eps_values, config.phi)
-    # the grid's records, built by the first check that reads them, once per process
-    # (a forked worker builds its own); not keyed on parameters, gone on return
-    records = cache(
-        lambda: [compare_point(ModelParams(n, eps, config.phi)) for n in config.n_values for eps in config.eps_values]
-    )
+    # the grid's records, built once per battery before _fork_map forks:
+    # the workers inherit them, and no row's wall time includes the build
+    records = []
+    if config.only in (None, "cf", "spectrum", "groundstate"):
+        records = [compare_point(ModelParams(n, eps, config.phi)) for n in config.n_values for eps in config.eps_values]
 
     suites = {
-        "cf": [partial(check_cf_equivalence, *grid, perturb_tk=config.perturb_tk)],
+        "cf": [partial(check_cf_equivalence, records, perturb_tk=config.perturb_tk)],
         "flow": [
             partial(check_flow_monotonicity, mono_point),
             partial(check_w_bound, ModelParams(n_particles=1024, epsilon=0.01, phi=config.phi)),
@@ -525,12 +509,12 @@ def run_all(config: Optional[VerifyConfig] = None) -> List[PropertyResult]:
             check_coefficient_identities,
         ],
         "spectrum": [
-            lambda: check_flow_oracle(records()),
-            lambda: check_zstar_upper_bound(records()),
-            lambda: check_gap_bound(records()),
+            partial(check_flow_oracle, records),
+            partial(check_zstar_upper_bound, records),
+            partial(check_gap_bound, records),
             partial(check_ebog_convergence, n_values=(10**3, 10**4, 10**5)),
         ],
-        "groundstate": [lambda: check_overlap(records()), check_truncation_decay],
+        "groundstate": [partial(check_overlap, records), check_truncation_decay],
     }
     if config.only is not None and config.only not in suites:
         raise ValueError(f"only must name one suite of {', '.join(suites)}, got {config.only!r}")

@@ -527,3 +527,44 @@ def test_solve_takes_exactly_one_point(tmp_path, capsys, args, grid):
         f"error: --mode solve takes one point, not a grid of {grid}: use --mode sweep for a grid"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_verify_rejects_a_non_finite_perturb_tk(tmp_path, capsys, value, via):
+    # it used to reach scipy and fail there, "array must not contain infs or NaNs"
+    out = tmp_path / "v"
+    args = ["--mode", "verify", "--n", "16", "--epsilon", "0.1", "--only", "cf", "--out", str(out)]
+    if via == "flag":
+        args.append(f"--perturb-tk={value}")
+    else:
+        (tmp_path / "run.cfg").write_text(f"perturb_tk = {value}\n")
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert run_cli(args) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "perturb_tk" in line
+    assert not (out / "verify.json").exists()
+
+
+def test_particle_numbers_take_integral_float_literals():
+    assert cli._parse_grid("1e4, 16,2.0", int) == [10000, 16, 2]
+    assert cli._parse_grid("1e4:4e4:2", int) == [10000, 20000, 40000]
+    assert cli._parse_grid("64,63", int) == [64, 63]  # a comma list keeps an odd N
+    for text in ("2.5", "inf", "-inf", "nan", "1e4,0.5"):
+        with pytest.raises(ValueError, match="bad particle number"):
+            cli._parse_grid(text, int)
+    with pytest.raises(ValueError, match="'x'"):
+        cli._parse_grid("16,x", int)
+
+
+def test_solve_at_n_1e4_equals_n_10000(tmp_path, capsys):
+    records = []
+    for n in ("1e4", "10000"):
+        out = tmp_path / n
+        assert run_cli(["--mode", "solve", "--n", n, "--epsilon", "0.01", "--out", str(out)]) == 0
+        record = json.loads((out / "point-0.json").read_text())
+        del record["wall_ms"], record["config"]
+        records.append(record)
+    assert records[0] == records[1] and records[0]["n"] == 10000
+    assert run_cli(["--mode", "solve", "--n", "2.5", "--out", str(tmp_path / "bad")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: bad particle number '2.5'"]

@@ -1,9 +1,10 @@
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from bogoflow import ModelParams, cli, oracle, spectrum, verify
+from bogoflow import ModelParams, cli, groundstate, oracle, spectrum, verify
 
 # The default battery's rows as the streamed-pass code wrote them (the
 # flow pass and the majorant chain streamed in blocks of 65536): name,
@@ -134,10 +135,10 @@ def _counted(monkeypatch):
     return counters
 
 
-@pytest.mark.parametrize("only", ["spectrum", "groundstate"])
+@pytest.mark.parametrize("only", ["cf", "spectrum", "groundstate"])
 def test_oracle_rows_solve_and_build_once_per_grid_point(monkeypatch, only):
-    # the four oracle rows reduce one compare_point record per grid point;
-    # ebog_convergence solves its own N = 1e3..1e5 points besides
+    # the cf row and the four oracle rows reduce one compare_point record per
+    # grid point; ebog_convergence solves its own N = 1e3..1e5 points besides
     solves, builds = _counted(monkeypatch)
     verify.run_all(verify.VerifyConfig(only=only, workers=1))
     grid = [ModelParams(n_particles=n, epsilon=eps) for n in verify.DEFAULT_GRID_N for eps in verify.DEFAULT_GRID_EPS]
@@ -149,3 +150,39 @@ def test_cli_point_solves_and_builds_once(monkeypatch):
     solves, builds = _counted(monkeypatch)
     cli._solve_point(cli.parse_args(["--mode", "solve"]), 1024, 0.01)
     assert solves == builds == Counter([ModelParams(n_particles=1024, epsilon=0.01)])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_battery_builds_each_grid_record_once_in_the_caller(monkeypatch, tmp_path, workers):
+    # each call appends a line to a file, so forked workers' calls count too
+    log = tmp_path / "calls"
+    for module, name in (
+        (oracle, "build_sector_hamiltonian"),
+        (spectrum, "solve_fixed_point"),
+        (groundstate, "expand_ground_state"),
+    ):
+
+        def spy(params, *args, name=name, function=getattr(module, name)):
+            with open(log, "a") as f:
+                f.write(f"{name} {os.getpid()} {params.n_particles} {params.epsilon}\n")
+            return function(params, *args)
+
+        monkeypatch.setattr(module, name, spy)
+    verify.run_all(verify.VerifyConfig(workers=workers))
+    calls = [line.split() for line in log.read_text().splitlines()]
+    grid = {(str(n), str(eps)) for n in verify.DEFAULT_GRID_N for eps in verify.DEFAULT_GRID_EPS}
+    on_grid = [(name, pid) for name, pid, n, eps in calls if (n, eps) in grid]
+    counts = Counter(name for name, _ in on_grid)
+    names = ("build_sector_hamiltonian", "solve_fixed_point", "expand_ground_state")
+    assert len(grid) == 15 and counts == dict.fromkeys(names, len(grid))
+    assert {int(pid) for _, pid in on_grid} == {os.getpid()}
+
+
+def test_cf_negative_control_leaves_the_records_untouched():
+    records = [verify.compare_point(ModelParams(n_particles=n, epsilon=eps)) for n in (2, 128) for eps in (0.1, 0.01)]
+    before = [(rec.tri.diag.copy(), rec.tri.offdiag.copy(), rec.lambda0) for rec in records]
+    assert not verify.check_cf_equivalence(records, perturb_tk=1e-6).passed
+    for rec, (diag, offdiag, lam0) in zip(records, before):
+        assert np.array_equal(rec.tri.diag, diag) and np.array_equal(rec.tri.offdiag, offdiag)
+        assert rec.lambda0 == lam0
+    assert verify.check_cf_equivalence(records).passed
