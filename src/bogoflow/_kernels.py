@@ -20,7 +20,7 @@ HAVE_NUMBA = False
 _TINY = 1e-300  # replaces an exact zero pivot/denominator
 
 
-def _pivots(c, y, step, e=None):
+def _pivots(c, y, step):
     """Fill y[j] = 1 - c[j]/y[j-1] for j >= 1 in place; y[0] is preset.
 
     dpttrf factors the tridiagonal matrix with unit diagonal and
@@ -33,9 +33,7 @@ def _pivots(c, y, step, e=None):
     pivot equals one pass bit for bit.  Returns True if one dpttrf call
     took every entry and every pivot is positive.  y must be C-contiguous
     float64: dpttrf writes the pivots back in place only into such an
-    array, and would fill a private copy of any other.  e, a C-contiguous
-    float64 array of len(y) - 1 entries, receives the off-diagonal in
-    place of a fresh array.
+    array, and would fill a private copy of any other.
     """
     if y.dtype != np.float64 or not y.flags.c_contiguous:
         raise ValueError("the pivot chain needs a C-contiguous float64 array")
@@ -50,7 +48,7 @@ def _pivots(c, y, step, e=None):
         return True
     j = 0  # y[j] is final
     if c[1:].min() >= 0.0:
-        info = dpttrf(y, np.sqrt(c[1:], out=e), overwrite_d=1, overwrite_e=1)[2]
+        info = dpttrf(y, np.sqrt(c[1:]), overwrite_d=1, overwrite_e=1)[2]
         if info == 0:
             return True
         # every entry before the first pivot <= 0 is final
@@ -59,7 +57,7 @@ def _pivots(c, y, step, e=None):
     # entries past a failure stay pivots, which a Sylvester count reads; an
     # infinite c_j (a resolvent pole) gives inf * 0 there: silenced, no bit moves
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.sqrt(c[1:], out=e)  # anew where dpttrf overwrote it
+        e = np.sqrt(c[1:])  # anew where dpttrf overwrote it
         for k in (np.flatnonzero(~(e[j:] < np.inf)) + j + 1).tolist() + [n]:
             while j < k - 1:  # entries j+1 .. k-1 by dpttrf
                 info = dpttrf(y[j:k], e[j : k - 1], overwrite_d=1, overwrite_e=1)[2]
@@ -125,7 +123,7 @@ def _chain_loop(dfac, x):
     return first_bad
 
 
-def rational_chain(dfac, x, c=None, e=None):
+def rational_chain(dfac, x):
     """Fill x[j] = 1 - 1/(4*dfac[j]*x[j-1]) for j >= 1; x[0] preset.
 
     Shared by every auxiliary comparison sequence (they differ only in
@@ -133,13 +131,11 @@ def rational_chain(dfac, x, c=None, e=None):
     caller encodes by ordering dfac).  x, C-contiguous float64, is itself
     the pivot sequence of _pivots with c = 1/(4*dfac); _chain_loop
     computes the entries it hands back.  Returns the first index with a
-    nonpositive value, or -1.  c (dfac's shape) and e (one entry less),
-    C-contiguous float64 arrays, receive c and the dpttrf off-diagonal in
-    place of fresh arrays.
+    nonpositive value, or -1.
     """
     with np.errstate(divide="ignore"):
-        c = np.divide(0.25, dfac, out=c)
-    if _pivots(c, x, lambda j: _chain_loop(dfac[j - 1 : j + 1], x[j - 1 : j + 1]), e):
+        c = 0.25 / dfac
+    if _pivots(c, x, lambda j: _chain_loop(dfac[j - 1 : j + 1], x[j - 1 : j + 1])):
         return -1
     bad = x[1:] <= 0.0
     return 1 + int(np.argmax(bad)) if bad.any() else -1

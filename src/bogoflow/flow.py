@@ -97,9 +97,10 @@ from .model import ModelParams, power_span
 COEFF_FLOOR = 1e-18
 # block length of the amplitude chain, and the top levels amplitudes first asks for
 CHAIN_BLOCK = 2048
-# decay constant of the truncation error (1/(1+c*sqrt(eps)))^(N^(1-beta)),
-# conservative lower end of the range measured by the truncation-decay
-# experiment (1.0 at eps=0.01 to 1.4 at eps=0.04).  It sizes the
+# decay constant c of the truncation error (1/(1+c*sqrt(eps)))^(N^(1-beta)).
+# The battery's truncation-decay fits read c = expm1(-slope)/sqrt(eps) of
+# 0.91-1.02 at eps=0.01 and 1.22-1.39 at eps=0.04 (beta 0.7 down to 0.3),
+# so 1.0 is no lower bound (see truncation_span).  It sizes the
 # truncation span, but never certifies a result.
 FITTED_DECAY_C = 1.0
 
@@ -186,8 +187,12 @@ def _flow_span(z, coefficients, pivot):
 
 def truncation_span(params: ModelParams) -> int:
     """Levels s of a flow restarted below the top: the smallest even s
-    with (1 + FITTED_DECAY_C * sqrt(eps))^-s <= 1e-16, about how far the
-    deeper shells then move its top."""
+    with (1 + FITTED_DECAY_C * sqrt(eps))^-s <= 1e-16.  The deeper shells
+    move its top by about (1 + c*sqrt(eps))^-s at the measured c, which
+    can lie below FITTED_DECAY_C: c = 0.91 at eps = 0.01 leaves about
+    2.1e-15 over the 388 levels there.  The root search only steers on
+    the restarted flow and certifies on the full one, and enclosure
+    checks its restarts' agreement itself."""
     s = math.ceil(math.log(1e16) / math.log1p(FITTED_DECAY_C * math.sqrt(params.epsilon)))
     return s + s % 2
 

@@ -134,26 +134,20 @@ def c_coefficient(epsilon: float, delta: float) -> float:
     return -(1.0 - delta * delta) * epsilon * (epsilon + 2.0)
 
 
-def chain_denominator(m, a: float, b: float, c: float, out=None, work=None):
+def chain_denominator(m, a: float, b: float, c: float):
     """D(m) = 1 + a - 2b/m - (1-c)/m^2, the factor every comparison chain
     step and the W cap 1/(4 D) divide by.  Accepts scalars or arrays in m.
-
-    out and work, float64 arrays of m's shape, receive D and the
-    (1-c)/m^2 term in place of fresh arrays (work may be m itself, which
-    it then overwrites); the operations, and so every bit, are the same.
     """
-    d = np.subtract(1.0 + a, np.divide(2.0 * b, m, out=out), out=out)
-    term = np.divide(1.0 - c, np.multiply(m, m, out=work), out=work)
-    return np.subtract(d, term, out=out)
+    d = np.subtract(1.0 + a, np.divide(2.0 * b, m))
+    return np.subtract(d, np.divide(1.0 - c, np.multiply(m, m)))
 
 
-def majorant_lower_bound(m, b: float, sqrt_eta_a: float, xi: float, out=None):
+def majorant_lower_bound(m, b: float, sqrt_eta_a: float, xi: float):
     """L(m) = (1 + sqrt(eta*a) - (b/sqrt(eta*a))/(m - xi)) / 2, the lower
     bound of the majorant chain at N - level = m.  Accepts scalars or
-    arrays in m; out, a float64 array of m's shape, receives L in place
-    of fresh arrays."""
-    q = np.divide(b / sqrt_eta_a, np.subtract(m, xi, out=out), out=out)
-    return np.multiply(0.5, np.subtract(1.0 + sqrt_eta_a, q, out=out), out=out)
+    arrays in m."""
+    q = np.divide(b / sqrt_eta_a, np.subtract(m, xi))
+    return np.multiply(0.5, np.subtract(1.0 + sqrt_eta_a, q))
 
 
 @dataclass(frozen=True)

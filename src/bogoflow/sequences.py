@@ -21,19 +21,17 @@ from .model import (
     power_span,
 )
 
-# absolute slack absorbing rounding when checking strict analytic
-# inequalities: bound comparisons use BOUND_SLACK * (1 + |value|)
+# slack absorbing rounding when checking strict analytic inequalities;
+# bound_tolerance scales it by 1 + |value|
 BOUND_SLACK = 1e-14
-# block length of the streamed majorant chain, which bounds its memory;
-# a block's scratch buffers then stay in a core's L2 cache
+# block length of the streamed majorant chain, which bounds its memory
 STREAM_BLOCK = 1 << 14
 
 
-def bound_holds(margin, tol, bound) -> bool:
-    """A bound holds where margin >= -tol at every entry with a finite
-    bound; entries whose bound is NaN (not asserted) do not count."""
-    finite = np.isfinite(bound)
-    return bool(np.all(margin[finite] >= -tol[finite]))
+def bound_tolerance(scale):
+    """BOUND_SLACK * (1 + |scale|), the rounding slack every bound check
+    grants an entry of that scale: a bound holds where margin >= -tol."""
+    return BOUND_SLACK * (1.0 + np.abs(scale))
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,10 @@ class SequenceWithBound:
         return self.bound - self.values
 
     def holds(self) -> bool:
-        return bound_holds(self.margin, BOUND_SLACK * (1.0 + np.abs(self.values)), self.bound)
+        """margin >= -bound_tolerance(values) at every entry with a finite
+        bound; entries whose bound is NaN (not asserted) do not count."""
+        finite = np.isfinite(self.bound)
+        return bool(np.all(self.margin[finite] >= -bound_tolerance(self.values[finite])))
 
     def to_csv(self, path) -> None:
         lines = ["index,value,bound,margin"]
@@ -106,33 +107,26 @@ def x_sequence_blocks(n: int, a: float, b: float, c: float, sqrt_eta_a: float, x
     the block holds no failure.  Each block runs up to STREAM_BLOCK steps
     of rational_chain from the last value of the block before.  That
     value is the chain's pivot, so the blocks equal x_sequence bit for
-    bit at any block length.  A block's arrays, and D, 0.25/D and the
-    dpttrf off-diagonal behind them, live in scratch buffers of
-    STREAM_BLOCK + 1 entries that the next block overwrites: memory is
-    O(STREAM_BLOCK) for any N, and a caller copies what it keeps.
+    bit at any block length.  Each block owns its arrays, and only the
+    carried value outlives it: memory is O(STREAM_BLOCK) for any N.
     """
     count = n // 2  # entries t = 0 .. count - 1
-    size = min(STREAM_BLOCK + 1, max(count, 1))
-    two_j = np.arange(0, 2 * size, 2)
-    m_buf, work, dfac, c_buf, e_buf, x_buf, bound_buf = np.empty((7, size))
-    level_buf = np.empty(size, dtype=np.int64)
     x_last = 1.0
     for t0 in range(1, max(count, 2), STREAM_BLOCK):  # N = 2 still yields entry 0
         # entry 0 of the block is entry t0 - 1: the start value, or the
         # carried value that the block before already yielded
         k = min(t0 + STREAM_BLOCK, count) - t0 + 1
-        # m = N - 2t, exact in float64 as in x_sequence
-        m = np.subtract(n - 2 * (t0 - 1), two_j[:k], out=m_buf[:k])
-        d = chain_denominator(np.add(m, 1.0, out=work[:k]), a, b, c, dfac[:k], work[:k])
-        x = x_buf[:k]
+        levels = np.arange(2 * (t0 - 1), 2 * (t0 - 1 + k), 2)
+        m = (n - levels).astype(np.float64)  # N - 2t, exact in float64 as in x_sequence
+        x = np.empty(k)
         x[0] = x_last
-        bad = int(_kernels.rational_chain(d, x, c_buf[:k], e_buf[: k - 1]))
+        bad = int(_kernels.rational_chain(chain_denominator(m + 1.0, a, b, c), x))
         x_last = float(x[-1])
         new = 0 if t0 == 1 else 1
         yield SequenceWithBound(
-            levels=np.add(2 * (t0 - 1), two_j[new:k], out=level_buf[new:k]),
+            levels=levels[new:],
             values=x[new:],
-            bound=majorant_lower_bound(m[new:], b, sqrt_eta_a, xi, bound_buf[new:k]),
+            bound=majorant_lower_bound(m[new:], b, sqrt_eta_a, xi),
             bound_is_lower=True,
             first_nonpositive=t0 - 1 + bad if bad >= 0 else -1,
         )
@@ -143,10 +137,10 @@ class StreamedSequenceSummary:
     """Terminal value and bound margins of a chain, bounded memory.
 
     min_margin is the least value - bound, and min_slack the least
-    margin + BOUND_SLACK * (1 + |value|), the margin check_x_bounds
-    reports.  holds is SequenceWithBound.holds over the whole chain.  A
-    NaN entry makes both minima NaN, as the minimum of the one-pass
-    arrays would be, and fails holds.
+    margin + bound_tolerance(value), the margin check_x_bounds reports.
+    holds is SequenceWithBound.holds over the whole chain.  A NaN entry
+    makes both minima NaN, as the minimum of the one-pass arrays would
+    be, and fails holds.
     """
 
     terminal: float
@@ -158,31 +152,21 @@ class StreamedSequenceSummary:
 
     @classmethod
     def of(cls, blocks) -> "StreamedSequenceSummary":
-        """Reduce the blocks of x_sequence_blocks.  Each block's margin
-        and slack are formed in two scratch buffers, in the operations of
-        SequenceWithBound.margin and .holds."""
+        """Reduce the blocks of x_sequence_blocks."""
         least = worst = math.inf
         holds, first_bad, count = True, -1, 0
-        margin = slack = np.empty(0)
         for block in blocks:
-            k = block.values.size
-            if margin.size < k:
-                margin, slack = np.empty(k), np.empty(k)
-            mg = np.subtract(block.values, block.bound, out=margin[:k])
-            sl = np.abs(block.values, out=slack[:k])
-            sl += 1.0
-            sl *= BOUND_SLACK
-            sl += mg
-            block_worst = sl.min()
+            margin = block.margin
+            block_worst = (margin + bound_tolerance(block.values)).min()
             # a least slack >= 0 decides the block: margin + tol >= 0 after
             # rounding only if margin >= -tol exactly
             if holds and not block_worst >= 0.0:
                 holds = block.holds()
-            least = np.minimum(least, mg.min())
+            least = np.minimum(least, margin.min())
             worst = np.minimum(worst, block_worst)
             if first_bad < 0:
                 first_bad = block.first_nonpositive
-            count += k
+            count += block.values.size
         return cls(
             terminal=float(block.values[-1]),
             min_margin=float(least),

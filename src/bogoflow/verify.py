@@ -32,7 +32,7 @@ from .model import (
     c_coefficient,
     chain_denominator,
     power_span,
-    window_delta,
+    spectral_window,
 )
 
 DEFAULT_GRID_N = (2, 4, 16, 128, 1024)
@@ -49,10 +49,15 @@ RESIDUAL_FACTOR = 1e-8  # eigen-residual of the expanded vector / norm_inf
 MONOTONICITY_POINTS = 8
 LEVEL_TOL = 1e-12  # least increment of G between neighbouring z
 Y_RESIDUAL_TOL = 1e-12  # closed form in its own recursion, relative
+Y_RESIDUAL_EPS = np.geomspace(1e-6, 0.5, 13)  # epsilon grid of that residual
 ACCESSORI_TOL = 1e-13  # product identity, relative
+ACCESSORI_EPS = (0.0, 0.01, 0.1)  # the identity's (epsilon, delta) grid
+ACCESSORI_DELTAS = (0.0, 1.0, 1.3, 1.99)
 EBOG_EPS = 0.01  # epsilon of the convergence check
 EBOG_SLOPE_RANGE = (-1.5, -0.4)  # log-log slope of |z* - E_bog| against N
 TRUNCATION_N_CAP = 10**5  # largest N of the truncation-decay fits
+TRUNCATION_EPS = (0.04, 0.01)  # one fit per (epsilon, beta)
+TRUNCATION_BETAS = (0.3, 0.5, 0.7)
 R2_FLOOR = 0.95  # least R^2 of those fits
 UNIQUENESS_PROBES = 100
 UNIQUENESS_SEED = 7
@@ -158,7 +163,7 @@ def check_w_bound(params: ModelParams) -> PropertyResult:
         m = n - levels + 1.0
         cap = 1.0 / (4.0 * chain_denominator(m, a, b, c))
         slack = cap - w
-        tol = sequences.BOUND_SLACK * (1.0 + np.abs(w))
+        tol = sequences.bound_tolerance(w)
         worst = min(worst, float((slack + tol).min()))
     return PropertyResult(
         name="w_bound",
@@ -178,9 +183,7 @@ def check_g_lower_bound_link(params: ModelParams) -> PropertyResult:
     of those levels where they apply, and from the full pass elsewhere
     (FlowDomainError where that pass is invalid).
     """
-    eps, phi = params.epsilon, params.phi
-    delta = window_delta(eps)
-    z = bogoliubov_energy(params) + (delta - 1.0) * phi * math.sqrt(eps * (eps + 2.0))
+    z = spectral_window(params).z_max
     seq = sequences.xtilde_sequence(params)
     count = seq.values.size  # the chain covers the top count levels
     g_on_levels = flow.enclosure(params, z, count)[0][-count:]
@@ -188,7 +191,7 @@ def check_g_lower_bound_link(params: ModelParams) -> PropertyResult:
         recip = 1.0 / seq.values
     ok_mask = seq.values > 0.0
     slack = g_on_levels[ok_mask] - recip[ok_mask]
-    tol = sequences.BOUND_SLACK * (1.0 + np.abs(recip[ok_mask]))
+    tol = sequences.bound_tolerance(recip[ok_mask])
     worst = float((slack + tol).min())
     return PropertyResult(
         name="g_lower_bound_link",
@@ -200,7 +203,7 @@ def check_g_lower_bound_link(params: ModelParams) -> PropertyResult:
 
 def check_x_bounds(params: ModelParams) -> PropertyResult:
     """The majorant chain stays above its lower bound, streamed block by
-    block: every entry gets the slack BOUND_SLACK * (1 + |x|)."""
+    block: every entry gets the slack sequences.bound_tolerance(x)."""
     summary = sequences.x_sequence_terminal(params)
     return PropertyResult(
         name="x_lower_bound",
@@ -214,7 +217,7 @@ def check_xtilde_bounds(params: ModelParams) -> PropertyResult:
     seq = sequences.xtilde_sequence(params)
     finite = np.isfinite(seq.bound)
     margin = seq.margin[finite]
-    tol = sequences.BOUND_SLACK * (1.0 + np.abs(seq.values[finite]))
+    tol = sequences.bound_tolerance(seq.values[finite])
     worst = float((margin + tol).min()) if margin.size else math.inf
     return PropertyResult(
         name="xtilde_upper_bound",
@@ -224,16 +227,11 @@ def check_xtilde_bounds(params: ModelParams) -> PropertyResult:
     )
 
 
-def check_y_closed_residual(
-    eps_values: Optional[np.ndarray] = None,
-    l_values: Optional[np.ndarray] = None,
-) -> PropertyResult:
-    if eps_values is None:
-        eps_values = np.geomspace(1e-6, 0.5, 13)
+def check_y_closed_residual(l_values: Optional[np.ndarray] = None) -> PropertyResult:
     if l_values is None:
         l_values = np.unique(np.geomspace(2, 1e6, 25).astype(np.int64)).astype(float)
     worst = 0.0
-    for eps in eps_values:
+    for eps in Y_RESIDUAL_EPS:
         res = sequences.y_closed_recursion_residual(l_values, float(eps))
         worst = max(worst, float(np.max(res)))
     return PropertyResult(
@@ -244,19 +242,13 @@ def check_y_closed_residual(
     )
 
 
-def check_accessori(
-    eps_values: Sequence[float] = (0.0, 0.01, 0.1),
-    delta_values: Sequence[float] = (0.0, 1.0, 1.3, 1.99),
-    m_values: Optional[np.ndarray] = None,
-) -> PropertyResult:
+def check_accessori(m_values: Optional[np.ndarray] = None) -> PropertyResult:
     if m_values is None:
         m_values = np.unique(np.geomspace(3, 1e6, 40).astype(np.int64))
     worst = 0.0
-    for eps in eps_values:
-        for delta in delta_values:
-            worst = max(
-                worst, sequences.accessori_identity_check(float(eps), float(delta), m_values)
-            )
+    for eps in ACCESSORI_EPS:
+        for delta in ACCESSORI_DELTAS:
+            worst = max(worst, sequences.accessori_identity_check(eps, delta, m_values))
     return PropertyResult(
         name="accessori_identity",
         passed=worst <= ACCESSORI_TOL,
@@ -399,17 +391,14 @@ def check_ebog_convergence(
     )
 
 
-def check_truncation_decay(
-    eps_values: Sequence[float] = (0.04, 0.01),
-    beta_values: Sequence[float] = (0.3, 0.5, 0.7),
-) -> PropertyResult:
+def check_truncation_decay() -> PropertyResult:
     """Per (eps, beta): fit log|G - G_T| against N^(1-beta) over an N grid
     chosen so the difference stays above the rounding floor."""
     worst_r2 = 1.0
     worst_slope = -math.inf
     details = []
-    for eps in eps_values:
-        for beta in beta_values:
+    for eps in TRUNCATION_EPS:
+        for beta in TRUNCATION_BETAS:
             # spans ~[8, 60] keep the decay measurable in float64
             spans = np.unique((np.geomspace(8, 60, 7) // 2 * 2).astype(np.int64))
             xs, diffs = [], []

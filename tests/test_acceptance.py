@@ -90,10 +90,10 @@ def test_criterion_06_sequence_bounds():
 
 
 def test_criterion_07_closed_form_solution():
-    eps_grid = np.geomspace(1e-6, 0.5, 13)
     l_grid = np.unique(np.geomspace(2, 1e6, 30).astype(np.int64)).astype(float)
     assert verify.Y_RESIDUAL_TOL == 1e-12
-    result = verify.check_y_closed_residual(eps_grid, l_grid)
+    np.testing.assert_array_equal(verify.Y_RESIDUAL_EPS, np.geomspace(1e-6, 0.5, 13))
+    result = verify.check_y_closed_residual(l_grid)
     # eps = 0 branch: l/(2l+1) to one ulp
     ulp_ok = True
     from bogoflow import y_closed_form
@@ -108,9 +108,9 @@ def test_criterion_07_closed_form_solution():
 def test_criterion_08_product_identity():
     m_grid = np.unique(np.geomspace(3, 1e6, 50).astype(np.int64))
     assert verify.ACCESSORI_TOL == 1e-13
-    result = verify.check_accessori(
-        eps_values=(0.0, 0.01, 0.1), delta_values=(0.0, 1.0, 1.3, 1.99), m_values=m_grid
-    )
+    assert verify.ACCESSORI_EPS == (0.0, 0.01, 0.1)
+    assert verify.ACCESSORI_DELTAS == (0.0, 1.0, 1.3, 1.99)
+    result = verify.check_accessori(m_values=m_grid)
     _report(8, result.passed, result.details)
 
 
@@ -121,7 +121,8 @@ def test_criterion_09_sector_gap(grid_records):
 
 def test_criterion_10_truncation_decay():
     assert verify.TRUNCATION_N_CAP == 10**5 and verify.R2_FLOOR == 0.95
-    result = verify.check_truncation_decay(eps_values=(0.04, 0.01), beta_values=(0.3, 0.5, 0.7))
+    assert verify.TRUNCATION_EPS == (0.04, 0.01) and verify.TRUNCATION_BETAS == (0.3, 0.5, 0.7)
+    result = verify.check_truncation_decay()
     _report(10, result.passed, result.details)
 
 

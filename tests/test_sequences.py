@@ -62,18 +62,14 @@ def test_streaming_blocks_match_one_pass(b, monkeypatch):
 
 @pytest.mark.parametrize("block_length", (700, sequences.STREAM_BLOCK))
 def test_streamed_blocks_equal_one_pass_bitwise(block_length, monkeypatch):
-    # D, 0.25/D, the off-diagonal and the bound are formed in scratch
-    # buffers that the next block overwrites, so each block is copied
     p = ModelParams(n_particles=2 * 10**5 + 2, epsilon=0.04)
     seq = x_sequence(p)
     monkeypatch.setattr(sequences, "STREAM_BLOCK", block_length)
     coefs = sequences.majorant_coefficients(p)
-    blocks = [
-        (b.levels.copy(), b.values.copy(), b.bound.copy())
-        for b in x_sequence_blocks(p.n_particles, *coefs)
-    ]
-    for field, got in zip(("levels", "values", "bound"), zip(*blocks)):
-        np.testing.assert_array_equal(np.concatenate(got), getattr(seq, field))
+    blocks = list(x_sequence_blocks(p.n_particles, *coefs))
+    for field in ("levels", "values", "bound"):
+        got = np.concatenate([getattr(block, field) for block in blocks])
+        np.testing.assert_array_equal(got, getattr(seq, field))
 
 
 def test_streamed_summary_keeps_nan(monkeypatch):
