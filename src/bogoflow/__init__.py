@@ -31,17 +31,14 @@ from .oracle import (
     EigenPair,
     TridiagonalHamiltonian,
     build_sector_hamiltonian,
-    dense_crosscheck,
     eigen_residual,
     low_spectrum,
     lowest_eigenpair,
     schur_complement,
 )
 from .sequences import (
-    StreamedSequenceSummary,
     accessori_identity_check,
     x_sequence,
-    x_sequence_terminal,
     xtilde_sequence,
     y_closed_form,
     y_star_sequence,
@@ -65,14 +62,12 @@ __all__ = [
     "GroundStateVector",
     "ModelParams",
     "SpectralWindow",
-    "StreamedSequenceSummary",
     "TridiagonalHamiltonian",
     "accessori_identity_check",
     "bogoliubov_energy",
     "build_sector_hamiltonian",
     "check_assumptions",
     "coefficient_set",
-    "dense_crosscheck",
     "eigen_residual",
     "energy_cap",
     "expand_ground_state",
@@ -89,7 +84,6 @@ __all__ = [
     "spectral_window",
     "tail_series",
     "x_sequence",
-    "x_sequence_terminal",
     "xtilde_sequence",
     "y_closed_form",
     "y_star_sequence",

@@ -24,8 +24,8 @@ from .model import (
 # slack absorbing rounding when checking strict analytic inequalities;
 # bound_tolerance scales it by 1 + |value|
 BOUND_SLACK = 1e-14
-# block length of the streamed majorant chain, which bounds its memory
-STREAM_BLOCK = 1 << 14
+# majorant_step checks the even m <= STEP_SPAN one by one; its tail test passes from eps = 1e-3 on
+STEP_SPAN = 1 << 16
 
 
 def bound_tolerance(scale):
@@ -74,8 +74,8 @@ def x_sequence(params: ModelParams) -> SequenceWithBound:
 
     Step to level 2j+2 divides by 4*D(N-2j-1), D = model.chain_denominator
     with a = 2eps + eps^2 and b, c evaluated at delta = 1 + sqrt(eps).
-    Companion lower bound: X_{2j} >= model.majorant_lower_bound(N - 2j).
-    This is the one-pass reference of x_sequence_blocks.
+    Companion lower bound: X_{2j} >= model.majorant_lower_bound(N - 2j),
+    which majorant_step proves at every even N; this is its reference.
     """
     n = params.n_particles
     a, b, c, sqrt_eta_a, xi = majorant_coefficients(params)
@@ -98,92 +98,43 @@ def x_sequence(params: ModelParams) -> SequenceWithBound:
     )
 
 
-def x_sequence_blocks(n: int, a: float, b: float, c: float, sqrt_eta_a: float, xi: float):
-    """The chain of x_sequence in consecutive blocks, for chains too long
-    to hold, from the raw coefficients of model.majorant_coefficients.
+def majorant_step(params: ModelParams):
+    """(margin, min_slack, worst_level, tail, failures) of the induction step
+    that proves the bound X >= L of x_sequence at every even N; D and
+    L = model.majorant_lower_bound read eps alone.
 
-    Yields SequenceWithBound blocks that cover entries 0 .. N/2 - 1 once
-    each; first_nonpositive is an index into the whole chain, or -1 if
-    the block holds no failure.  Each block runs up to STREAM_BLOCK steps
-    of rational_chain from the last value of the block before.  That
-    value is the chain's pivot, so the blocks equal x_sequence bit for
-    bit at any block length.  Each block owns its arrays, and only the
-    carried value outlives it: memory is O(STREAM_BLOCK) for any N.
+    With m = N - level, X steps x(m) = F_m(x(m + 2)) = 1 - 1/(4 D(m+1) x(m + 2))
+    from x(N) = 1 >= L(N), and F_m rises in x where D(m+1) > 0 and x > 0.
+    So x >= L > 0 on every chain if L rises (b >= 0, m > xi) from L(2) > 0
+    to L_inf <= 1, and D(m+1) > 0 and margin(m) = F_m(L(m + 2)) - L(m) >= 0
+    at every even m >= 2.  min_slack is the least margin(m) plus
+    bound_tolerance(L(m)) over the even m <= M = STEP_SPAN, at worst_level.
+    Beyond M, if b(M+1) + 1 - c >= 0, D(m+1) and L(m + 2) rise in m, so each
+    margin exceeds tail = F_M(L(M + 2)) - L_inf, whose slack adds
+    bound_tolerance(L_inf).  margin is the least of L(2) and the two slacks,
+    and failures names each premise that fails: none where X >= L holds.
     """
-    count = n // 2  # entries t = 0 .. count - 1
-    x_last = 1.0
-    for t0 in range(1, max(count, 2), STREAM_BLOCK):  # N = 2 still yields entry 0
-        # entry 0 of the block is entry t0 - 1: the start value, or the
-        # carried value that the block before already yielded
-        k = min(t0 + STREAM_BLOCK, count) - t0 + 1
-        levels = np.arange(2 * (t0 - 1), 2 * (t0 - 1 + k), 2)
-        m = (n - levels).astype(np.float64)  # N - 2t, exact in float64 as in x_sequence
-        x = np.empty(k)
-        x[0] = x_last
-        bad = int(_kernels.rational_chain(chain_denominator(m + 1.0, a, b, c), x))
-        x_last = float(x[-1])
-        new = 0 if t0 == 1 else 1
-        yield SequenceWithBound(
-            levels=levels[new:],
-            values=x[new:],
-            bound=majorant_lower_bound(m[new:], b, sqrt_eta_a, xi),
-            bound_is_lower=True,
-            first_nonpositive=t0 - 1 + bad if bad >= 0 else -1,
-        )
-
-
-@dataclass(frozen=True)
-class StreamedSequenceSummary:
-    """Terminal value and bound margins of a chain, bounded memory.
-
-    min_margin is the least value - bound, and min_slack the least
-    margin + bound_tolerance(value), the margin check_x_bounds reports.
-    holds is SequenceWithBound.holds over the whole chain.  A NaN entry
-    makes both minima NaN, as the minimum of the one-pass arrays would
-    be, and fails holds.
-    """
-
-    terminal: float
-    min_margin: float
-    first_nonpositive: int
-    min_slack: float
-    holds: bool
-    count: int
-
-    @classmethod
-    def of(cls, blocks) -> "StreamedSequenceSummary":
-        """Reduce the blocks of x_sequence_blocks."""
-        least = worst = math.inf
-        holds, first_bad, count = True, -1, 0
-        for block in blocks:
-            margin = block.margin
-            block_worst = (margin + bound_tolerance(block.values)).min()
-            # a least slack >= 0 decides the block: margin + tol >= 0 after
-            # rounding only if margin >= -tol exactly
-            if holds and not block_worst >= 0.0:
-                holds = block.holds()
-            least = np.minimum(least, margin.min())
-            worst = np.minimum(worst, block_worst)
-            if first_bad < 0:
-                first_bad = block.first_nonpositive
-            count += block.values.size
-        return cls(
-            terminal=float(block.values[-1]),
-            min_margin=float(least),
-            first_nonpositive=first_bad,
-            min_slack=float(worst),
-            holds=holds,
-            count=count,
-        )
-
-
-def x_sequence_terminal(params: ModelParams) -> StreamedSequenceSummary:
-    """Streaming form of x_sequence for sweeps at very large N: returns
-    only the terminal entry and the bound margins instead of
-    materializing O(N) arrays; memory is O(STREAM_BLOCK).
-    """
-    blocks = x_sequence_blocks(params.n_particles, *majorant_coefficients(params))
-    return StreamedSequenceSummary.of(blocks)
+    a, b, c, sqrt_eta_a, xi = majorant_coefficients(params)
+    m = np.arange(2.0, STEP_SPAN + 3.0, 2.0)  # 2 .. M + 2
+    bound = majorant_lower_bound(m, b, sqrt_eta_a, xi)
+    denom = chain_denominator(m[:-1] + 1.0, a, b, c)  # D(m + 1), m = 2 .. M
+    step = 1.0 - 1.0 / (4.0 * denom * bound[1:])  # F_m(L(m + 2))
+    slack = step - bound[:-1] + bound_tolerance(bound[:-1])
+    worst = int(np.argmin(slack))
+    limit = majorant_lower_bound(math.inf, b, sqrt_eta_a, xi)  # L_inf
+    tail = float(step[-1] - limit)
+    tail_slack = tail + bound_tolerance(limit)
+    premises = {
+        f"L(2) = {bound[0]:.3e} <= 0": bound[0] > 0.0,
+        "L does not rise to L_inf <= 1": b >= 0.0 and xi < 2.0 and limit <= 1.0,
+        "D(m+1) <= 0 at some m <= M": np.all(denom > 0.0),
+        "b(M+1) + 1 - c < 0": b * (STEP_SPAN + 1.0) + 1.0 - c >= 0.0,
+        "a step slack < 0": slack[worst] >= 0.0,
+        "tail slack < 0": tail_slack >= 0.0,
+    }
+    failures = tuple(reason for reason, holds in premises.items() if not holds)
+    margin = float(np.min([bound[0], slack[worst], tail_slack]))
+    return margin, float(slack[worst]), int(m[worst]), tail, failures
 
 
 def xtilde_sequence(params: ModelParams) -> SequenceWithBound:

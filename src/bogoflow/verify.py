@@ -9,8 +9,8 @@ routes once at a point: the cf row and the four oracle rows reduce a
 grid of its records, and a CLI solve or sweep point formats one.
 
 The checks are independent: run_all deals them to forked workers, one per
-usable CPU by default (threads would not overlap the chains' LAPACK calls,
-which hold the GIL), and returns the rows in battery order, bit-identical
+usable CPU by default (threads would not overlap the dpttrf calls, which
+hold the GIL), and returns the rows in battery order, bit-identical
 to a serial run.  Python >= 3.12 may warn about fork() once BLAS threads run.
 """
 
@@ -202,14 +202,15 @@ def check_g_lower_bound_link(params: ModelParams) -> PropertyResult:
 
 
 def check_x_bounds(params: ModelParams) -> PropertyResult:
-    """The majorant chain stays above its lower bound, streamed block by
-    block: every entry gets the slack sequences.bound_tolerance(x)."""
-    summary = sequences.x_sequence_terminal(params)
+    """The majorant chain stays above its lower bound at every even N, by
+    sequences.majorant_step; the row reads params.epsilon alone."""
+    margin, slack, level, tail, failures = sequences.majorant_step(params)
     return PropertyResult(
         name="x_lower_bound",
-        passed=summary.holds and summary.first_nonpositive < 0,
-        margin=summary.min_slack,
-        details=f"min margin {summary.min_margin:.3e} over {summary.count} entries",
+        passed=not failures,
+        margin=margin,
+        details=f"min step slack {slack:.3e} at m = {level}, tail bound {tail:.3e} beyond m = {sequences.STEP_SPAN}: "
+        + ("; ".join(failures) or "X >= L at every even N"),
     )
 
 

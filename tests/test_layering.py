@@ -12,8 +12,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bogoflow"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
-# exported functions that only the tests call, each with its reason
-TEST_REFERENCES = {"dense_crosscheck": "re-derives the sector matrix by brute force for small N"}
 
 
 def _from_imports(module: str):
@@ -57,6 +55,16 @@ def test_no_flow_side_module_imports_the_oracle(module):
     # the flow builds its root, bounds and amplitudes from its own
     # coefficients; comparing them with the oracle is verify.compare_point's
     assert "oracle" not in _imported_modules(module)
+
+
+def test_sequences_imports_only_the_model_and_the_kernels():
+    # the majorant step check and the chains it proves stand on the model's
+    # coefficients alone, apart from both routes
+    from_package = {
+        alias.name for source, aliases in _from_imports("sequences") if source == "__init__" for alias in aliases
+    }
+    assert from_package <= set(MODULES)  # "from . import" binds modules only
+    assert _imported_modules("sequences") - {"__init__"} == {"model", "_kernels"}
 
 
 def test_model_imports_no_bogoflow_module():
@@ -155,7 +163,7 @@ def test_every_exported_function_has_a_caller_outside_the_tests():
     called = {name for path in _caller_sources() for name, _, _ in _call_arguments(path)}
     called.update(re.findall(r"(\w+)\(", (ROOT / "README.md").read_text()))
     functions = {name for name in bogoflow.__all__ if inspect.isfunction(getattr(bogoflow, name))}
-    assert functions - called - set(TEST_REFERENCES) == set()
+    assert functions - called == set()
 
 
 def _library_functions():

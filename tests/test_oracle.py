@@ -8,13 +8,61 @@ from bogoflow import (
     ModelParams,
     build_sector_hamiltonian,
     cli,
-    dense_crosscheck,
     low_spectrum,
     lowest_eigenpair,
     oracle,
     schur_complement,
 )
 from bogoflow.oracle import ORACLE_TOL, ConvergenceError, TridiagonalHamiltonian
+
+
+def dense_crosscheck(params: ModelParams) -> float:
+    """Max deviation between the tridiagonal elements and a brute-force build.
+
+    Enumerates the full occupation basis (n0, n+, n-) with n0+n+ +n- = N,
+    applies the Hamiltonian through explicit ladder-operator action, and
+    projects onto the symmetric sector.  Only feasible for small N.
+    """
+    n = params.n_particles
+    if n > 12:
+        raise ValueError("dense crosscheck only supported for N <= 12")
+    phi, k2 = params.phi, params.kinetic
+
+    states = []
+    index = {}
+    for n0 in range(n + 1):
+        for npl in range(n - n0 + 1):
+            nmi = n - n0 - npl
+            index[(n0, npl, nmi)] = len(states)
+            states.append((n0, npl, nmi))
+    dim = len(states)
+    h = np.zeros((dim, dim))
+
+    for idx, (n0, npl, nmi) in enumerate(states):
+        h[idx, idx] += (k2 + phi * n0 / n) * (npl + nmi)
+        # pair annihilation: (n0, n+, n-) -> (n0+2, n+-1, n--1)
+        if npl >= 1 and nmi >= 1:
+            amp = phi / n * math.sqrt((n0 + 1) * (n0 + 2)) * math.sqrt(npl * nmi)
+            h[index[(n0 + 2, npl - 1, nmi - 1)], idx] += amp
+        # pair creation: (n0, n+, n-) -> (n0-2, n++1, n-+1)
+        if n0 >= 2:
+            amp = phi / n * math.sqrt(n0 * (n0 - 1)) * math.sqrt((npl + 1) * (nmi + 1))
+            h[index[(n0 - 2, npl + 1, nmi + 1)], idx] += amp
+
+    sector = [index[(n - 2 * k, k, k)] for k in range(n // 2 + 1)]
+    projected = h[np.ix_(sector, sector)]
+
+    tri = build_sector_hamiltonian(params)
+    dense_tri = np.diag(tri.diag)
+    if tri.offdiag.size:
+        dense_tri += np.diag(tri.offdiag, 1) + np.diag(tri.offdiag, -1)
+    deviation = float(np.max(np.abs(projected - dense_tri)))
+
+    # the sector must be exactly invariant: no coupling out of it
+    mask = np.ones(dim, dtype=bool)
+    mask[sector] = False
+    leakage = float(np.max(np.abs(h[np.ix_(mask, sector)]))) if mask.any() else 0.0
+    return max(deviation, leakage)
 
 
 def test_matrix_elements_n2():

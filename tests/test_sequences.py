@@ -12,12 +12,7 @@ from bogoflow import (
     y_star_sequence,
 )
 from bogoflow import sequences, verify
-from bogoflow.sequences import (
-    StreamedSequenceSummary,
-    rational_fixed_point,
-    x_sequence_blocks,
-    y_closed_recursion_residual,
-)
+from bogoflow.sequences import rational_fixed_point, y_closed_recursion_residual
 
 
 def test_x_starts_at_one_and_stays_in_unit_interval():
@@ -35,92 +30,60 @@ def test_x_lower_bound_holds():
         assert seq.holds()
 
 
-def test_streaming_terminal_matches_materialized():
-    from bogoflow.sequences import x_sequence_terminal
-
-    p = ModelParams(n_particles=10**4, epsilon=0.04)
-    seq = x_sequence(p)
-    summary = x_sequence_terminal(p)
-    assert summary.terminal == seq.values[-1]
-    assert summary.min_margin == pytest.approx(float(seq.margin.min()), rel=1e-12)
-    assert summary.first_nonpositive == seq.first_nonpositive
+@pytest.mark.parametrize("eps", (0.04, 0.01))
+def test_x_row_is_the_same_at_every_n(eps):
+    # the step check reads eps alone, so one row covers every even N
+    rows = [verify.check_x_bounds(ModelParams(n_particles=n, epsilon=eps)).as_dict() for n in (10**3, 10**7, 2**52)]
+    assert rows[0]["passed"] and rows[0]["margin"] > 0.0
+    assert rows == rows[:1] * 3
 
 
-@pytest.mark.parametrize("b", (0.3565, 100.0))
-def test_streaming_blocks_match_one_pass(b, monkeypatch):
-    # a chain of 5000 steps in blocks of 700: each block resumes the pivot
-    # chain from the carried value, so the terminal value, the offset of
-    # first_bad (step 3813 at b = 100) and the running margin, past a
-    # failure too, equal those of the default blocking bit for bit.
-    args = (10**4, 0.0804, b, 0.0172, 0.2698, 0.4472)
-    whole = StreamedSequenceSummary.of(x_sequence_blocks(*args))
-    monkeypatch.setattr(sequences, "STREAM_BLOCK", 700)
-    blocked = StreamedSequenceSummary.of(x_sequence_blocks(*args))
-    assert blocked == whole
-    assert whole.first_nonpositive == (3813 if b == 100.0 else -1)
+@pytest.mark.parametrize("eps", (0.04, 0.01))
+def test_x_row_fails_once_l_is_raised_past_the_chains_fixed_point(eps, monkeypatch):
+    # long chains settle at the fixed point y* of x = 1 - 1/(4(1+a)x), and
+    # L tends to L_inf below it.  Raised by more than y* - L_inf, L is false
+    # on long chains and the row must fail; raised by half as much, L still
+    # holds and so does the row
+    p = ModelParams(n_particles=10**5, epsilon=eps)
+    a, _, _, sqrt_eta_a, _ = sequences.majorant_coefficients(p)
+    gap = rational_fixed_point(a) - 0.5 * (1.0 + sqrt_eta_a)
+    lower = sequences.majorant_lower_bound
+    for fraction, holds in ((0.5, True), (1.5, False)):
+        monkeypatch.setattr(sequences, "majorant_lower_bound", lambda *args: lower(*args) + fraction * gap)
+        assert verify.check_x_bounds(p).passed is holds
+        assert x_sequence(p).holds() is holds
 
 
-@pytest.mark.parametrize("block_length", (700, sequences.STREAM_BLOCK))
-def test_streamed_blocks_equal_one_pass_bitwise(block_length, monkeypatch):
-    p = ModelParams(n_particles=2 * 10**5 + 2, epsilon=0.04)
-    seq = x_sequence(p)
-    monkeypatch.setattr(sequences, "STREAM_BLOCK", block_length)
-    coefs = sequences.majorant_coefficients(p)
-    blocks = list(x_sequence_blocks(p.n_particles, *coefs))
-    for field in ("levels", "values", "bound"):
-        got = np.concatenate([getattr(block, field) for block in blocks])
-        np.testing.assert_array_equal(got, getattr(seq, field))
-
-
-def test_streamed_summary_keeps_nan(monkeypatch):
-    # a NaN coefficient makes every entry NaN; the summary's minima keep
-    # the NaN, as the minimum of the one-pass arrays would, instead of
-    # reading as a healthy chain
-    nan = math.nan
-    blocks = x_sequence_blocks(10**4, nan, 0.3565, 0.0172, 0.2698, 0.4472)
-    summary = StreamedSequenceSummary.of(blocks)
-    assert math.isnan(summary.min_margin) and math.isnan(summary.min_slack)
-    assert not summary.holds
-
+def test_x_row_fails_on_a_nan_coefficient(monkeypatch):
+    # a NaN coefficient makes every step margin NaN; the row keeps the NaN
+    # as its margin instead of reading as a healthy bound
     p = ModelParams(n_particles=10**4, epsilon=0.04)
     coefs = sequences.majorant_coefficients(p)
-    monkeypatch.setattr(sequences, "majorant_coefficients", lambda params: (nan, *coefs[1:]))
+    monkeypatch.setattr(sequences, "majorant_coefficients", lambda params: (math.nan, *coefs[1:]))
     result = verify.check_x_bounds(p)
     assert not result.passed and math.isnan(result.margin)
 
 
-@pytest.mark.parametrize("eps", (0.04, 0.01))
-def test_streamed_x_check_matches_materialized(eps, monkeypatch):
-    # the streamed check applies the one-pass rule entry by entry, and a
-    # block resumes the chain from its carried value, so the default
-    # blocks (seven at this N) and blocks of 700 give the one-pass row bit
-    # for bit
-    p = ModelParams(n_particles=2 * 10**5, epsilon=eps)
-    seq = x_sequence(p)
-    tol = sequences.BOUND_SLACK * (1.0 + np.abs(seq.values))
-    expected = verify.PropertyResult(
-        name="x_lower_bound",
-        passed=seq.holds() and seq.first_nonpositive < 0,
-        margin=float((seq.margin + tol).min()),
-        details=f"min margin {float(seq.margin.min()):.3e} over {seq.values.size} entries",
-    )
-    assert verify.check_x_bounds(p).as_dict() == expected.as_dict()
-    monkeypatch.setattr(sequences, "STREAM_BLOCK", 700)
-    assert verify.check_x_bounds(p).as_dict() == expected.as_dict()
+@pytest.mark.parametrize("eps", (1e-3, 3e-3, 0.01, 0.04, 0.1))
+def test_the_chain_holds_wherever_the_step_check_passes(eps):
+    assert verify.check_x_bounds(ModelParams(n_particles=2, epsilon=eps)).passed
+    for n in (10**4, 10**6):
+        seq = x_sequence(ModelParams(n_particles=n, epsilon=eps))
+        assert seq.holds() and seq.first_nonpositive < 0
 
 
-def test_streaming_handles_very_large_n():
-    # bounded memory: a chain far beyond what arrays could hold comfortably.
-    # The head transient contracts to the fixed point and the final dip
-    # only sees the small tail denominators, so the terminal value is
-    # N-independent: compare against a small-N reference.
-    from bogoflow.sequences import x_sequence_terminal
+UNREACHED = {1e-4: "tail slack < 0", 0.3: "L(2) = -4.080e-01 <= 0", 0.5: "a step slack < 0"}
 
-    reference = x_sequence_terminal(ModelParams(n_particles=10**4, epsilon=0.04))
-    summary = x_sequence_terminal(ModelParams(n_particles=2 * 10**8, epsilon=0.04))
-    assert summary.first_nonpositive < 0
-    assert summary.min_margin > 0.0
-    assert summary.terminal == pytest.approx(reference.terminal, rel=1e-13)
+
+@pytest.mark.parametrize("eps", UNREACHED)
+def test_the_step_check_is_sufficient_not_necessary(eps):
+    # outside the check's reach the row fails and names why, while the
+    # computed chains still lie above L
+    row = verify.check_x_bounds(ModelParams(n_particles=2, epsilon=eps))
+    assert not row.passed and row.margin < 0.0 and UNREACHED[eps] in row.details
+    for n in (10**4, 10**6):
+        seq = x_sequence(ModelParams(n_particles=n, epsilon=eps))
+        assert seq.holds() and seq.first_nonpositive < 0
 
 
 def test_x_exact_chain_at_eps_zero():

@@ -7,10 +7,11 @@ import pytest
 from bogoflow import ModelParams, cli, groundstate, oracle, spectrum, verify
 
 # The default battery's rows as the streamed-pass code wrote them (the
-# flow pass and the majorant chain streamed in blocks of 65536): name,
-# passed, repr of the margin, details.  A change of rounding anywhere
-# in the battery shows here.  Each truncation_decay fit takes, per span,
-# the smallest even N that g_truncated restarts from that span.
+# flow pass streamed in blocks of 65536), the two x_lower_bound rows as
+# the majorant step check writes them: name, passed, repr of the margin,
+# details.  A change of rounding anywhere in the battery shows here.  Each
+# truncation_decay fit takes, per span, the smallest even N that
+# g_truncated restarts from that span.
 FROZEN_BATTERY = [
     ("cf_equivalence", True, "9.835793725740424e-13",
      "worst rel diff 1.642e-14 at n=16 eps=0.01 z=-0.786554; tol 1e-12"),
@@ -22,10 +23,10 @@ FROZEN_BATTERY = [
      "min G - 1/xtilde = 2.812e-02 on 23207 levels"),
     ("fixed_point_uniqueness", True, "0.0",
      "0 sign mismatches out of 100 probes"),
-    ("x_lower_bound", True, "0.009585420998120152",
-     "min margin 9.585e-03 over 5000000 entries"),
-    ("x_lower_bound", True, "0.0029358499122107895",
-     "min margin 2.936e-03 over 5000000 entries"),
+    ("x_lower_bound", True, "0.004037758784888614",
+     "min step slack 4.048e-03 at m = 65536, tail bound 4.038e-03 beyond m = 65536: X >= L at every even N"),
+    ("x_lower_bound", True, "0.0007024644495146243",
+     "min step slack 7.114e-04 at m = 65536, tail bound 7.025e-04 beyond m = 65536: X >= L at every even N"),
     ("xtilde_upper_bound", True, "0.002468383574919124",
      "min tail margin 2.468e-03 on 11603 entries"),
     ("xtilde_upper_bound", True, "0.0007746713621636519",
