@@ -14,8 +14,7 @@ from bogoflow import cli
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "sweep"
     cli.main(
-        ["--mode", "sweep", "--n", "1000:100000:10", "--epsilon", "0.05,0.01",
-         "--workers", "4", "--out", str(out)]
+        ["--mode", "sweep", "--n", "1000:100000:10", "--epsilon", "0.05,0.01", "--out", str(out)]
     )
     print("\nresults.csv:")
     print((out / "results.csv").read_text())

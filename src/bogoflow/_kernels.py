@@ -147,9 +147,13 @@ def schur_eta(d, e2, z):
     T is the symmetric tridiagonal matrix with diagonal d and squared
     off-diagonal e2.  The nested fraction is evaluated bottom-up:
     x_{m-1} = d[m-1] - z,  x_k = d[k] - z - e2[k]/x_{k+1}, and the result
-    is d[0] - z - e2[0]/x_1.
+    is d[0] - z - e2[0]/x_1.  The loop runs on Python floats, which cost
+    less per operation than numpy scalars: the same IEEE binary64
+    operations in the same order, so the same bits.  An overflow reads
+    inf as it would there, without numpy's RuntimeWarning.
     """
-    m = d.shape[0]
+    d, e2, z = d.tolist(), e2.tolist(), float(z)
+    m = len(d)
     if m == 1:
         return d[0] - z
     x = d[m - 1] - z

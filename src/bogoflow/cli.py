@@ -3,8 +3,8 @@
 Configuration is a flat key=value text file plus command-line overrides;
 grids are comma lists or geometric start:stop:factor ranges.  All
 numeric CSV output uses shortest round-trip formatting and fixed grid
-ordering, so repeated runs produce byte-identical bodies at any worker
-count; timing lives in the manifest only.
+ordering, so repeated runs produce byte-identical bodies; timing lives
+in the manifest only.
 
 Exit codes: 0 success, 2 solved-but-outside-regime (1/N <= eps^NU or the
 window condition failed), 1 hard error, a rejected argument, a failed
@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -76,8 +76,8 @@ class RunConfig:
     phi: float = 1.0
     delta0: float = 1.0
     out: Path = field(default_factory=lambda: Path("bogoflow-out"))
-    # verify's process count; None means one per usable CPU.  Other modes
-    # run serially
+    # parsed and checked (>= 1) for command lines that pass it, but read
+    # by no mode: every mode runs in one process
     workers: Optional[int] = None
     only: Optional[str] = None
     perturb_tk: float = 0.0
@@ -108,6 +108,7 @@ _CONFIG_KEYS = {
 _FLAG_HELP = {
     "n": "particle numbers: comma list or start:stop:factor",
     "epsilon": "epsilon grid: comma list or start:stop:factor",
+    "workers": "accepted (>= 1) and ignored: every mode runs in one process",
 }
 
 
@@ -324,7 +325,6 @@ def run_verify(config: RunConfig) -> int:
         phi=config.phi,
         only=config.only,
         perturb_tk=config.perturb_tk,
-        workers=config.workers,
     )
     results = verify.run_all(vconf)
     for res in results:
@@ -333,8 +333,7 @@ def run_verify(config: RunConfig) -> int:
     path.write_text(
         json.dumps([r.as_dict() for r in results], indent=2) + "\n"
     )
-    points = [{"name": r.name, "worker": r.worker, "wall_ms": r.wall_ms} for r in results]
-    config = replace(config, workers=vconf.resolved_workers())
+    points = [{"name": r.name, "wall_ms": r.wall_ms} for r in results]
     _write_manifest(config, {"verify.json": _sha256(path)}, points)
     return 0 if results and all(r.passed for r in results) else 1
 

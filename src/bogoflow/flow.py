@@ -339,13 +339,12 @@ def amplitudes(params: ModelParams, z: float, k_max: int):
 
 
 def f_of_z(params: ModelParams, z: float) -> float:
-    """Fixed-point function; requires the flow to be valid at z."""
-    table = g_check(params, z)
-    if not table.valid:
-        raise FlowDomainError(
-            f"geometric-series condition failed at level {table.invalid_level}"
-        )
-    return table.f_value
+    """Fixed-point function; requires the flow to be valid at z.  The
+    f_value of g_check, without the amplitude chain of its slope."""
+    _, g, _, _, bad = _flow_span(z, _coefficients_at(params, 0), 1.0)
+    if bad >= 0:
+        raise FlowDomainError(f"geometric-series condition failed at level {2 * bad}")
+    return _f_from_g(params, z, float(g[-1]))
 
 
 def g_truncated(params: ModelParams, z: float, beta: float) -> float:

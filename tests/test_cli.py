@@ -232,18 +232,19 @@ def test_verify_only_sequences(tmp_path, capsys):
     assert "cf_equivalence" not in names
 
 
-def test_verify_json_is_byte_identical_across_workers(tmp_path, capsys):
+def test_the_workers_flag_is_checked_and_changes_nothing(tmp_path, capsys):
     args = ["--mode", "verify", "--only", "sequences"]
-    out1, out2 = tmp_path / "w1", tmp_path / "w2"
-    assert run_cli(args + ["--workers", "1", "--out", str(out1)]) == 0
+    out1, out2 = tmp_path / "plain", tmp_path / "w2"
+    assert run_cli(args + ["--out", str(out1)]) == 0
     assert run_cli(args + ["--workers", "2", "--out", str(out2)]) == 0
     assert (out1 / "verify.json").read_bytes() == (out2 / "verify.json").read_bytes()
     manifest = json.loads((out2 / "manifest.json").read_text())
     rows = json.loads((out2 / "verify.json").read_text())
-    assert manifest["config"]["workers"] == 2
     assert [p["name"] for p in manifest["points"]] == [r["name"] for r in rows]
-    assert [p["worker"] for p in manifest["points"]] == [i % 2 for i in range(len(rows))]
-    assert all(p["wall_ms"] > 0.0 for p in manifest["points"])
+    assert all(p.keys() == {"name", "wall_ms"} and p["wall_ms"] > 0.0 for p in manifest["points"])
+    capsys.readouterr()
+    assert run_cli(args + ["--workers", "0", "--out", str(tmp_path / "w0")]) == 1
+    assert "workers must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_negative_control(tmp_path, capsys):
@@ -385,8 +386,7 @@ def test_every_flag_parses_to_the_same_configs(tmp_path, monkeypatch, capsys):
     run_cli(argv)
     assert seen == [
         cli.verify.VerifyConfig(
-            n_values=(16, 32, 64), eps_values=(0.1, 0.02), phi=1.5, only="cf", perturb_tk=0.25,
-            workers=3,
+            n_values=(16, 32, 64), eps_values=(0.1, 0.02), phi=1.5, only="cf", perturb_tk=0.25
         )
     ]
     with pytest.raises(ValueError, match="invalid choice: 'fit'"):

@@ -188,6 +188,18 @@ def test_f_of_z_vanishes_at_oracle_ground_energy():
     assert abs(f_of_z(p, lam0)) <= 1e-10
 
 
+@pytest.mark.parametrize("n", (2, 128, 4096))
+def test_f_of_z_is_the_f_value_of_g_check(n):
+    # f_of_z skips the amplitude chain of g_check's slope; f is the same
+    # float, and an invalid flow names the same level
+    p = ModelParams(n_particles=n, epsilon=0.01)
+    for z in bogoliubov_energy(p) - np.geomspace(1e-3, 3.0, 9):
+        assert f_of_z(p, z) == g_check(p, z).f_value
+    z = float(build_sector_hamiltonian(p).diag[1])
+    with pytest.raises(FlowDomainError, match=f"at level {g_check(p, z).invalid_level}$"):
+        f_of_z(p, z)
+
+
 def test_f_slope_at_most_minus_one():
     p = ModelParams(n_particles=128, epsilon=0.01)
     win_lo = bogoliubov_energy(p) - 3.0

@@ -1,12 +1,13 @@
 """The dpttrf pivot chains must reproduce the element loops they replace,
 also past failures, and a chain resumed from its last pivot must equal
-one pass bit for bit.
+one pass bit for bit.  The nested fraction schur_eta must reproduce its
+loop on numpy scalars bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from bogoflow import _kernels
+from bogoflow import ModelParams, _kernels, oracle, verify
 
 
 # The kernels must reproduce the element loop: the same first_bad, and
@@ -213,3 +214,55 @@ def test_flow_pivots_alone_invert_to_the_table():
     assert buffer[0] == buffer[-1] == 7.0
     np.divide(1.0, d, out=d)
     _assert_close(d, ref)
+
+
+def _schur_eta_on_numpy_scalars(d, e2, z):
+    # schur_eta's loop as it ran on numpy float64 scalars, the reference
+    # its Python-float loop must match bit for bit
+    m = d.shape[0]
+    if m == 1:
+        return d[0] - z
+    x = d[m - 1] - z
+    for k in range(m - 2, 0, -1):
+        if x == 0.0:
+            x = _kernels._TINY
+        x = d[k] - z - e2[k] / x
+    if x == 0.0:
+        x = _kernels._TINY
+    return d[0] - z - e2[0] / x
+
+
+def test_schur_eta_of_one_entry():
+    assert _kernels.schur_eta(np.array([2.5]), np.array([]), 1.0) == 1.5
+
+
+def test_schur_eta_exact_zero_denominator():
+    # x_2 = d[2] - z = 0 and x_1 = d[1] - z - e2[1]/x_2 = 0 each take _TINY
+    d, e2 = np.array([0.0, 1.0, 1.0]), np.array([1e-310, 0.0])
+    assert _kernels.schur_eta(d, e2, 1.0) == -1.0 - 1e-310 / _kernels._TINY
+    d, e2 = np.array([0.0, 2.0, 2.0]), np.array([1.0, 1.0])
+    assert _kernels.schur_eta(d, e2, 1.0) == -1.0 - 1.0 / _kernels._TINY
+
+
+def test_schur_eta_overflow_reads_inf_without_a_warning():
+    # numpy scalars would raise the overflow RuntimeWarning that pytest
+    # turns into an error here; Python floats give the same inf silently
+    d, e2 = np.array([0.0, 1.0]), np.array([1e10])
+    assert _kernels.schur_eta(d, e2, 1.0) == -np.inf
+
+
+def test_schur_eta_matches_numpy_scalars_on_the_default_cf_row():
+    # the (d, e2, z) of every call the default battery's cf row makes
+    calls = 0
+    for n in verify.DEFAULT_GRID_N:
+        for eps in verify.DEFAULT_GRID_EPS:
+            params = ModelParams(n_particles=n, epsilon=eps)
+            tri = oracle.build_sector_hamiltonian(params)
+            lam0 = oracle.lowest_eigenpair(tri).value
+            d, e2 = np.ascontiguousarray(tri.diag), tri.offdiag * tri.offdiag
+            for z in verify._subspectral_grid(lam0, params.phi, verify.CF_POINTS):
+                got = _kernels.schur_eta(d, e2, float(z))
+                ref = _schur_eta_on_numpy_scalars(d, e2, z)
+                assert type(got) is float and got.hex() == float(ref).hex()
+                calls += 1
+    assert calls == 300

@@ -61,9 +61,8 @@ def test_equivalence_tolerances_are_the_roadmap_values():
     assert verify.CF_TOL == 1e-12  # the continued-fraction identity
 
 
-@pytest.mark.parametrize("workers", [1, None, 3])
-def test_default_battery_is_frozen_to_the_bit(workers):
-    results = verify.run_all(verify.VerifyConfig(workers=workers))
+def test_default_battery_is_frozen_to_the_bit():
+    results = verify.run_all()
     rows = [(r.name, bool(r.passed), repr(float(r.margin)), r.details) for r in results]
     assert rows == FROZEN_BATTERY
 
@@ -73,52 +72,20 @@ def test_only_names_exactly_one_suite(only):
     # no prefix match: "s" would have run sequences and spectrum
     with pytest.raises(ValueError, match="cf, flow, sequences, spectrum, groundstate"):
         verify.run_all(verify.VerifyConfig(only=only))
-    rows = verify.run_all(verify.VerifyConfig(n_values=(16,), eps_values=(0.1,), only="cf", workers=1))
+    rows = verify.run_all(verify.VerifyConfig(n_values=(16,), eps_values=(0.1,), only="cf"))
     assert [r.name for r in rows] == ["cf_equivalence"]
 
 
-def _boom(*args):
-    raise ValueError("boom")
-
-
-def _in_child(action):
-    """A stand-in check that does action(), and refuses to run in the caller."""
-    caller = os.getpid()
+def test_a_raising_check_propagates_out_of_run_all_unchanged(monkeypatch):
+    error = ValueError("boom")
 
     def check(*args):
-        assert os.getpid() != caller, "the stand-in check ran in the caller"
-        action()
+        raise error
 
-    return check
-
-
-def _raise_unpicklable():
-    class Local(Exception):
-        pass
-
-    raise Local("cannot be pickled")
-
-
-@pytest.mark.parametrize(
-    "name, check, error, message",
-    [
-        ("check_w_bound", _in_child(_boom), ValueError, "boom"),
-        ("check_w_bound", _in_child(lambda: os._exit(3)), RuntimeError, "exit code 3"),
-        ("check_w_bound", _in_child(_raise_unpicklable), RuntimeError, "Local"),
-        ("check_flow_monotonicity", _boom, ValueError, "boom"),  # the caller's own share
-    ],
-    ids=["child-raises", "child-exits", "child-unpicklable", "caller-raises"],
-)
-def test_a_failing_check_raises_in_the_caller_and_leaves_no_process(
-    monkeypatch, name, check, error, message
-):
-    # with 2 workers the caller runs the flow suite's checks 0 and 2
-    # (check_flow_monotonicity, check_g_lower_bound_link), the child 1 and 3
-    monkeypatch.setattr(verify, name, check)
-    with pytest.raises(error, match=message):
-        verify.run_all(verify.VerifyConfig(only="flow", workers=2))
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(verify, "check_w_bound", check)
+    with pytest.raises(ValueError) as raised:
+        verify.run_all(verify.VerifyConfig(only="flow"))
+    assert raised.value is error
 
 
 def _counted(monkeypatch):
@@ -141,7 +108,7 @@ def test_oracle_rows_solve_and_build_once_per_grid_point(monkeypatch, only):
     # the cf row and the four oracle rows reduce one compare_point record per
     # grid point; ebog_convergence solves its own N = 1e3..1e5 points besides
     solves, builds = _counted(monkeypatch)
-    verify.run_all(verify.VerifyConfig(only=only, workers=1))
+    verify.run_all(verify.VerifyConfig(only=only))
     grid = [ModelParams(n_particles=n, epsilon=eps) for n in verify.DEFAULT_GRID_N for eps in verify.DEFAULT_GRID_EPS]
     assert {params: solves[params] for params in grid} == dict.fromkeys(grid, 1)
     assert builds == Counter(grid)
@@ -153,10 +120,8 @@ def test_cli_point_solves_and_builds_once(monkeypatch):
     assert solves == builds == Counter([ModelParams(n_particles=1024, epsilon=0.01)])
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_the_battery_builds_each_grid_record_once_in_the_caller(monkeypatch, tmp_path, workers):
-    # each call appends a line to a file, so forked workers' calls count too
-    log = tmp_path / "calls"
+def test_the_battery_builds_each_grid_record_once_in_the_caller(monkeypatch):
+    calls = []  # (name, pid, n, eps) of each call
     for module, name in (
         (oracle, "build_sector_hamiltonian"),
         (spectrum, "solve_fixed_point"),
@@ -164,19 +129,17 @@ def test_the_battery_builds_each_grid_record_once_in_the_caller(monkeypatch, tmp
     ):
 
         def spy(params, *args, name=name, function=getattr(module, name)):
-            with open(log, "a") as f:
-                f.write(f"{name} {os.getpid()} {params.n_particles} {params.epsilon}\n")
+            calls.append((name, os.getpid(), params.n_particles, params.epsilon))
             return function(params, *args)
 
         monkeypatch.setattr(module, name, spy)
-    verify.run_all(verify.VerifyConfig(workers=workers))
-    calls = [line.split() for line in log.read_text().splitlines()]
-    grid = {(str(n), str(eps)) for n in verify.DEFAULT_GRID_N for eps in verify.DEFAULT_GRID_EPS}
+    verify.run_all()
+    grid = {(n, eps) for n in verify.DEFAULT_GRID_N for eps in verify.DEFAULT_GRID_EPS}
     on_grid = [(name, pid) for name, pid, n, eps in calls if (n, eps) in grid]
     counts = Counter(name for name, _ in on_grid)
     names = ("build_sector_hamiltonian", "solve_fixed_point", "expand_ground_state")
     assert len(grid) == 15 and counts == dict.fromkeys(names, len(grid))
-    assert {int(pid) for _, pid in on_grid} == {os.getpid()}
+    assert {pid for _, pid in on_grid} == {os.getpid()}
 
 
 def test_cf_negative_control_leaves_the_records_untouched():
