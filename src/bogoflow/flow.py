@@ -16,9 +16,9 @@ with m = N - i the pair-mode occupation at level i.  The second
 resolvent of W_i is the first resolvent of level i-2 (i-2 and m+2 are
 exact in floating point), so one array of resolvents serves both.  Only
 the resolvents depend on z; a pass builds the numerators and diagonal
-entries of its levels once.  One rule decides where the flow holds: a
-level is valid while its resolvent d - z is > 0 and its pivot
-1/G = 1 - W*G is > 0 (the series sum with q = W*G in [0, 1)).
+entries PASS_BLOCK levels at a time.  One rule decides where the flow
+holds: a level is valid while its resolvent d - z is > 0 and its
+pivot 1/G = 1 - W*G is > 0 (the series sum with q = W*G in [0, 1)).
 The table records the first level where that fails, a NaN failing too,
 and nothing raises.  For z < 0 every resolvent is a nonnegative d minus
 a negative z, so only z >= 0 (or NaN) needs the resolvent test.  A
@@ -28,8 +28,8 @@ the ground energy: right of the root, as every invalid z is.
 
 The recursion runs on the pivots 1/G, which are those of the LDL^T
 factorization of the sector matrix minus z, through LAPACK dpttrf
-(_kernels.flow_recursion, which fills the pivots only), and a span
-then inverts them in place.  g_check runs the pass in one span.
+(_kernels.flow_recursion, which fills the pivots only), block after
+block, each inverting its pivots once the next block has read the last.
 
 A caller that reads G on the top levels only (amplitudes, behind the
 ground-state expansion, and the verify check against the minorant chain)
@@ -97,6 +97,8 @@ from .model import ModelParams, power_span
 COEFF_FLOOR = 1e-18
 # block length of the amplitude chain, and the top levels amplitudes first asks for
 CHAIN_BLOCK = 2048
+# levels per block of a flow pass: 128 KB per float64 array, which stays in cache
+PASS_BLOCK = 16384
 # decay constant c of the truncation error (1/(1+c*sqrt(eps)))^(N^(1-beta)).
 # The battery's truncation-decay fits read c = expm1(-slope)/sqrt(eps) of
 # 0.91-1.02 at eps=0.01 and 1.22-1.39 at eps=0.04 (beta 0.7 down to 0.3),
@@ -136,24 +138,34 @@ class FlowTable:
         return self.start_level + 2 * np.arange(self.g_values.shape[0])
 
 
-def _coefficients_at(params: ModelParams, start_level: int):
-    """The z-independent parts of W at levels start_level..N-2, as
+def _coefficients_at(params: ModelParams, lo: int, hi: int):
+    """The z-independent parts of W at the even levels lo <= i < hi, as
     (num, diag): the coupling numerator t_k^2 and the diagonal entry d_k
     of each level, so that d_k - z is its first resolvent."""
     n = params.n_particles
-    i = start_level + 2.0 * np.arange((n - start_level) // 2)  # exact integers in float64
+    i = np.arange(lo, hi, 2.0)  # exact integers in float64
     phi, k2 = params.phi, params.kinetic
     m = n - i
-    num = (i - 1.0) * i / (float(n) * float(n)) * phi * phi * (0.5 * m + 1.0) ** 2
-    diag = (i * phi / n + k2) * m
+    # num = (i-1)*i/N^2*phi*phi*(m/2+1)^2, diag = (i*phi/N + k^2)*m, left to right, in place
+    num, diag, sq = i - 1.0, i * phi, 0.5 * m + 1.0
+    num *= i
+    num /= float(n) * float(n)
+    num *= phi
+    num *= phi
+    sq *= sq
+    num *= sq
+    diag /= n
+    diag += k2
+    diag *= m
     return num, diag
 
 
-def _w_product_arrays(z: float, coefficients):
+def _w_product_arrays(z: float, coefficients, w):
     """Coupling products for the consecutive levels whose coefficients
-    (_coefficients_at) are given; index 0 is 0.0.
+    (_coefficients_at) are given, written into w[1:]; w[0], the first
+    level's, needs the level below it and is left as it is.
 
-    Also returns the numerator t_k^2 and first resolvent d_k - z of each
+    Returns w with the numerator t_k^2 and first resolvent d_k - z of each
     level, which the amplitude chain reuses.  The second resolvent of
     level i is the first of level i-2: i-2 and m+2 are exact, so both
     are the same float.  An overflowed resolvent product gives W = 0, its limit;
@@ -162,27 +174,38 @@ def _w_product_arrays(z: float, coefficients):
     """
     num, diag = coefficients
     den1 = diag - z
-    w = np.zeros(den1.shape[0])
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.multiply(den1[1:], den1[:-1], out=w[1:])
         np.divide(num[1:], w[1:], out=w[1:])
     return w, num, den1
 
 
-def _flow_span(z, coefficients, pivot):
-    """The pass over the levels whose coefficients are given by one
-    kernel call, its first entry preset to the pivot 1/G given.  Returns
-    w, g, num, den1 and the pass index of the first level that fails the
-    validity rule (module docstring), or -1."""
-    w, num, den1 = _w_product_arrays(z, coefficients)
-    g = np.empty_like(w)  # the pivots 1/G, inverted in place once the last is read
-    g[0] = pivot
-    bad = int(_kernels.flow_recursion(w, g))
-    if not z < 0.0:  # the resolvent test: for z < 0 every d - z is positive
-        poles = np.flatnonzero(~(den1[: bad if bad >= 0 else None] > 0.0))
-        bad = int(poles[0]) if poles.size else bad
-    np.divide(1.0, g, out=g)
-    return w, g, num, den1, bad
+def _flow_pass(params: ModelParams, z: float, start_level: int, pivot: float):
+    """The pass from start_level to level N-2, its first pivot 1/G preset
+    to the pivot given.  Returns W and G at every level, t^2 and d - z on
+    the top block's levels (the last num.size), and the pass index of the
+    first level that fails the validity rule (module docstring), or -1.
+
+    It runs PASS_BLOCK levels at a time, the remainder block at the
+    bottom; each block continues from the resolvent and pivot of the
+    level below it, so the pass equals one span bit for bit
+    (_kernels.flow_recursion), and no temporary holds more than a block."""
+    size = (params.n_particles - start_level) // 2
+    w, g = np.empty(size), np.empty(size)  # g holds pivots until the next block reads them
+    w[0], g[0], bad = 0.0, pivot, -1
+    for hi in range(size % PASS_BLOCK or PASS_BLOCK, size + 1, PASS_BLOCK):
+        lo = max(hi - PASS_BLOCK, 0)
+        first = max(lo - 1, 0)  # the level the block continues from
+        coefficients = _coefficients_at(params, start_level + 2 * first, start_level + 2 * hi)
+        wb, num, den1 = _w_product_arrays(z, coefficients, w[first:hi])
+        b = int(_kernels.flow_recursion(wb, g[first:hi]))  # index in the block, or -1
+        if bad < 0 and not z < 0.0:  # the resolvent test: for z < 0 every d - z is positive
+            poles = np.flatnonzero(~(den1[lo - first : b if b >= 0 else None] > 0.0))
+            b = int(poles[0]) + lo - first if poles.size else b
+        bad = first + b if bad < 0 <= b else bad
+        np.divide(1.0, g[first : hi - 1], out=g[first : hi - 1])
+    g[-1] = 1.0 / g[-1]
+    return w, g, num[lo - first :], den1[lo - first :], bad
 
 
 def truncation_span(params: ModelParams) -> int:
@@ -220,9 +243,8 @@ def enclosure(params: ModelParams, z: float, count: int):
     n = params.n_particles
     span = _first_span(params, count) if z < 0.0 and params.epsilon * n >= 1.0 else n
     while span < n:
-        coefficients = _coefficients_at(params, n - span)
-        _, low, _, _, low_bad = _flow_span(z, coefficients, 1.0)
-        _, high, _, _, high_bad = _flow_span(z, coefficients, 0.5)
+        _, low, _, _, low_bad = _flow_pass(params, z, n - span, 1.0)
+        _, high, _, _, high_bad = _flow_pass(params, z, n - span, 0.5)
         if low_bad >= 0 or high_bad >= 0:
             break
         apart = np.flatnonzero(low != high)
@@ -238,15 +260,19 @@ def enclosure(params: ModelParams, z: float, count: int):
 
 def g_check(params: ModelParams, z: float, start_level: int = 0) -> FlowTable:
     """Run the flow upward from start_level (value 1 there) to level N-2
-    in one span."""
+    in one pass."""
     n = params.n_particles
     if start_level % 2 != 0 or not 0 <= start_level <= n - 2:
         raise ValueError("start_level must be even with 0 <= start_level <= N-2")
-    w, g, num, den1, first_bad = _flow_span(z, _coefficients_at(params, start_level), 1.0)
+    w, g, num, den1, first_bad = _flow_pass(params, z, start_level, 1.0)
     valid = first_bad < 0
     norm_sq = math.nan
     if valid:  # f' = -(1 + sum psi_k^2) over the table's levels
-        norm_sq = _amplitude_chain(g, num, den1, _final_coupling(params), g.size)[1]
+        chain = _amplitude_chain(g[-num.size :], num, den1, _final_coupling(params), g.size)
+        if chain is None:  # the chain runs below the top block: read every level
+            num, diag = _coefficients_at(params, start_level, n)
+            chain = _amplitude_chain(g, num, diag - z, _final_coupling(params), g.size)
+        norm_sq = chain[1]
     return FlowTable(
         z=float(z),
         start_level=start_level,
@@ -329,7 +355,7 @@ def amplitudes(params: ModelParams, z: float, k_max: int):
     g, span = enclosure(params, z, count)
     while True:  # the full pass (span N) holds every level the chain reads
         top = g[-count:]  # coefficients only for the levels the chain may read
-        num, diag = _coefficients_at(params, params.n_particles - 2 * top.size)
+        num, diag = _coefficients_at(params, params.n_particles - 2 * top.size, params.n_particles)
         chain = _amplitude_chain(top, num, diag - z, _final_coupling(params), k_max)
         if chain is not None:
             return np.concatenate([np.ones(1), *chain[0]]), span
@@ -341,7 +367,7 @@ def amplitudes(params: ModelParams, z: float, k_max: int):
 def f_of_z(params: ModelParams, z: float) -> float:
     """Fixed-point function; requires the flow to be valid at z.  The
     f_value of g_check, without the amplitude chain of its slope."""
-    _, g, _, _, bad = _flow_span(z, _coefficients_at(params, 0), 1.0)
+    _, g, _, _, bad = _flow_pass(params, z, 0, 1.0)
     if bad >= 0:
         raise FlowDomainError(f"geometric-series condition failed at level {2 * bad}")
     return _f_from_g(params, z, float(g[-1]))

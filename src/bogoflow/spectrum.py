@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .flow import g_check, truncation_span
+from .flow import FlowDomainError, f_of_z, g_check, truncation_span
 from .model import (
     AssumptionReport,
     ModelParams,
@@ -65,14 +65,17 @@ class GroundEnergyResult:
 def flow_side(params, z):
     """+1 if f(z) > 0 (left of the root), -1 otherwise.
 
-    An invalid flow table means z is above the ground energy, i.e. on
-    the -1 side: the geometric-series condition holds at every level for
-    all z below the smallest eigenvalue.
+    An invalid flow (f_of_z raises FlowDomainError) means z is above the
+    ground energy, i.e. on the -1 side: the geometric-series condition
+    holds at every level for all z below the smallest eigenvalue.
     """
-    return 1 if _f_or_right(_flow_point(params, z)) > 0.0 else -1
+    try:
+        return 1 if f_of_z(params, z) > 0.0 else -1
+    except FlowDomainError:
+        return -1
 
 
-def _flow_point(params, z, start_level=0):
+def _flow_point(params, z, start_level):
     """(f(z), f'(z)) of the flow from start_level, or None where it is
     invalid (z is then right of the root)."""
     table = g_check(params, z, start_level)

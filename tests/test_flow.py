@@ -89,13 +89,13 @@ def test_w_products_match_two_resolvent_formula_bitwise(n):
         i = start + 2.0 * np.arange((n - start) // 2)
         m = n - i
         num = (i - 1.0) * i / (float(n) * float(n)) * phi * phi * (0.5 * m + 1.0) ** 2
-        coefficients = _coefficients_at(params, start)
+        coefficients = _coefficients_at(params, start, n)
         for z in (z_star, z_star - 1.0):
             den1 = (i * phi / n + k2) * m - z
             den2 = ((i - 2.0) * phi / n + k2) * (m + 2.0) - z
             expected = np.zeros(i.size)
             expected[1:] = num[1:] / (den1[1:] * den2[1:])
-            w, w_num, w_den1 = _w_product_arrays(z, coefficients)
+            w, w_num, w_den1 = _w_product_arrays(z, coefficients, np.zeros(i.size))
             np.testing.assert_array_equal(w, expected)
             np.testing.assert_array_equal(w_num, num)
             np.testing.assert_array_equal(w_den1, den1)
@@ -103,6 +103,98 @@ def test_w_products_match_two_resolvent_formula_bitwise(n):
             # a pole at the start level enters only as a second resolvent
             for pole in (coefficients[1][0], coefficients[1][-1]):
                 assert not g_check(params, float(pole), start).valid
+
+
+def _one_span_pass(params, z, start, pivot):
+    # the reference pass: W with both resolvents written out at every
+    # level at once, one flow_recursion call on the whole span, the
+    # resolvent test on the levels before its first failure, and the
+    # pivots inverted
+    from bogoflow import _kernels
+
+    n, phi, k2 = params.n_particles, params.phi, params.kinetic
+    i = start + 2.0 * np.arange((n - start) // 2)
+    m = n - i
+    num = (i - 1.0) * i / (float(n) * float(n)) * phi * phi * (0.5 * m + 1.0) ** 2
+    den1 = (i * phi / n + k2) * m - z
+    den2 = ((i - 2.0) * phi / n + k2) * (m + 2.0) - z
+    w = np.zeros(i.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        w[1:] = num[1:] / (den1[1:] * den2[1:])
+    g = np.empty_like(w)
+    g[0] = pivot
+    bad = int(_kernels.flow_recursion(w, g))
+    if not z < 0.0:
+        poles = np.flatnonzero(~(den1[: bad if bad >= 0 else None] > 0.0))
+        bad = int(poles[0]) if poles.size else bad
+    return w, 1.0 / g, num, den1, bad
+
+
+@pytest.mark.parametrize("block", (1, 2, 7, 64, 1 << 30))
+@pytest.mark.parametrize("n", (2, 4, 6, 12, 14, 16, 126, 128, 130, 1024))
+def test_the_blocked_pass_equals_one_span_bitwise(monkeypatch, block, n):
+    # a pass of PASS_BLOCK levels at a time, each block continuing from the
+    # last resolvent and pivot of the block before, equals one span to the
+    # bit: W, G, the first failing level and every number read from them
+    from bogoflow import flow
+
+    monkeypatch.setattr(flow, "PASS_BLOCK", block)
+    for eps in (0.01, 0.5):
+        params = ModelParams(n_particles=n, epsilon=eps)
+        z_star = solve_fixed_point(params).z_star
+        i = 2.0 * (n // 4)
+        pole = (i * params.phi / n + params.kinetic) * (n - i)  # d - z = 0 at level i, z > 0
+        for z in (z_star, z_star - 0.05, z_star + 0.3, pole, math.nan):
+            for start in sorted({0, (n // 4) * 2, n - 2}):
+                for pivot in (1.0, 0.5):
+                    ref = _one_span_pass(params, z, start, pivot)
+                    w, g, num, den1, bad = flow._flow_pass(params, z, start, pivot)
+                    for got, full in zip((w, g, num, den1), ref):
+                        np.testing.assert_array_equal(got, full[full.size - got.size :])
+                    assert (w.size, g.size, bad) == (ref[0].size, ref[1].size, ref[4])
+                w, g, num, den1, bad = ref = _one_span_pass(params, z, start, 1.0)
+                slope = math.nan
+                if bad < 0:
+                    slope = -flow._amplitude_chain(g, num, den1, flow._final_coupling(params), g.size)[1]
+                table = g_check(params, z, start)
+                np.testing.assert_array_equal(table.g_values, g)
+                np.testing.assert_array_equal(table.w_products, w)
+                np.testing.assert_array_equal(
+                    [table.z, table.start_level, table.f_value, table.f_slope, table.valid, table.invalid_level],
+                    [z, start, flow._f_from_g(params, z, g[-1]), slope, bad < 0, -1 if bad < 0 else start + 2 * bad],
+                )
+            w, g, num, den1, bad = _one_span_pass(params, z, 0, 1.0)
+            if bad >= 0:
+                for read in (lambda: f_of_z(params, z), lambda: flow.enclosure(params, z, 1)):
+                    with pytest.raises(FlowDomainError):
+                        read()
+                continue
+            assert f_of_z(params, z) == flow._f_from_g(params, z, g[-1])
+            top, span = flow.enclosure(params, z, 1)
+            np.testing.assert_array_equal(top, g[g.size - top.size :])
+            with monkeypatch.context() as m:
+                m.setattr(flow, "PASS_BLOCK", 1 << 30)
+                assert span == flow.enclosure(params, z, 1)[1]
+
+
+@pytest.mark.parametrize("read", ("g_check", "f_of_z"))
+def test_a_pass_holds_no_level_array_beyond_its_outputs(read):
+    # W and G are the pass's only arrays of N/2 doubles; every other
+    # temporary holds one block of levels
+    import tracemalloc
+
+    from bogoflow import flow
+
+    n = 2 * 10**6
+    params = ModelParams(n_particles=n, epsilon=0.01)
+    z = solve_fixed_point(params).z_star
+    tracemalloc.start()
+    try:
+        getattr(flow, read)(params, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (n // 2) * 8
 
 
 def test_g_check_start_level_validation():
@@ -311,18 +403,18 @@ def test_lower_bound_link_reads_the_enclosure(monkeypatch, n, eps):
 
 
 def _restart_spans(monkeypatch):
-    # the span N - R of every flow span run from a level R, twice its
+    # the span N - R of every flow pass run from a level R, twice its
     # level count, in call order; a restart pair appends its span twice
     from bogoflow import flow
 
     spans = []
-    span = flow._flow_span
+    run = flow._flow_pass
 
-    def recorded(z, coefficients, pivot):
-        spans.append(2 * coefficients[0].size)
-        return span(z, coefficients, pivot)
+    def recorded(params, z, start_level, pivot):
+        spans.append(params.n_particles - start_level)
+        return run(params, z, start_level, pivot)
 
-    monkeypatch.setattr(flow, "_flow_span", recorded)
+    monkeypatch.setattr(flow, "_flow_pass", recorded)
     return spans
 
 

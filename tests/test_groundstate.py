@@ -156,7 +156,7 @@ def _expand_by_loop(params, z, k_max=None):
     if k_max is None:
         k_max = n // 2
     g = g_check(params, z).g_values
-    num, diag = _coefficients_at(params, 0)
+    num, diag = _coefficients_at(params, 0, n)
     t = np.sqrt(np.append(num[1:], _final_coupling(params)))
     coeffs = np.zeros(k_max + 1)
     coeffs[0] = 1.0
@@ -280,18 +280,18 @@ def test_forced_short_span_doubles_to_same_vector(monkeypatch):
 
 
 def _span_sizes(monkeypatch):
-    # the level count of every flow span run, in call order; a full pass
+    # the level count of every flow pass run, in call order; a full pass
     # from level 0 runs N/2 levels, every restart fewer
     from bogoflow import flow
 
     sizes = []
-    span = flow._flow_span
+    run = flow._flow_pass
 
-    def counted(z, coefficients, pivot):
-        sizes.append(coefficients[0].size)
-        return span(z, coefficients, pivot)
+    def counted(params, z, start_level, pivot):
+        sizes.append((params.n_particles - start_level) // 2)
+        return run(params, z, start_level, pivot)
 
-    monkeypatch.setattr(flow, "_flow_span", counted)
+    monkeypatch.setattr(flow, "_flow_pass", counted)
     return sizes
 
 
