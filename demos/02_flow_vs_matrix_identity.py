@@ -3,10 +3,13 @@
 Schur complement of the sector matrix onto the condensate entry,
 identically in z.
 
-The two sides are computed by genuinely different recursions (forward
-geometric-series factors vs a bottom-up nested fraction), so their
-agreement at rounding level is a real cross-check, and breaking one
-matrix element by 1e-6 breaks the identity visibly.
+Both sides are the pivot recurrence of an LDL^T factorization, run on
+independent inputs: the flow on its own coupling products, scaled to a
+unit diagonal, the matrix side on the raw elements of the oracle's
+sector matrix (its last pivot from the bottom row up).  Their agreement
+at rounding level checks every coefficient and the level <-> pair
+index dictionary, and breaking one matrix element by 1e-6 breaks the
+identity visibly.
 """
 
 import numpy as np

@@ -4,12 +4,14 @@ flow_recursion and rational_chain are the Moebius chains of the flow and
 of the comparison sequences.  Both are the pivot recurrence
 y_j = 1 - c_j / y_{j-1} of the LDL^T factorization of a unit-diagonal
 tridiagonal matrix with off-diagonal sqrt(c), which _pivots runs through
-LAPACK dpttrf; the element loops _flow_loop and _chain_loop are the
-reference and compute the entries dpttrf cannot.  schur_eta is the
-nested fraction of the oracle's tridiagonal matrix, the matrix side of
-the continued-fraction identity.  No kernel knows the model: callers
-pass the coefficients.
+LAPACK dpttrf.  The entries dpttrf cannot compute take each caller's
+element formula: flow_recursion's step, and _chain_loop for
+rational_chain.  The element loops _flow_loop and _chain_loop are the
+tests' reference.  No kernel knows the model: callers pass the
+coefficients.
 """
+
+import math
 
 import numpy as np
 
@@ -26,14 +28,18 @@ def _pivots(c, y, step):
     dpttrf factors the tridiagonal matrix with unit diagonal and
     off-diagonal e_j = sqrt(c_j); its pivots are y, each entry computed
     as 1 - (e_j / y_{j-1}) * e_j.  It needs c_j >= 0 finite and stops
-    after a pivot <= 0.  step(j) computes entry j from entry j-1 by the
-    caller's element formula there: at every c_j that is negative or not
-    finite, and after every pivot <= 0; dpttrf then resumes.  Each entry
-    depends only on c_j and y_{j-1}, so a chain continued from its last
-    pivot equals one pass bit for bit.  Returns True if one dpttrf call
-    took every entry and every pivot is positive.  y must be C-contiguous
-    float64: dpttrf writes the pivots back in place only into such an
-    array, and would fill a private copy of any other.
+    after a pivot <= 0.  One dpttrf call takes the chain up to its first
+    c_j that is negative or NaN, and stops earlier at its first pivot
+    <= 0, which an infinite c_j makes -inf.  One loop finishes the rest
+    from that pivot on: by dpttrf's own formula where it applies, and by
+    step(j), the caller's element formula for entry j from entry j-1, at
+    every c_j that is negative or not finite and after every pivot <= 0
+    or NaN.  Each entry depends only on c_j and y_{j-1}, so a chain
+    continued from its last pivot equals one pass bit for bit.  Returns
+    True if the dpttrf call took every entry and every pivot is positive.
+    y must be C-contiguous float64: dpttrf writes the pivots back in
+    place only into such an array, and would fill a private copy of any
+    other.
     """
     if y.dtype != np.float64 or not y.flags.c_contiguous:
         raise ValueError("the pivot chain needs a C-contiguous float64 array")
@@ -43,32 +49,24 @@ def _pivots(c, y, step):
     from scipy.linalg.lapack import dpttrf
 
     n = y.shape[0]
-    y[1:] = 1.0
-    if n < 2:
+    # y[:k] is dpttrf's: k - 1 is the first index with c < 0 or NaN, or k = n
+    k = n if c[1:].min(initial=0.0) >= 0.0 else 1 + int(np.argmin(c[1:] >= 0.0))
+    y[1:k] = 1.0
+    info = dpttrf(y[:k], np.sqrt(c[1:k]), overwrite_d=1, overwrite_e=1)[2] if k > 1 else 0
+    if info == 0 and k == n:
         return True
-    j = 0  # y[j] is final
-    if c[1:].min() >= 0.0:
-        info = dpttrf(y, np.sqrt(c[1:]), overwrite_d=1, overwrite_e=1)[2]
-        if info == 0:
-            return True
-        # every entry before the first pivot <= 0 is final
-        j = max(info - 2, 0)
-        y[j + 1 :] = 1.0
+    start = max(info - 1, 1) if info else k  # y[info - 1] is the first pivot <= 0
     # entries past a failure stay pivots, which a Sylvester count reads; an
     # infinite c_j (a resolvent pole) gives inf * 0 there: silenced, no bit moves
     with np.errstate(over="ignore", invalid="ignore"):
-        e = np.sqrt(c[1:])  # anew where dpttrf overwrote it
-        for k in (np.flatnonzero(~(e[j:] < np.inf)) + j + 1).tolist() + [n]:
-            while j < k - 1:  # entries j+1 .. k-1 by dpttrf
-                info = dpttrf(y[j:k], e[j : k - 1], overwrite_d=1, overwrite_e=1)[2]
-                if not 0 < info < k - j:
-                    j = k - 1
-                else:  # y[j + info - 1] <= 0 and nothing after it computed
-                    j += info
-                    step(j)
-            if k < n:
-                step(k)
-                j = k
+        tail = c[start:]
+        for j, cj, ok in zip(range(start, n), tail.tolist(), ((tail >= 0.0) & (tail < np.inf)).tolist()):
+            p = float(y[j - 1]) if ok else 0.0
+            if p > 0.0:
+                e = math.sqrt(cj)
+                y[j] = 1.0 - e / p * e
+            else:
+                step(j)
     return False
 
 
@@ -141,36 +139,8 @@ def rational_chain(dfac, x):
     return 1 + int(np.argmax(bad)) if bad.any() else -1
 
 
-def schur_eta(d, e2, z):
-    """Schur complement of (T - z) onto the first entry, evaluated directly.
-
-    T is the symmetric tridiagonal matrix with diagonal d and squared
-    off-diagonal e2.  The nested fraction is evaluated bottom-up:
-    x_{m-1} = d[m-1] - z,  x_k = d[k] - z - e2[k]/x_{k+1}, and the result
-    is d[0] - z - e2[0]/x_1.  The loop runs on Python floats, which cost
-    less per operation than numpy scalars: the same IEEE binary64
-    operations in the same order, so the same bits.  An overflow reads
-    inf as it would there, without numpy's RuntimeWarning.
-    """
-    d, e2, z = d.tolist(), e2.tolist(), float(z)
-    m = len(d)
-    if m == 1:
-        return d[0] - z
-    x = d[m - 1] - z
-    for k in range(m - 2, 0, -1):
-        if x == 0.0:
-            x = _TINY
-        x = d[k] - z - e2[k] / x
-    if x == 0.0:
-        x = _TINY
-    return d[0] - z - e2[0] / x
-
-
 def warmup():
     """Run every kernel once on tiny inputs."""
-    d = np.array([0.0, 1.0, 2.0])
-    e2 = np.array([0.1, 0.1])
     flow_recursion(np.array([0.0, 0.1]), np.ones(2))
-    schur_eta(d, e2, -1.0)
     x = np.ones(3)
     rational_chain(np.ones(3), x)

@@ -32,8 +32,9 @@ factorization of the sector matrix minus z, through LAPACK dpttrf
 block, each inverting its pivots once the next block has read the last.
 
 A caller that reads G on the top levels only (amplitudes, behind the
-ground-state expansion, and the verify check against the minorant chain)
-asks enclosure for them; it is the one reader of the top of the flow,
+ground-state expansion, the verify check against the minorant chain, and
+the truncation-decay fits, which read the top G of the full pass) asks
+enclosure for them; it is the one reader of the top of the flow,
 and decides between two restarts and the full pass.  enclosure restarts
 the flow twice at level R = N - S.  For z < 0 and eps*N >= 1, every
 level with m = N - i >= 2/eps has

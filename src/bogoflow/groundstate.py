@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import flow
-from .flow import g_check, g_truncated
+from .flow import g_truncated
 from .model import ModelParams, chain_denominator, majorant_coefficients, majorant_lower_bound, power_span
 
 # rounding floor of |G - G_T|: differences at or below it carry no decay
@@ -153,7 +153,7 @@ def gamma_truncation_experiment(
 
     fitted_c solves slope = -log(1 + c*sqrt(eps)) for c.
     """
-    full = g_check(params, z).g_values[-1]
+    full = flow.enclosure(params, z, 1)[0][-1]
     xs, diffs = [], []
     for beta in np.asarray(beta_grid, dtype=np.float64):
         try:

@@ -193,16 +193,11 @@ def majorant_coefficients(params: ModelParams):
 class AssumptionReport:
     """Pass/fail per regime condition.  Failures never abort computation;
     they tag downstream results as outside the proven regime.
-
-    gamma_size_ok isolates the N-dependent part of the gamma condition
-    (the epsilon^2 term is N-independent and already fails for moderate
-    epsilon no matter how large N is).  It is reported, not used to pick N.
     """
 
     nu_ok: bool
     mu_ok: bool
     gamma_ok: bool
-    gamma_size_ok: bool
     details: dict
 
     @property
@@ -247,8 +242,6 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
     s_lhs = 1.0 / n ** (1.0 - GAMMA)
     s_rhs = K_GAMMA * eps
     gamma_ok = g_lhs <= g_rhs and s_lhs <= s_rhs
-    # N-dependent part only: drop the eps^2 term from the first inequality
-    gamma_size_ok = (eps / n**GAMMA + 1.0 / n <= g_rhs) and s_lhs <= s_rhs
     details["gamma_smallness"] = (g_lhs, g_rhs, g_lhs <= g_rhs)
     details["gamma_size"] = (s_lhs, s_rhs, s_lhs <= s_rhs)
 
@@ -256,7 +249,6 @@ def check_assumptions(params: ModelParams) -> AssumptionReport:
         nu_ok=nu_ok,
         mu_ok=mu_ok,
         gamma_ok=gamma_ok,
-        gamma_size_ok=gamma_size_ok,
         details=details,
     )
 

@@ -39,7 +39,8 @@ an interval as wide as its tolerance) for each j >= 1.
 lowest_eigenpair keeps its certified pair on the matrix object, so a
 matrix is solved once however often it is asked; build_sector_hamiltonian
 makes its arrays read-only to keep that pair valid.
-schur_complement evaluates the nested fraction of (T - z) directly, and
+schur_complement folds T - z onto the first entry, the last pivot of
+one more LDL^T factorization (dpttrf, bottom row first), and
 eigen_residual measures a vector against T.  No part of this module
 looks at the flow; it is the independent reference.
 """
@@ -51,7 +52,6 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dstebz
 
-from . import _kernels
 from .model import ModelParams
 
 
@@ -245,12 +245,18 @@ def low_spectrum(tri: TridiagonalHamiltonian, m: int) -> np.ndarray:
 
 
 def schur_complement(tri: TridiagonalHamiltonian, z: float) -> float:
-    """(T - z) folded onto the first basis entry, nested fraction evaluated
-    directly from the matrix elements:  d0 - z - t0^2/(d1 - z - t1^2/(...)).
+    """(T - z) folded onto the first basis entry,
+    d0 - z - t0^2/(d1 - z - t1^2/(...)): the last pivot of the LDL^T
+    factorization of T - z taken from the bottom row up (one dpttrf call
+    on the reversed matrix).  Raises ValueError where T - z without its
+    first row is not positive definite: a pivot there <= 0 or NaN.
     """
-    d = np.ascontiguousarray(tri.diag)
-    e2 = np.ascontiguousarray(tri.offdiag * tri.offdiag)
-    return float(_kernels.schur_eta(d, e2, float(z)))
+    if tri.size == 1:  # dpttrf takes no empty off-diagonal
+        return float(tri.diag[0] - z)
+    pivots, _, info = dpttrf(tri.diag[::-1] - z, tri.offdiag[::-1])
+    if 0 < info < tri.size or not pivots[-2] > 0.0:
+        raise ValueError(f"T - z without its first row is not positive definite at z={z!r}")
+    return float(pivots[-1])
 
 
 def eigen_residual(tri: TridiagonalHamiltonian, psi: np.ndarray, z: float) -> float:

@@ -405,7 +405,7 @@ def check_truncation_decay() -> PropertyResult:
                     continue
                 params = ModelParams(n_particles=n, epsilon=eps)
                 z = bogoliubov_energy(params)
-                full = flow.g_check(params, z).g_values[-1]
+                full = flow.enclosure(params, z, 1)[0][-1]
                 trunc = flow.g_truncated(params, z, beta)
                 xs.append(span)
                 diffs.append(abs(full - trunc))

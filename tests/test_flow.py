@@ -321,6 +321,22 @@ def test_continued_fraction_equivalence_direct():
             assert abs(f_flow - f_direct) <= 1e-12 * abs(f_direct)
 
 
+@pytest.mark.parametrize("n", (16, 1024, 16384))
+def test_both_sides_of_the_identity_share_one_domain(n):
+    # f_of_z raises where the flow is invalid, schur_complement where T - z
+    # without its condensate row is not positive definite: the same z
+    p = ModelParams(n_particles=n, epsilon=0.01)
+    tri = build_sector_hamiltonian(p)
+    for z in (float(tri.diag[1]), 5.0, math.nan):
+        with pytest.raises(FlowDomainError):
+            f_of_z(p, z)
+        with pytest.raises(ValueError, match="not positive definite"):
+            schur_complement(tri, z)
+    lam0 = lowest_eigenpair(tri).value
+    for z in (lam0 - 0.01, lam0 - 2.0):
+        assert f_of_z(p, z) > 0.0 and schur_complement(tri, z) > 0.0
+
+
 def test_w_products_below_shell_estimate():
     # every coupling product at the window edge sits below the shell
     # estimate 1/(4(1 + a - 2 b/(N-i+1) - (1-c)/(N-i+1)^2))

@@ -1,13 +1,16 @@
 """The dpttrf pivot chains must reproduce the element loops they replace,
 also past failures, and a chain resumed from its last pivot must equal
-one pass bit for bit.  The nested fraction schur_eta must reproduce its
-loop on numpy scalars bit for bit.
+one pass bit for bit.  _pivots must equal the rule it documents, entry
+by entry on Python floats, bit for bit, with one dpttrf call per chain.
 """
+
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
-from bogoflow import ModelParams, _kernels, oracle, verify
+from bogoflow import _kernels
 
 
 # The kernels must reproduce the element loop: the same first_bad, and
@@ -160,8 +163,8 @@ def test_exact_zero_pivot():
 
 
 def test_resume_after_failure():
-    # past a failure dpttrf resumes, so the entries after the element
-    # loop's step equal a fresh chain started there, bit for bit
+    # past a failure the chain goes on from the element loop's step, so
+    # the entries after it equal a fresh chain started there, bit for bit
     rng = np.random.default_rng(5)
     n, j = 4097, 1500
     dfac = _chain_inputs(n, rng)
@@ -216,53 +219,74 @@ def test_flow_pivots_alone_invert_to_the_table():
     _assert_close(d, ref)
 
 
-def _schur_eta_on_numpy_scalars(d, e2, z):
-    # schur_eta's loop as it ran on numpy float64 scalars, the reference
-    # its Python-float loop must match bit for bit
-    m = d.shape[0]
-    if m == 1:
-        return d[0] - z
-    x = d[m - 1] - z
-    for k in range(m - 2, 0, -1):
-        if x == 0.0:
-            x = _kernels._TINY
-        x = d[k] - z - e2[k] / x
-    if x == 0.0:
-        x = _kernels._TINY
-    return d[0] - z - e2[0] / x
+def _pivot_rule(c, y, step):
+    # the rule _pivots documents, entry by entry on Python floats: dpttrf's
+    # formula 1 - (e_j / y_{j-1}) * e_j, e_j = sqrt(c_j), after a positive
+    # pivot at a finite c_j >= 0, and the caller's step everywhere else
+    for j in range(1, y.size):
+        p, cj = float(y[j - 1]), float(c[j])
+        if p > 0.0 and 0.0 <= cj < math.inf:
+            y[j] = 1.0 - math.sqrt(cj) / p * math.sqrt(cj)
+        else:
+            step(j)
 
 
-def test_schur_eta_of_one_entry():
-    assert _kernels.schur_eta(np.array([2.5]), np.array([]), 1.0) == 1.5
+def _flow_step(w, d):
+    def step(j):
+        d[j] = 1.0 - w[j] * (1.0 / (d[j - 1] or -_kernels._TINY))
+
+    return step
 
 
-def test_schur_eta_exact_zero_denominator():
-    # x_2 = d[2] - z = 0 and x_1 = d[1] - z - e2[1]/x_2 = 0 each take _TINY
-    d, e2 = np.array([0.0, 1.0, 1.0]), np.array([1e-310, 0.0])
-    assert _kernels.schur_eta(d, e2, 1.0) == -1.0 - 1e-310 / _kernels._TINY
-    d, e2 = np.array([0.0, 2.0, 2.0]), np.array([1.0, 1.0])
-    assert _kernels.schur_eta(d, e2, 1.0) == -1.0 - 1.0 / _kernels._TINY
+def _chain_step(dfac, x):
+    return lambda j: _kernels._chain_loop(dfac[j - 1 : j + 1], x[j - 1 : j + 1])
 
 
-def test_schur_eta_overflow_reads_inf_without_a_warning():
-    # numpy scalars would raise the overflow RuntimeWarning that pytest
-    # turns into an error here; Python floats give the same inf silently
-    d, e2 = np.array([0.0, 1.0]), np.array([1e10])
-    assert _kernels.schur_eta(d, e2, 1.0) == -np.inf
+def _pivot_cases(n, rng):
+    # (name, flow coefficients w, chain factors dfac); c = w for the flow
+    # and 0.25 / dfac for the chain, the same entry breaking both
+    j = int(rng.integers(1, n))
+    for name in ("clean", "failed pivot", "zero pivot", "negative", "inf", "nan", "last fails", "two failures"):
+        w, dfac = _flow_inputs(n, rng), _chain_inputs(n, rng)
+        if name == "failed pivot":
+            w[j], dfac[j] = 3.0, 0.1
+        elif name == "zero pivot":
+            w[j - 1], w[j] = 0.0, 1.0  # pivot 1 - 1/1 = 0
+            dfac[j - 1], dfac[j] = np.inf, 0.25  # x = 1, then 1 - 1/(4 * 0.25) = 0
+        elif name == "negative":
+            w[j], dfac[j] = -0.05, -0.3
+        elif name == "inf":
+            w[j], dfac[j] = np.inf, 0.0
+        elif name == "nan":
+            w[j], dfac[j] = np.nan, np.nan
+        elif name == "last fails":
+            w[-1], dfac[-1] = 5.0, 0.1
+        elif name == "two failures":
+            k = min(j + 1 + n // 3, n - 1)
+            w[[j, k]], dfac[[j, k]] = 3.0, 0.1
+        yield name, w, dfac
 
 
-def test_schur_eta_matches_numpy_scalars_on_the_default_cf_row():
-    # the (d, e2, z) of every call the default battery's cf row makes
-    calls = 0
-    for n in verify.DEFAULT_GRID_N:
-        for eps in verify.DEFAULT_GRID_EPS:
-            params = ModelParams(n_particles=n, epsilon=eps)
-            tri = oracle.build_sector_hamiltonian(params)
-            lam0 = oracle.lowest_eigenpair(tri).value
-            d, e2 = np.ascontiguousarray(tri.diag), tri.offdiag * tri.offdiag
-            for z in verify._subspectral_grid(lam0, params.phi, verify.CF_POINTS):
-                got = _kernels.schur_eta(d, e2, float(z))
-                ref = _schur_eta_on_numpy_scalars(d, e2, z)
-                assert type(got) is float and got.hex() == float(ref).hex()
-                calls += 1
-    assert calls == 300
+@pytest.mark.parametrize("n", (2, 3, 17, 1025, 30001))
+def test_pivots_follow_their_rule_bit_for_bit(n, monkeypatch):
+    # every break position lands before, inside or at the end of the
+    # dpttrf prefix across the lengths and seeds
+    calls = []
+    dpttrf = scipy.linalg.lapack.dpttrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", lambda *a, **k: calls.append(1) or dpttrf(*a, **k))
+    rng = np.random.default_rng(n)
+    for name, w, dfac in _pivot_cases(n, rng):
+        with np.errstate(divide="ignore"):
+            c = 0.25 / dfac
+        for coef, make_step in ((w, lambda y: _flow_step(w, y)), (c, lambda y: _chain_step(dfac, y))):
+            got, ref = np.ones(n), np.ones(n)
+            got[0] = ref[0] = 0.9
+            calls.clear()
+            clean = _kernels._pivots(coef, got, make_step(got))
+            with np.errstate(over="ignore", invalid="ignore"):
+                _pivot_rule(coef, ref, make_step(ref))
+            assert got.tobytes() == ref.tobytes(), name
+            assert len(calls) <= 1
+            assert clean == (name == "clean"), name
+
+

@@ -50,6 +50,12 @@ def test_oracle_imports_no_flow_side_module():
     assert _imported_modules("oracle") & flow_side == set()
 
 
+def test_oracle_imports_only_the_model():
+    # not even the flow's kernels: the matrix side of the central identity
+    # calls LAPACK itself
+    assert _imported_modules("oracle") == {"model"}
+
+
 @pytest.mark.parametrize("module", ["flow", "spectrum", "groundstate", "sequences"])
 def test_no_flow_side_module_imports_the_oracle(module):
     # the flow builds its root, bounds and amplitudes from its own

@@ -235,6 +235,23 @@ def test_schur_complement_root_is_lambda0():
     assert abs(schur_complement(tri, lam0)) <= 1e-10
 
 
+def test_schur_complement_of_one_row():
+    # dpttrf takes no empty off-diagonal; one row folds to d0 - z
+    tri = TridiagonalHamiltonian(diag=np.array([2.5]), offdiag=np.array([]))
+    assert schur_complement(tri, 1.0) == 1.5
+
+
+def test_schur_complement_is_the_nested_fraction():
+    # d0 - z - t0^2/(d1 - z - t1^2/(d2 - z)), each pivot as LAPACK forms it
+    d, t = np.array([0.5, 2.0, 3.0]), np.array([0.7, 0.3])
+    tri = TridiagonalHamiltonian(diag=d, offdiag=t)
+    z = -0.25
+    x = (d[1] - z) - t[1] / (d[2] - z) * t[1]
+    assert schur_complement(tri, z) == (d[0] - z) - t[0] / x * t[0]
+    # a last pivot <= 0 is f(z) < 0, right of the root, and no failure
+    assert schur_complement(tri, 1.0) < 0.0
+
+
 @pytest.mark.parametrize("n, eps", [(2, 0.01), (1024, 0.01), (16384, 0.5)])
 @pytest.mark.parametrize("k", [1, 10, 20, 26, 100, 500])
 def test_lambda0_is_exactly_homogeneous_in_phi(n, eps, k):

@@ -13,8 +13,8 @@ from bogoflow import ModelParams, cli, groundstate, oracle, spectrum, verify
 # truncation_decay fit takes, per span, the smallest even N that
 # g_truncated restarts from that span.
 FROZEN_BATTERY = [
-    ("cf_equivalence", True, "9.835793725740424e-13",
-     "worst rel diff 1.642e-14 at n=16 eps=0.01 z=-0.786554; tol 1e-12"),
+    ("cf_equivalence", True, "9.832160787277043e-13",
+     "worst rel diff 1.678e-14 at n=128 eps=0.01 z=-0.863093; tol 1e-12"),
     ("flow_monotonicity", True, "1e-12",
      "min level increment 0.000e+00, max f slope -1.064575"),
     ("w_bound", True, "0.0004023454462566506",
