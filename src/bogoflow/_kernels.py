@@ -20,6 +20,7 @@ import numpy as np
 HAVE_NUMBA = False
 
 _TINY = 1e-300  # replaces an exact zero pivot/denominator
+_dpttrf = None  # LAPACK dpttrf, bound by the first _pivots call
 
 
 def _pivots(c, y, step):
@@ -41,18 +42,20 @@ def _pivots(c, y, step):
     place only into such an array, and would fill a private copy of any
     other.
     """
+    global _dpttrf
     if y.dtype != np.float64 or not y.flags.c_contiguous:
         raise ValueError("the pivot chain needs a C-contiguous float64 array")
-    # imported here, not at the top: loading scipy.linalg this early in
-    # the package import, before the oracle does, made a fresh
-    # `import bogoflow` 20-30 ms slower (extra garbage-collector work)
-    from scipy.linalg.lapack import dpttrf
+    if _dpttrf is None:
+        # bound here, not at import: scipy.linalg loaded before the oracle loads it
+        # made a fresh `import bogoflow` 20-30 ms slower (garbage-collector work)
+        from scipy.linalg import lapack
 
+        _dpttrf = lapack.dpttrf
     n = y.shape[0]
     # y[:k] is dpttrf's: k - 1 is the first index with c < 0 or NaN, or k = n
     k = n if c[1:].min(initial=0.0) >= 0.0 else 1 + int(np.argmin(c[1:] >= 0.0))
     y[1:k] = 1.0
-    info = dpttrf(y[:k], np.sqrt(c[1:k]), overwrite_d=1, overwrite_e=1)[2] if k > 1 else 0
+    info = _dpttrf(y[:k], np.sqrt(c[1:k]), overwrite_d=1, overwrite_e=1)[2] if k > 1 else 0
     if info == 0 and k == n:
         return True
     start = max(info - 1, 1) if info else k  # y[info - 1] is the first pivot <= 0

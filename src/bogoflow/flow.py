@@ -15,16 +15,16 @@ elements divided by the two shell resolvents:
 with m = N - i the pair-mode occupation at level i.  The second
 resolvent of W_i is the first resolvent of level i-2 (i-2 and m+2 are
 exact in floating point), so one array of resolvents serves both.  Only
-the resolvents depend on z; a pass builds the numerators and diagonal
-entries PASS_BLOCK levels at a time.  One rule decides where the flow
-holds: a level is valid while its resolvent d - z is > 0 and its
-pivot 1/G = 1 - W*G is > 0 (the series sum with q = W*G in [0, 1)).
-The table records the first level where that fails, a NaN failing too,
-and nothing raises.  For z < 0 every resolvent is a nonnegative d minus
-a negative z, so only z >= 0 (or NaN) needs the resolvent test.  A
-resolvent d_k - z <= 0 puts z at or above d_k, which is at least the
-lowest eigenvalue of the matrix without its condensate row and so above
-the ground energy: right of the root, as every invalid z is.
+the resolvents depend on z: the passes at a point slice the numerators
+and diagonal entries of its top PASS_BLOCK + 1 levels from one table
+(_coefficients_at).  The validity rule: a level is valid while its
+resolvent d - z is > 0 and its pivot 1/G = 1 - W*G is > 0 (the series
+sum with q = W*G in [0, 1)); a pass records the first level where that
+fails, a NaN failing too, and nothing raises.  For z < 0 every resolvent
+is a nonnegative d minus a negative z, so only z >= 0 (or NaN) needs the
+resolvent test.  A resolvent d_k - z <= 0 puts z at or above d_k, at
+least the lowest eigenvalue of the matrix without its condensate row, so
+above the ground energy: right of the root, as every invalid z is.
 
 The recursion runs on the pivots 1/G, which are those of the LDL^T
 factorization of the sector matrix minus z, through LAPACK dpttrf
@@ -100,6 +100,7 @@ COEFF_FLOOR = 1e-18
 CHAIN_BLOCK = 2048
 # levels per block of a flow pass: 128 KB per float64 array, which stays in cache
 PASS_BLOCK = 16384
+_table = (None, 0, None, None)  # _coefficients_at's (params, lowest level, num, diag)
 # decay constant c of the truncation error (1/(1+c*sqrt(eps)))^(N^(1-beta)).
 # The battery's truncation-decay fits read c = expm1(-slope)/sqrt(eps) of
 # 0.91-1.02 at eps=0.01 and 1.22-1.39 at eps=0.04 (beta 0.7 down to 0.3),
@@ -140,6 +141,23 @@ class FlowTable:
 
 
 def _coefficients_at(params: ModelParams, lo: int, hi: int):
+    """(num, diag) of _build_coefficients at lo <= i < hi: from level
+    N - 2*(PASS_BLOCK + 1) up, bit-equal slices (each entry depends on its
+    level alone) of one read-only table of levels _table[1] <= i < N for
+    the params object last served, by identity (phi = -0.0 equals 0.0 but
+    gives zeros of the other sign), rebuilt down to lo where lo is lower."""
+    global _table
+    if lo < params.n_particles - 2 * (PASS_BLOCK + 1):
+        return _build_coefficients(params, lo, hi)
+    owner, low, num, diag = _table
+    if owner is not params or lo < low:
+        num, diag = _build_coefficients(params, lo, params.n_particles)
+        num.flags.writeable = diag.flags.writeable = False
+        _table, low = (params, lo, num, diag), lo
+    return num[(lo - low) // 2 : (hi - low) // 2], diag[(lo - low) // 2 : (hi - low) // 2]
+
+
+def _build_coefficients(params: ModelParams, lo: int, hi: int):
     """The z-independent parts of W at the even levels lo <= i < hi, as
     (num, diag): the coupling numerator t_k^2 and the diagonal entry d_k
     of each level, so that d_k - z is its first resolvent."""
@@ -238,7 +256,7 @@ def enclosure(params: ModelParams, z: float, count: int):
     full pass there (module docstring); S starts at
     _first_span(params, count) and doubles until that run holds count
     levels.  Elsewhere (z >= 0 or NaN, eps*N < 1, S >= N, or a restart
-    invalid) g is the whole of g_check's pass and S = N.  Raises
+    invalid) g is G at every level of the full pass and S = N.  Raises
     FlowDomainError where that pass is invalid at z.
     """
     n = params.n_particles
@@ -253,10 +271,10 @@ def enclosure(params: ModelParams, z: float, count: int):
         if g.size >= count:
             return g, span
         span *= 2
-    table = g_check(params, z)
-    if not table.valid:
-        raise FlowDomainError(f"flow invalid at z={z!r} from level {table.invalid_level}")
-    return table.g_values, n
+    _, g, _, _, bad = _flow_pass(params, z, 0, 1.0)  # the full pass, without g_check's slope
+    if bad >= 0:
+        raise FlowDomainError(f"flow invalid at z={z!r} from level {2 * bad}")
+    return g, n
 
 
 def g_check(params: ModelParams, z: float, start_level: int = 0) -> FlowTable:
@@ -384,5 +402,4 @@ def g_truncated(params: ModelParams, z: float, beta: float) -> float:
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     start = max(n - power_span(n, 1.0 - beta), 0)
-    table = g_check(params, z, start_level=start)
-    return float(table.g_values[-1])
+    return float(_flow_pass(params, z, start, 1.0)[1][-1])  # g_check's G, without its slope

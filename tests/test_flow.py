@@ -197,6 +197,124 @@ def test_a_pass_holds_no_level_array_beyond_its_outputs(read):
     assert peak <= 2.5 * (n // 2) * 8
 
 
+@pytest.mark.parametrize("n", (32768, 32770, 32772, 65538))
+def test_coefficient_table_slices_equal_a_fresh_build(n):
+    # the table serves every request from N - 2*(PASS_BLOCK + 1) up and
+    # grows down to the lowest one asked; below that a block builds fresh.
+    # Every slice, and every pass read from one, equals a fresh build
+    from bogoflow import flow
+
+    params = ModelParams(n_particles=n, epsilon=0.01)
+    z = bogoliubov_energy(params)
+    starts = (0, n - flow._first_span(params, flow.CHAIN_BLOCK), n - 2)
+    for order in (starts, starts[::-1]):
+        params = ModelParams(n_particles=n, epsilon=0.01)  # a new object: a new table
+        for start in order:
+            for lo, hi in ((start, n), (start, start + 2), (max(start, n - 8), n - 2)):
+                got, fresh = flow._coefficients_at(params, lo, hi), flow._build_coefficients(params, lo, hi)
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in fresh], (lo, hi)
+            w, g, num, den1, bad = flow._flow_pass(params, z, start, 1.0)
+            ref = _one_span_pass(params, z, start, 1.0)
+            for got, full in zip((w, g, num, den1), ref):
+                assert got.tobytes() == full[full.size - got.size :].tobytes()
+            assert (w.size, g.size, bad) == (ref[0].size, ref[1].size, ref[4])
+        owner, low, num, diag = flow._table
+        assert owner is params and num.size == diag.size == (n - low) // 2 <= flow.PASS_BLOCK + 1
+
+
+def test_coefficient_table_builds_only_the_levels_asked():
+    # a restart's first request builds its own levels, not the table's cap
+    from bogoflow import flow
+
+    params = ModelParams(n_particles=10**6, epsilon=0.01)
+    flow._coefficients_at(params, params.n_particles - 8, params.n_particles)
+    assert flow._table[0] is params and flow._table[2].size == 4
+    flow._flow_pass(params, -1.0, params.n_particles - 40, 1.0)
+    assert flow._table[1] == params.n_particles - 40
+
+
+@pytest.mark.parametrize("built, read", ((1 << 30, 1), (1, 7), (7, 1 << 30)))
+def test_a_table_built_under_one_pass_block_serves_another(monkeypatch, built, read):
+    # the table records the lowest level it holds, so its slices keep their
+    # lengths and bits when PASS_BLOCK changes between passes
+    from bogoflow import flow
+
+    params = ModelParams(n_particles=1024, epsilon=0.01)
+    z = bogoliubov_energy(params)
+    for start in (0, 512, 1022):
+        monkeypatch.setattr(flow, "PASS_BLOCK", built)
+        flow._flow_pass(params, z, start, 1.0)
+        monkeypatch.setattr(flow, "PASS_BLOCK", read)
+        got, ref = flow._flow_pass(params, z, start, 1.0), _one_span_pass(params, z, start, 1.0)
+        for a, full in zip(got[:4], ref):
+            assert a.tobytes() == full[full.size - a.size :].tobytes()
+        assert (got[0].size, got[1].size, got[4]) == (ref[0].size, ref[1].size, ref[4])
+
+
+def test_the_coefficient_table_is_keyed_by_the_params_object():
+    # phi = -0.0 equals phi = 0.0, but its diagonal entries are -0.0
+    from bogoflow import flow
+
+    plus, minus = ModelParams(n_particles=64, epsilon=0.5, phi=0.0), ModelParams(n_particles=64, epsilon=0.5, phi=-0.0)
+    assert plus == minus
+    for params, signed in ((plus, False), (minus, True)):
+        num, diag = flow._coefficients_at(params, 0, 64)
+        assert np.all(np.signbit(diag) == signed)
+        assert [num.tobytes(), diag.tobytes()] == [a.tobytes() for a in flow._build_coefficients(params, 0, 64)]
+
+
+def test_the_coefficient_table_is_read_only_and_holds_one_block():
+    # after a pass at N = 2e6 the table holds the top PASS_BLOCK + 1
+    # levels' two arrays and nothing else; a caller cannot write them
+    import tracemalloc
+
+    from bogoflow import flow
+
+    n = 2 * 10**6
+    z = solve_fixed_point(ModelParams(n_particles=n, epsilon=0.01)).z_star
+    params = ModelParams(n_particles=n, epsilon=0.01)  # a new object: a new table
+    tracemalloc.start()
+    try:
+        f_of_z(params, z)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * (flow.PASS_BLOCK + 1) * 8 + 4096
+    num, diag = flow._coefficients_at(params, n - 4, n)
+    for array in (num, diag, *flow._table[2:]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_threads_sharing_the_coefficient_table_read_their_own_params():
+    # the table is swapped whole, so a thread that loses a race rebuilds,
+    # and every f_of_z equals its single-threaded value
+    import sys
+    import threading
+
+    points = [ModelParams(n_particles=n, epsilon=eps) for n in (64, 1024, 40000) for eps in (0.5, 0.01)]
+    zs = [bogoliubov_energy(p) - 0.1 for p in points]
+    expected = [f_of_z(p, z) for p, z in zip(points, zs)]
+    got = [[] for _ in points]
+
+    def run(j):
+        for _ in range(40):
+            got[j].append(f_of_z(points[j], zs[j]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(j,)) for j in range(len(points))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[f] * 40 for f in expected]
+
+
 def test_g_check_start_level_validation():
     p = ModelParams(n_particles=16, epsilon=0.1)
     with pytest.raises(ValueError):
@@ -400,8 +518,17 @@ def _full_pass_link_row(monkeypatch, params):
         return verify.check_g_lower_bound_link(params).as_dict()
 
 
-def _no_full_pass(*args):
-    raise AssertionError("the check ran an O(N) flow pass")
+def _no_full_pass(monkeypatch):
+    # a flow pass from level 0, the O(N) one, fails the test
+    from bogoflow import flow
+
+    run = flow._flow_pass
+
+    def guarded(params, z, start_level, pivot):
+        assert start_level > 0, "the check ran an O(N) flow pass"
+        return run(params, z, start_level, pivot)
+
+    monkeypatch.setattr(flow, "_flow_pass", guarded)
 
 
 @pytest.mark.parametrize("eps", [0.04, 0.01])
@@ -414,7 +541,7 @@ def test_lower_bound_link_reads_the_enclosure(monkeypatch, n, eps):
 
     p = ModelParams(n_particles=n, epsilon=eps)
     expected = _full_pass_link_row(monkeypatch, p)
-    monkeypatch.setattr(flow, "g_check", _no_full_pass)
+    _no_full_pass(monkeypatch)
     assert verify.check_g_lower_bound_link(p).as_dict() == expected
 
 
@@ -443,7 +570,7 @@ def test_lower_bound_link_short_span_doubles_to_same_row(monkeypatch):
     expected = _full_pass_link_row(monkeypatch, p)
     spans = _restart_spans(monkeypatch)
     monkeypatch.setattr(flow, "_first_span", lambda params, count: 4)
-    monkeypatch.setattr(flow, "g_check", _no_full_pass)
+    _no_full_pass(monkeypatch)
     assert verify.check_g_lower_bound_link(p).as_dict() == expected
     assert spans[::2] == spans[1::2] == [4 << j for j in range(len(spans) // 2)]
     assert 2 * 1709 < spans[-1] < p.n_particles
@@ -489,7 +616,7 @@ def test_lower_bound_link_runs_one_restart_pair_at_ten_million(monkeypatch, eps)
     p = ModelParams(n_particles=10**7, epsilon=eps)
     count = sequences.xtilde_sequence(p).values.size
     spans = _restart_spans(monkeypatch)
-    monkeypatch.setattr(flow, "g_check", _no_full_pass)
+    _no_full_pass(monkeypatch)
     assert verify.check_g_lower_bound_link(p).passed
     assert spans == [flow._first_span(p, count)] * 2
 
@@ -502,7 +629,7 @@ def test_lower_bound_link_runs_one_restart_pair_at_ten_million(monkeypatch, eps)
     ],
 )
 def test_lower_bound_link_streams_where_the_enclosure_does_not_apply(monkeypatch, n, eps):
-    # the restarts do not apply: the enclosure reads one full g_check pass
+    # the restarts do not apply: the enclosure reads one full flow pass
     from bogoflow import flow, verify
 
     p = ModelParams(n_particles=n, epsilon=eps)
@@ -510,10 +637,10 @@ def test_lower_bound_link_streams_where_the_enclosure_does_not_apply(monkeypatch
     assert eps * n < 1.0 or z >= 0.0
     expected = _link_row_from_full_table(p)
     passes = []
-    full = flow.g_check
-    monkeypatch.setattr(flow, "g_check", lambda *args: passes.append(args[1:]) or full(*args))
+    run = flow._flow_pass
+    monkeypatch.setattr(flow, "_flow_pass", lambda *args: passes.append(args[1:]) or run(*args))
     assert verify.check_g_lower_bound_link(p).as_dict() == expected
-    assert passes == [(z,)]
+    assert passes == [(z, 0, 1.0)]
 
 
 @pytest.mark.parametrize(

@@ -273,7 +273,7 @@ def test_pivots_follow_their_rule_bit_for_bit(n, monkeypatch):
     # dpttrf prefix across the lengths and seeds
     calls = []
     dpttrf = scipy.linalg.lapack.dpttrf
-    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", lambda *a, **k: calls.append(1) or dpttrf(*a, **k))
+    monkeypatch.setattr(_kernels, "_dpttrf", lambda *a, **k: calls.append(1) or dpttrf(*a, **k))
     rng = np.random.default_rng(n)
     for name, w, dfac in _pivot_cases(n, rng):
         with np.errstate(divide="ignore"):
@@ -290,3 +290,11 @@ def test_pivots_follow_their_rule_bit_for_bit(n, monkeypatch):
             assert clean == (name == "clean"), name
 
 
+def test_the_first_chain_binds_dpttrf_for_every_later_one(monkeypatch):
+    # the import runs on the first chain only: later chains call the bound routine
+    _kernels.warmup()
+    bound = _kernels._dpttrf
+    assert bound is scipy.linalg.lapack.dpttrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dpttrf", None)
+    _kernels.warmup()
+    assert _kernels._dpttrf is bound

@@ -142,6 +142,23 @@ def test_the_battery_builds_each_grid_record_once_in_the_caller(monkeypatch):
     assert {pid for _, pid in on_grid} == {os.getpid()}
 
 
+def test_the_cf_row_builds_coefficients_at_most_once_per_record(monkeypatch):
+    # the 20 f_of_z of a record slice one coefficient table, built by the
+    # first of them
+    from bogoflow import flow
+
+    records = [verify.compare_point(ModelParams(n, eps)) for n in verify.DEFAULT_GRID_N for eps in verify.DEFAULT_GRID_EPS]
+    builds, build = Counter(), flow._build_coefficients
+
+    def spy(params, lo, hi):
+        builds[params] += 1
+        return build(params, lo, hi)
+
+    monkeypatch.setattr(flow, "_build_coefficients", spy)
+    assert verify.check_cf_equivalence(records).passed
+    assert len(records) == 15 and builds == Counter(rec.params for rec in records)
+
+
 def test_cf_negative_control_leaves_the_records_untouched():
     records = [verify.compare_point(ModelParams(n_particles=n, epsilon=eps)) for n in (2, 128) for eps in (0.1, 0.01)]
     before = [(rec.tri.diag.copy(), rec.tri.offdiag.copy(), rec.lambda0) for rec in records]
